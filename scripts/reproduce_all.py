@@ -18,15 +18,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from kemst.event_stability import approximation_audit, run_event_regime, TRACE_COLUMNS
+from kemst.event_stability import TraceRecord, approximation_audit, run_event_regime
 from kemst.flip_oracle import minimax_flip_oracle
 from kemst.lipschitz import (
-    LIPSCHITZ_COLUMNS,
+    LipschitzRecord,
     no_completion_certificate,
     run_lipschitz_regime,
 )
 from kemst.morph import (
-    TOPO_COLUMNS,
+    TopoRecord,
     diamond_rotation_certificate,
     plan_rotation_morph,
     plan_slide_morph,
@@ -60,9 +60,7 @@ def main() -> None:
             )
             if s == 3 and k == 0.1:
                 write_csv(
-                    out / "chebyshev_s3_k0.1_event.csv",
-                    TRACE_COLUMNS,
-                    [r.row() for r in res.trace.records],
+                    out / "chebyshev_s3_k0.1_event.csv", TraceRecord, res.trace.records
                 )
                 recs = res.trace.records
                 svg_plot(
@@ -98,7 +96,7 @@ def main() -> None:
     )
     topo = run_topo_regime(gen_diamond(6), mode="rotation", samples=32, grid=257)
     print(f"  rotation run: max ratio {topo.max_ratio:.4f} over {topo.swap_count} swaps")
-    write_csv(out / "diamond_topo.csv", TOPO_COLUMNS, [r.row() for r in topo.records])
+    write_csv(out / "diamond_topo.csv", TopoRecord, topo.records)
 
     print("== split: budgeted slides ==")
     n = 64
@@ -109,11 +107,7 @@ def main() -> None:
         f"  n=64 K=0.1/ln(64): certificate budget {budget:.4f} < 1 ({certified}), "
         f"completed={res.completed}, ratio={res.ratio:.2f} (>= {n // 8})"
     )
-    write_csv(
-        out / "split_n64_lipschitz.csv",
-        LIPSCHITZ_COLUMNS,
-        [r.row() for r in res.records],
-    )
+    write_csv(out / "split_n64_lipschitz.csv", LipschitzRecord, res.records)
     res8 = run_lipschitz_regime(gen_split(8), K=80.0)
     print(f"  n=8 K=80: completed={res8.completed}, ratio={res8.ratio:.4f}")
     print(f"traces in {out}/")

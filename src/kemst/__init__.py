@@ -76,7 +76,6 @@ from .spanning import (
 from .trajectories import (
     Trajectory,
     constant,
-    evaluate,
     linear,
     max_speed,
     normalize_unit_range,

@@ -6,25 +6,38 @@ summary."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import AuditFailure, ParameterError
-from .event_stability import (
-    TRACE_COLUMNS,
-    approximation_audit,
-    run_event_regime,
-)
+from .event_stability import TraceRecord, approximation_audit, run_event_regime
 from .flip_oracle import minimax_flip_oracle
-from .lipschitz import LIPSCHITZ_COLUMNS, run_lipschitz_regime
-from .morph import TOPO_COLUMNS, diamond_rotation_certificate, run_topo_regime
+from .lipschitz import LipschitzRecord, run_lipschitz_regime
+from .morph import TopoRecord, diamond_rotation_certificate, run_topo_regime
 from .scenario_io import build_generator, load_scenario, save_scenario
-from .scenarios import GENERATORS
+from .scenarios import GENERATORS, KineticScenario, gen_diamond
 from .traces import svg_plot, write_csv
 
 OUT_DIR_ENV = "KEMST_OUT_DIR"
+
+# Generator parameters settable by flag: the scalar ones of the registry
+# (split's colors list stays file-only).
+_GENERATOR_FLAGS = {
+    key: cast
+    for fn in GENERATORS.values()
+    for key, (cast, _required) in fn.params.items()
+    if cast is not list
+}
+
+# Per run command: trace record type, trace-file suffix, series --svg draws.
+_RUNS = {
+    "run-event": (TraceRecord, "event", ("ratio", "tree_length")),
+    "run-topo": (TopoRecord, "topo", ("ratio",)),
+    "run-lipschitz": (LipschitzRecord, "lipschitz", ()),
+}
 
 
 def _out_dir(value: str | None) -> Path:
@@ -33,123 +46,77 @@ def _out_dir(value: str | None) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _load(path_or_name: str, args) -> "KineticScenario":
-    p = Path(path_or_name)
-    if p.exists():
-        sc = load_scenario(p)
+def _generate(name: str, args) -> KineticScenario:
+    return build_generator(name, **{key: getattr(args, key) for key in _GENERATOR_FLAGS})
+
+
+def _override(sc: KineticScenario, args) -> KineticScenario:
+    """Apply whichever of --k, --K, --label and --morph-mode were given."""
+    updates = {
+        key: getattr(args, key)
+        for key in ("k", "K", "label", "morph_mode")
+        if getattr(args, key, None) not in (None, "")
+    }
+    return dataclasses.replace(sc, **updates)
+
+
+def _load(path_or_name: str, args) -> KineticScenario:
+    if Path(path_or_name).exists():
+        sc = load_scenario(path_or_name)
     elif path_or_name in GENERATORS:
-        sc = build_generator(
-            path_or_name,
-            s=getattr(args, "s", None),
-            n=getattr(args, "n", None),
-            T=getattr(args, "T", None),
-            e_len=getattr(args, "e_len", None),
-            per_side=getattr(args, "per_side", None) or 6,
-        )
+        sc = _generate(path_or_name, args)
     else:
         raise ParameterError(f"no such scenario file or generator: {path_or_name}")
-    import dataclasses
-
-    updates = {}
-    if getattr(args, "k", None) is not None:
-        updates["k"] = args.k
-    if getattr(args, "K", None) is not None:
-        updates["K"] = args.K
-    if getattr(args, "label", None):
-        updates["label"] = args.label
-    return dataclasses.replace(sc, **updates) if updates else sc
+    return _override(sc, args)
 
 
-def _event_job(payload: dict) -> tuple[str, int]:
+def _run_job(payload: dict) -> str:
+    """Run one scenario through a run command's regime, write its trace
+    (and plot), and return the summary line."""
     ns = argparse.Namespace(**payload["args"])
     sc = _load(payload["scenario"], ns)
-    result = run_event_regime(sc, samples=ns.samples)
+    note = ""
+    if ns.cmd == "run-event":
+        res = run_event_regime(sc, samples=ns.samples)
+        records, events, ratio = res.trace.records, res.event_count, res.trace.max_ratio()
+    elif ns.cmd == "run-topo":
+        res = run_topo_regime(sc, mode=ns.mode, samples=ns.samples, grid=ns.grid)
+        records, events, ratio = res.records, res.swap_count, res.max_ratio
+        if res.fallback_count:
+            note = f" fallbacks={res.fallback_count}"
+    else:
+        res = run_lipschitz_regime(sc, K=ns.K, trace_samples=ns.samples)
+        records, events, ratio = res.records, res.completed, res.ratio
+    record_type, suffix, series = _RUNS[ns.cmd]
     out = _out_dir(ns.out_dir)
-    csv_path = out / f"{sc.label}_event.csv"
-    write_csv(csv_path, TRACE_COLUMNS, [r.row() for r in result.trace.records])
-    if ns.svg:
-        recs = result.trace.records
+    write_csv(out / f"{sc.label}_{suffix}.csv", record_type, records)
+    if ns.svg and series:
+        times = [r.time for r in records]
         svg_plot(
-            out / f"{sc.label}_event.svg",
-            [
-                ("ratio", [r.time for r in recs], [r.ratio for r in recs]),
-                ("tree_length", [r.time for r in recs], [r.tree_length for r in recs]),
-            ],
+            out / f"{sc.label}_{suffix}.svg",
+            [(name, times, [getattr(r, name) for r in records]) for name in series],
             title=sc.label,
         )
-    summary = (
-        f"{sc.label} events={result.event_count} "
-        f"max_ratio={result.trace.max_ratio():.6g}"
-    )
-    return summary, 0
+    return f"{sc.label} events={events} max_ratio={ratio:.6g}{note}"
 
 
-def _topo_job(payload: dict) -> tuple[str, int]:
-    ns = argparse.Namespace(**payload["args"])
-    sc = _load(payload["scenario"], ns)
-    result = run_topo_regime(sc, mode=ns.mode, samples=ns.samples, grid=ns.grid)
-    out = _out_dir(ns.out_dir)
-    write_csv(
-        out / f"{sc.label}_topo.csv", TOPO_COLUMNS, [r.row() for r in result.records]
-    )
-    if ns.svg:
-        svg_plot(
-            out / f"{sc.label}_topo.svg",
-            [
-                (
-                    "ratio",
-                    [r.time for r in result.records],
-                    [r.ratio for r in result.records],
-                )
-            ],
-            title=sc.label,
-        )
-    flag = f" fallbacks={result.fallback_count}" if result.fallback_count else ""
-    summary = (
-        f"{sc.label} events={result.swap_count} "
-        f"max_ratio={result.max_ratio:.6g}{flag}"
-    )
-    return summary, 0
-
-
-def _lipschitz_job(payload: dict) -> tuple[str, int]:
-    ns = argparse.Namespace(**payload["args"])
-    sc = _load(payload["scenario"], ns)
-    result = run_lipschitz_regime(sc, K=ns.K, trace_samples=ns.samples)
-    out = _out_dir(ns.out_dir)
-    write_csv(
-        out / f"{sc.label}_lipschitz.csv",
-        LIPSCHITZ_COLUMNS,
-        [r.row() for r in result.records],
-    )
-    summary = (
-        f"{sc.label} events={result.completed} max_ratio={result.ratio:.6g}"
-    )
-    return summary, 0
-
-
-_JOB_FNS = {
-    "run-event": _event_job,
-    "run-topo": _topo_job,
-    "run-lipschitz": _lipschitz_job,
-}
-
-
-def _run_many(cmd: str, args) -> int:
-    payloads = [
-        {"scenario": s, "args": vars(args)} for s in args.scenario
-    ]
-    fn = _JOB_FNS[cmd]
+def _run_many(args) -> None:
+    payloads = [{"scenario": s, "args": vars(args)} for s in args.scenario]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(fn, payloads))
+            summaries = list(pool.map(_run_job, payloads))
     else:
-        results = [fn(p) for p in payloads]
-    code = 0
-    for summary, rc in results:
-        print(summary)
-        code = max(code, rc)
-    return code
+        summaries = [_run_job(p) for p in payloads]
+    for line in summaries:
+        print(line)
+
+
+def _add_scenario_flags(p):
+    for key, cast in _GENERATOR_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=cast)
+    p.add_argument("--k", type=float)
+    p.add_argument("--K", type=float)
+    p.add_argument("--label")
 
 
 def _add_common_run_flags(p, samples_default=64):
@@ -158,15 +125,7 @@ def _add_common_run_flags(p, samples_default=64):
     p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled estimators")
-    p.add_argument("--label", default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--e-len", dest="e_len", type=float, default=None)
-    p.add_argument("--per-side", dest="per_side", type=int, default=None)
+    _add_scenario_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,15 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="write a scenario file from a generator")
     g.add_argument("generator", choices=sorted(GENERATORS))
-    g.add_argument("--s", type=int, default=None)
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--T", type=float, default=None)
-    g.add_argument("--e-len", dest="e_len", type=float, default=None)
-    g.add_argument("--per-side", dest="per_side", type=int, default=6)
-    g.add_argument("--k", type=float, default=None)
-    g.add_argument("--K", type=float, default=None)
+    _add_scenario_flags(g)
     g.add_argument("--morph-mode", dest="morph_mode", default=None)
-    g.add_argument("--label", default=None)
     g.add_argument("--out", default=None, help="default <label>.json")
 
     e = sub.add_parser("run-event", help="displacement-budget maintenance run")
@@ -204,14 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--scenario", required=True, help="file or generator name")
     o.add_argument("--mode", choices=["slide", "rotation"], default=None)
     o.add_argument("--time-steps", dest="time_steps", type=int, default=64)
-    o.add_argument("--n", type=int, default=None)
-    o.add_argument("--s", type=int, default=None)
-    o.add_argument("--T", type=float, default=None)
-    o.add_argument("--e-len", dest="e_len", type=float, default=None)
-    o.add_argument("--per-side", dest="per_side", type=int, default=None)
-    o.add_argument("--k", type=float, default=None)
-    o.add_argument("--K", type=float, default=None)
-    o.add_argument("--label", default=None)
+    _add_scenario_flags(o)
     o.add_argument("--n-limit", dest="n_limit", type=int, default=7)
 
     a = sub.add_parser("audit", help="event run plus approximation audit")
@@ -227,33 +172,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "gen":
-            sc = build_generator(
-                args.generator,
-                s=args.s,
-                n=args.n,
-                T=args.T,
-                e_len=args.e_len,
-                per_side=args.per_side,
-            )
-            import dataclasses
-
-            updates = {}
-            if args.k is not None:
-                updates["k"] = args.k
-            if args.K is not None:
-                updates["K"] = args.K
-            if args.morph_mode:
-                updates["morph_mode"] = args.morph_mode
-            if args.label:
-                updates["label"] = args.label
-            if updates:
-                sc = dataclasses.replace(sc, **updates)
+            sc = _override(_generate(args.generator, args), args)
             out = Path(args.out) if args.out else Path(f"{sc.label}.json")
             save_scenario(out, sc)
             print(f"{sc.label} wrote {out}")
             return 0
-        if args.cmd in _JOB_FNS:
-            return _run_many(args.cmd, args)
+        if args.cmd in _RUNS:
+            _run_many(args)
+            return 0
         if args.cmd == "oracle":
             sc = _load(args.scenario, args)
             res = minimax_flip_oracle(
@@ -279,8 +205,6 @@ def main(argv=None) -> int:
                 )
             return code
         if args.cmd == "certify-diamond":
-            from .scenarios import gen_diamond
-
             cert = diamond_rotation_certificate(gen_diamond(args.per_side))
             print(
                 f"diamond_q{args.per_side} blocking={cert.blocking_length:.9g} "

@@ -10,6 +10,7 @@ scheme inherits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,16 +18,6 @@ import numpy as np
 from .errors import AuditFailure, ParameterError
 from .scenarios import KineticScenario, input_distance, next_displacement_event
 from .spanning import PointConfig, SpanningTree, emst, tree_length
-
-TRACE_COLUMNS = (
-    "time",
-    "event_type",
-    "tree_length",
-    "opt_length",
-    "ratio",
-    "displacement_since_ref",
-)
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -36,16 +27,6 @@ class TraceRecord:
     opt_length: float
     ratio: float
     displacement_since_ref: float
-
-    def row(self):
-        return (
-            self.time,
-            self.event_type,
-            self.tree_length,
-            self.opt_length,
-            self.ratio,
-            self.displacement_since_ref,
-        )
 
 
 @dataclass
@@ -84,13 +65,14 @@ class EventRunResult:
     k: float
 
     def tree_at(self, t: float) -> SpanningTree:
-        tree = self.schedule[0][1]
-        for start, candidate in self.schedule:
-            if start <= t + 1e-12:
-                tree = candidate
-            else:
-                break
-        return tree
+        return _active(self.schedule, t)[1]
+
+
+def _active(schedule, t: float) -> tuple[float, SpanningTree]:
+    """The (start, tree) entry of a start-sorted schedule in force at time t:
+    the last one starting at or before t + 1e-12, else the first."""
+    i = bisect_right([start for start, _tree in schedule], t + 1e-12)
+    return schedule[max(i - 1, 0)]
 
 
 def _ratio(tree_len: float, opt_len: float) -> float:
@@ -129,29 +111,17 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     merged = [(float(t), "sample", None) for t in sample_times]
     merged += [(t, "recompute", disp) for t, disp in events]
     merged.sort(key=lambda item: (item[0], item[1] != "recompute"))
-    result = EventRunResult(trace, state.event_count, schedule, k)
     for t, kind, disp in merged:
         cfg = sc.config(t)
-        tree = result.tree_at(t)
+        ref_time, tree = _active(schedule, t)
         t_len = tree_length(cfg, tree)
         o_len = tree_length(cfg, emst(cfg))
         if kind == "sample":
-            ref_time = _active_ref(schedule, t)
             disp = input_distance(sc, ref_time, t)
         trace.append(
             TraceRecord(t, kind, t_len, o_len, _ratio(t_len, o_len), disp)
         )
-    return result
-
-
-def _active_ref(schedule, t: float) -> float:
-    ref = schedule[0][0]
-    for start, _tree in schedule:
-        if start <= t + 1e-12:
-            ref = start
-        else:
-            break
-    return ref
+    return EventRunResult(trace, state.event_count, schedule, k)
 
 
 def spread(cfg: PointConfig, l: int) -> SpreadReport:
@@ -249,21 +219,11 @@ def estimate_stability_ratio(
         def d_s(a, b):
             return float(len(a.edges ^ b.edges))
 
-    def tree_at(t):
-        tree = schedule[0][1]
-        for start, candidate in schedule:
-            if start <= t + 1e-12:
-                tree = candidate
-            else:
-                break
-        return tree
-
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(pair_samples):
         t1, t2 = rng.uniform(0.0, sc.horizon, size=2)
-        tree1, tree2 = tree_at(t1), tree_at(t2)
-        ds = d_s(tree1, tree2)
+        ds = d_s(_active(schedule, t1)[1], _active(schedule, t2)[1])
         if ds == 0.0:
             continue
         di = input_distance(sc, float(t1), float(t2))

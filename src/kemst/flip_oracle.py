@@ -14,46 +14,18 @@ n^(n-2).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SizeError
 from .scenarios import KineticScenario
-from .spanning import SpanningTree
+from .spanning import SpanningTree, labeled_tree_edges
 
 _GRAPH_CACHE: dict = {}
 _BFS_CACHE: dict = {}
 
 DEFAULT_N_LIMIT = 7
-
-
-def _prufer_edges(seq, n):
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return tuple(sorted(edges))
-
-
-def _all_tree_edge_tuples(n):
-    if n == 2:
-        return [((0, 1),)]
-    from itertools import product
-
-    return [_prufer_edges(seq, n) for seq in product(range(n), repeat=n - 2)]
 
 
 @dataclass
@@ -67,9 +39,7 @@ class FlipGraph:
     pair_ju: np.ndarray
     src: np.ndarray  # directed flip edges, sorted by dst
     dst: np.ndarray
-    group_starts: np.ndarray
-    indptr: np.ndarray  # CSR over dst-sorted edges for BFS
-    neighbors: np.ndarray
+    indptr: np.ndarray  # CSR over dst-sorted edges: src[indptr[x]:indptr[x+1]] flip into x
 
     def tree_lengths(self, positions: np.ndarray) -> np.ndarray:
         seg = positions[self.pair_iu] - positions[self.pair_ju]
@@ -118,7 +88,7 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
     if key in _GRAPH_CACHE:
         return _GRAPH_CACHE[key]
 
-    trees = _all_tree_edge_tuples(n)
+    trees = labeled_tree_edges(n)
     index = {t: i for i, t in enumerate(trees)}
     pair_id = {}
     pairs = []
@@ -144,6 +114,7 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
                     comp = _component_without(adj, moving, u, v, n)
                     targets = [w for w in comp if w != moving and w != fixed]
                 for w in targets:
+                    # spanning._norm_edge inlined: 0.2M-0.5M calls per graph at n = 7
                     new_edge = (fixed, w) if fixed < w else (w, fixed)
                     if new_edge in edge_set:
                         continue
@@ -163,7 +134,6 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
     counts = np.bincount(dst, minlength=len(trees))
     if np.any(counts == 0):
         raise ParameterError("flip graph has an isolated tree")
-    group_starts = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     iu, ju = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
@@ -177,9 +147,7 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
         pair_ju=ju,
         src=src,
         dst=dst,
-        group_starts=group_starts,
         indptr=indptr,
-        neighbors=src.copy(),
     )
     _GRAPH_CACHE[key] = fg
     return fg
@@ -196,7 +164,7 @@ def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, fg: FlipGraph):
     cost_dst = cost[fg.dst]
     while True:
         cand = np.maximum(dist[fg.src], cost_dst)
-        group_min = np.minimum.reduceat(cand, fg.group_starts)
+        group_min = np.minimum.reduceat(cand, fg.indptr[:-1])
         new_dist = np.minimum(dist, group_min)
         if not np.any(new_dist < dist):
             return new_dist
@@ -273,7 +241,7 @@ def _walk_source(fg: FlipGraph, prev_vals, cost, target, budget):
         if max(prev_vals[x], cost[x]) <= budget + eps:
             return x
         lo, hi = fg.indptr[x], fg.indptr[x + 1]
-        for y in fg.neighbors[lo:hi]:
+        for y in fg.src[lo:hi]:
             y = int(y)
             if y not in seen and allowed[y]:
                 seen.add(y)
@@ -307,7 +275,7 @@ def slide_distance(a: SpanningTree, b: SpanningTree, n_limit: int = DEFAULT_N_LI
             nxt = []
             for x in frontier:
                 lo, hi = fg.indptr[x], fg.indptr[x + 1]
-                for y in fg.neighbors[lo:hi]:
+                for y in fg.src[lo:hi]:
                     y = int(y)
                     if dist[y] < 0:
                         dist[y] = d

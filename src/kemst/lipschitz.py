@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError, UnsupportedKindError
 from .scenarios import KineticScenario
-from .spanning import PointConfig, SpanningTree, emst, tree_length, two_coloring
+from .spanning import (
+    PointConfig,
+    SpanningTree,
+    _norm_edge,
+    emst,
+    tree_length,
+    two_coloring,
+)
 
 QUAD_TOL = 1e-10
 
@@ -163,16 +170,6 @@ def no_completion_certificate(n: int, K: float) -> tuple[bool, float]:
     return worst < 1.0, worst
 
 
-LIPSCHITZ_COLUMNS = (
-    "time",
-    "active_slides",
-    "completed_slides",
-    "tree_length",
-    "opt_length",
-    "ratio",
-)
-
-
 @dataclass(frozen=True)
 class LipschitzRecord:
     time: float
@@ -181,16 +178,6 @@ class LipschitzRecord:
     tree_length: float
     opt_length: float
     ratio: float
-
-    def row(self):
-        return (
-            self.time,
-            self.active_slides,
-            self.completed_slides,
-            self.tree_length,
-            self.opt_length,
-            self.ratio,
-        )
 
 
 @dataclass
@@ -202,10 +189,6 @@ class LipschitzRunResult:
     completed: int
     records: list[LipschitzRecord]
     schedules: list[SlideSchedule] = field(default_factory=list)
-
-
-def _final_positions(sc: KineticScenario) -> np.ndarray:
-    return sc.positions(sc.horizon)
 
 
 def run_lipschitz_regime(
@@ -238,7 +221,7 @@ def run_lipschitz_regime(
     t_now = 0.0
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []
-    final_pos = _final_positions(sc)
+    final_pos = sc.positions(sc.horizon)
 
     def final_len_of(edges) -> float:
         return float(
@@ -253,22 +236,22 @@ def run_lipschitz_regime(
     def start_greedy_slides():
         reserved = set()
         for s in active:
-            reserved.add(tuple(sorted((s.fixed, s.moving))))
-            reserved.add(tuple(sorted((s.moving, s.target))))
+            reserved.add(_norm_edge((s.fixed, s.moving)))
+            reserved.add(_norm_edge((s.moving, s.target)))
         adj = tree.adjacency()
         candidates = []
         base_final = final_len_of(tree.edges)
         for u, v in tree.edges:
             for fixed, moving in ((u, v), (v, u)):
-                if tuple(sorted((fixed, moving))) in reserved:
+                if _norm_edge((fixed, moving)) in reserved:
                     continue
                 for w in adj[moving]:
                     if w == fixed:
                         continue
-                    if tuple(sorted((moving, w))) in reserved:
+                    if _norm_edge((moving, w)) in reserved:
                         continue
-                    new_edges = (tree.edges - {tuple(sorted((u, v)))}) | {
-                        tuple(sorted((fixed, w)))
+                    new_edges = (tree.edges - {_norm_edge((u, v))}) | {
+                        _norm_edge((fixed, w))
                     }
                     if len(new_edges) != tree.n - 1:
                         continue
@@ -277,8 +260,8 @@ def run_lipschitz_regime(
                         candidates.append((gain, fixed, moving, w))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
         for gain, fixed, moving, w in candidates:
-            slider = tuple(sorted((fixed, moving)))
-            carrier = tuple(sorted((moving, w)))
+            slider = _norm_edge((fixed, moving))
+            carrier = _norm_edge((moving, w))
             if slider in reserved or carrier in reserved:
                 continue
             x_span, drift = carrier_profile(moving, w)
@@ -300,10 +283,10 @@ def run_lipschitz_regime(
 
     def geometric_length(t: float) -> float:
         pos = sc.positions(t)
-        sliding = {tuple(sorted((s.fixed, s.moving))): s for s in active}
+        sliding = {_norm_edge((s.fixed, s.moving)): s for s in active}
         total = 0.0
         for u, v in tree.edges:
-            key = tuple(sorted((u, v)))
+            key = _norm_edge((u, v))
             if key in sliding:
                 s = sliding[key]
                 p = s.progress(t)

@@ -26,6 +26,7 @@ from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
     SpanningTree,
+    _norm_edge,
     emst,
     fundamental_cycle,
     tree_from_prufer,
@@ -34,11 +35,6 @@ from .spanning import (
 
 _EDGE_TOL = 1e-6
 _SWAP_TIME_TOL = 1e-9
-
-
-def _norm(e):
-    u, v = e
-    return (u, v) if u < v else (v, u)
 
 
 def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
@@ -91,14 +87,14 @@ def make_swap_event(
     cfg: PointConfig,
     weight_tol: float = _EDGE_TOL,
 ) -> SwapEvent:
-    removed = _norm(removed)
-    inserted = _norm(inserted)
+    removed = _norm_edge(removed)
+    inserted = _norm_edge(inserted)
     if not old_tree.has_edge(removed):
         raise ParameterError("removed edge not in the old tree")
     if old_tree.has_edge(inserted):
         raise ParameterError("inserted edge already in the old tree")
     cycle = tuple(fundamental_cycle(old_tree, inserted))
-    cyc_edges = {_norm(p) for p in zip(cycle, cycle[1:])}
+    cyc_edges = {_norm_edge(p) for p in zip(cycle, cycle[1:])}
     if removed not in cyc_edges:
         raise ParameterError("removed edge does not lie on the fundamental cycle")
     if cfg.distance(*inserted) > cfg.distance(*removed) + weight_tol:
@@ -155,7 +151,7 @@ def _cycle_dist(cfg: PointConfig, cycle) -> np.ndarray:
 
 def _locate_removed(cycle, removed):
     for i in range(len(cycle) - 1):
-        if _norm((cycle[i], cycle[i + 1])) == removed:
+        if _norm_edge((cycle[i], cycle[i + 1])) == removed:
             return i
     raise ParameterError("removed edge not on cycle")
 
@@ -443,7 +439,7 @@ def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg
     events = []
     for e_new in inserted:
         cycle = fundamental_cycle(current, e_new)
-        cyc_edges = [_norm(p) for p in zip(cycle, cycle[1:])]
+        cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
         options = [e for e in cyc_edges if e in removed_pool]
         if not options:
             raise ParameterError("cannot pair inserted edge with a removed edge")
@@ -463,12 +459,6 @@ class TopoRecord:
     tree_length: float
     opt_length: float
     ratio: float
-
-    def row(self):
-        return (self.time, self.tree_length, self.opt_length, self.ratio)
-
-
-TOPO_COLUMNS = ("time", "tree_length", "opt_length", "ratio")
 
 
 @dataclass
@@ -535,8 +525,6 @@ def run_topo_regime(
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-_V_DIAG = (np.array([0.0, _SQRT2]), np.array([0.0, -_SQRT2]))
-_H_DIAG = (np.array([-_SQRT2, 0.0]), np.array([_SQRT2, 0.0]))
 _GEOM_TOL = 1e-9
 
 
@@ -680,7 +668,7 @@ def random_swap_instance(
         ]
         e_new = candidates[int(rng.integers(0, len(candidates)))]
         cycle = fundamental_cycle(tree, e_new)
-        cyc_edges = [_norm(p) for p in zip(cycle, cycle[1:])]
+        cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
         new_len = cfg.distance(*e_new)
         if longest_removed:
             e_old = max(cyc_edges, key=lambda e: cfg.distance(*e))

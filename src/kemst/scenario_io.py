@@ -23,13 +23,20 @@ from .trajectories import ArcSegment, LinearSegment, Trajectory
 
 FORMAT_VERSION = 1
 
-_GENERATOR_PARAMS = {
-    "chebyshev": ("s", "n", "T"),
-    "rational-bumps": ("s", "n"),
-    "circle": ("n", "e_len"),
-    "diamond": ("per_side",),
-    "split": ("n", "colors"),
-}
+_SEGMENT_TYPES = {"linear": LinearSegment, "arc": ArcSegment}
+_SEGMENT_TAGS = {cls: tag for tag, cls in _SEGMENT_TYPES.items()}
+
+
+def _plain(value):
+    """A field value in JSON form: tuples become lists."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _floats(value):
+    """The inverse for numeric fields: a binary64 number or tuple of them."""
+    if isinstance(value, (list, tuple)):
+        return tuple(float(x) for x in value)
+    return float(value)
 
 
 def _traj_to_dict(traj: Trajectory) -> dict:
@@ -43,31 +50,11 @@ def _traj_to_dict(traj: Trajectory) -> dict:
             [[list(num), list(den)] for num, den in coord] for coord in traj.terms
         ]
     else:
-        segs = []
-        for seg in traj.segments:
-            if isinstance(seg, LinearSegment):
-                segs.append(
-                    {
-                        "type": "linear",
-                        "t0": seg.t0,
-                        "t1": seg.t1,
-                        "start": list(seg.start),
-                        "end": list(seg.end),
-                    }
-                )
-            else:
-                segs.append(
-                    {
-                        "type": "arc",
-                        "t0": seg.t0,
-                        "t1": seg.t1,
-                        "center": list(seg.center),
-                        "radius": seg.radius,
-                        "angle0": seg.angle0,
-                        "angle1": seg.angle1,
-                    }
-                )
-        out["segments"] = segs
+        out["segments"] = [
+            {"type": _SEGMENT_TAGS[type(seg)]}
+            | {f.name: _plain(getattr(seg, f.name)) for f in dataclasses.fields(seg)}
+            for seg in traj.segments
+        ]
     return out
 
 
@@ -79,7 +66,7 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
             kind="polynomial",
             dim=dim,
             horizon=horizon,
-            coeffs=tuple(tuple(float(x) for x in c) for c in d["coeffs"]),
+            coeffs=tuple(_floats(c) for c in d["coeffs"]),
             clamp_unit=clamp,
         )
     if kind == "rational":
@@ -88,39 +75,18 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
             dim=dim,
             horizon=horizon,
             terms=tuple(
-                tuple(
-                    (tuple(float(x) for x in num), tuple(float(x) for x in den))
-                    for num, den in coord
-                )
+                tuple((_floats(num), _floats(den)) for num, den in coord)
                 for coord in d["terms"]
             ),
             clamp_unit=clamp,
         )
     if kind == "scripted":
         segs = []
-        for s in d["segments"]:
-            if s["type"] == "linear":
-                segs.append(
-                    LinearSegment(
-                        float(s["t0"]),
-                        float(s["t1"]),
-                        tuple(float(x) for x in s["start"]),
-                        tuple(float(x) for x in s["end"]),
-                    )
-                )
-            elif s["type"] == "arc":
-                segs.append(
-                    ArcSegment(
-                        float(s["t0"]),
-                        float(s["t1"]),
-                        tuple(float(x) for x in s["center"]),
-                        float(s["radius"]),
-                        float(s["angle0"]),
-                        float(s["angle1"]),
-                    )
-                )
-            else:
-                raise ParameterError(f"unknown segment type {s['type']!r}")
+        for seg in d["segments"]:
+            cls = _SEGMENT_TYPES.get(seg["type"])
+            if cls is None:
+                raise ParameterError(f"unknown segment type {seg['type']!r}")
+            segs.append(cls(**{f.name: _floats(seg[f.name]) for f in dataclasses.fields(cls)}))
         return Trajectory(
             kind="scripted", dim=dim, horizon=horizon, segments=tuple(segs),
             clamp_unit=clamp,
@@ -140,21 +106,10 @@ def scenario_to_dict(sc: KineticScenario) -> dict:
         "morph_mode": sc.morph_mode,
     }
     gen_name = sc.meta.get("generator")
-    if gen_name in _GENERATOR_PARAMS:
-        params = {}
-        for key in _GENERATOR_PARAMS[gen_name]:
-            if key == "n":
-                params["n"] = sc.n
-            elif key == "T":
-                params["T"] = sc.horizon
-            elif key == "per_side":
-                params["per_side"] = sc.meta["per_side"]
-            elif key == "e_len":
-                params["e_len"] = sc.meta["e_len"]
-            elif key == "colors":
-                params["colors"] = list(sc.meta["colors"])
-            else:
-                params[key] = sc.meta[key]
+    if gen_name in GENERATORS:
+        # n and T are the scenario's own; generators keep the rest in meta
+        known = {"n": sc.n, "T": sc.horizon, **sc.meta}
+        params = {key: _plain(known[key]) for key in GENERATORS[gen_name].params}
         out["generator"] = {"name": gen_name, **params}
     else:
         out["points"] = [_traj_to_dict(p) for p in sc.points]
@@ -166,36 +121,14 @@ def build_generator(name: str, **params) -> KineticScenario:
         raise ParameterError(
             f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
         )
-    fn = GENERATORS[name]
-    required = {
-        "chebyshev": ("s", "n"),
-        "rational-bumps": ("s", "n"),
-        "circle": ("n",),
-        "split": ("n",),
-        "diamond": (),
-    }[name]
-    missing = [key for key in required if params.get(key) is None]
+    spec = GENERATORS[name].params
+    given = {key: params[key] for key in spec if params.get(key) is not None}
+    missing = [key for key, (_type, required) in spec.items() if required and key not in given]
     if missing:
         raise ParameterError(
             f"generator {name!r} needs {', '.join('--' + m for m in missing)}"
         )
-    if name == "diamond":
-        return fn(points_per_side=int(params.get("per_side", 6)))
-    if name == "circle":
-        kwargs = {"n": int(params["n"])}
-        if params.get("e_len") is not None:
-            kwargs["e_len"] = float(params["e_len"])
-        return fn(**kwargs)
-    if name == "chebyshev":
-        kwargs = {"s": int(params["s"]), "n": int(params["n"])}
-        if params.get("T") is not None:
-            kwargs["T"] = float(params["T"])
-        return fn(**kwargs)
-    if name == "rational-bumps":
-        return fn(s=int(params["s"]), n=int(params["n"]))
-    if name == "split":
-        return fn(n=int(params["n"]), colors=params.get("colors"))
-    raise ParameterError(f"unhandled generator {name!r}")
+    return GENERATORS[name](**{key: spec[key][0](value) for key, value in given.items()})
 
 
 def scenario_from_dict(d: dict) -> KineticScenario:

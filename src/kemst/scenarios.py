@@ -5,7 +5,6 @@ circle spread/converge, diamond flow, vertical split).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -64,9 +63,6 @@ class KineticScenario:
 
     def config(self, t: float) -> PointConfig:
         return PointConfig(self.positions(t))
-
-    def with_k(self, k: float) -> "KineticScenario":
-        return dataclasses.replace(self, k=k)
 
     def with_colors(self, colors) -> "KineticScenario":
         """Rebuild a split scenario around a different red/blue bipartition."""
@@ -228,7 +224,23 @@ def next_displacement_event(
 # construction scenarios
 # ---------------------------------------------------------------------------
 
+# Generator registry: name -> generator function. Each function's `params`
+# maps the scenario parameters that files and the command line pass to it
+# onto (type, required); a parameter left None takes the generator's own
+# default. Split's `colors` is a list and so comes from files only.
+GENERATORS: dict = {}
 
+
+def _generator(name: str, **params):
+    def register(fn):
+        fn.params = params
+        GENERATORS[name] = fn
+        return fn
+
+    return register
+
+
+@_generator("chebyshev", s=(int, True), n=(int, True), T=(float, False))
 def gen_chebyshev(s: int, n: int, T: float = 1.0, k: float | None = None) -> KineticScenario:
     """One degree-s Chebyshev mover sweeping [0,1] s times past n-1
     stationary points placed at j/n (1-D)."""
@@ -258,6 +270,7 @@ def _bump_denominator(center: float) -> tuple[float, ...]:
     return tuple(den)
 
 
+@_generator("rational-bumps", s=(int, True), n=(int, True))
 def gen_rational_bumps(s: int, n: int, k: float | None = None) -> KineticScenario:
     """Half the points stationary, half sweeping through them one after the
     other along sums of quartic bumps (1-D, rational trajectories).
@@ -296,6 +309,7 @@ def gen_rational_bumps(s: int, n: int, k: float | None = None) -> KineticScenari
     )
 
 
+@_generator("circle", n=(int, True), e_len=(float, False))
 def gen_circle(n: int, e_len: float = 0.05) -> KineticScenario:
     """Points start bunched at a short chord of the unit circle, spread to an
     even configuration at t=1/2 (half clockwise, half counterclockwise), then
@@ -407,14 +421,15 @@ def _polyline_motion(vertices, arc_from, arc_to, t0, t1):
     return segs
 
 
-def gen_diamond(points_per_side: int = 6) -> KineticScenario:
+@_generator("diamond", per_side=(int, False))
+def gen_diamond(per_side: int = 6) -> KineticScenario:
     """Points flow from the top connector chord around the left/right corners
     of a diamond to the bottom connector chord, evenly spread at t=1/2.
 
     Chain discretization keeps the left/right corners exactly on the point
     grid, so the spread chains realize their full polyline length.
     """
-    geo = diamond_geometry(points_per_side)
+    geo = diamond_geometry(per_side)
     e_left, e_right = geo["e_endpoints"]
     f_left, f_right = geo["e_prime_endpoints"]
     m = geo["chain_count"]
@@ -433,7 +448,7 @@ def gen_diamond(points_per_side: int = 6) -> KineticScenario:
     meta = {
         "generator": "diamond",
         "t_mid": 0.5,
-        "per_side": points_per_side,
+        "per_side": per_side,
         "e": (0, m),
         "e_prime": (m - 1, 2 * m - 1),
         "left_chain": tuple(range(m)),
@@ -441,12 +456,13 @@ def gen_diamond(points_per_side: int = 6) -> KineticScenario:
     }
     return KineticScenario(
         points=tuple(trajs),
-        label=f"diamond_q{points_per_side}",
+        label=f"diamond_q{per_side}",
         morph_mode="rotation",
         meta=meta,
     )
 
 
+@_generator("split", n=(int, True), colors=(list, False))
 def gen_split(
     n: int,
     colors=None,
@@ -492,12 +508,3 @@ def gen_stationary(positions, T: float = 1.0, k: float | None = None) -> Kinetic
         label="stationary",
         meta={"generator": "stationary"},
     )
-
-
-GENERATORS = {
-    "chebyshev": gen_chebyshev,
-    "rational-bumps": gen_rational_bumps,
-    "circle": gen_circle,
-    "diamond": gen_diamond,
-    "split": gen_split,
-}

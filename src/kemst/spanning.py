@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -196,24 +196,37 @@ def two_coloring(tree: SpanningTree) -> np.ndarray:
     return colors
 
 
-def tree_from_prufer(seq, n: int) -> SpanningTree:
-    """Labeled tree for a Prüfer sequence over vertices 0..n-1."""
+def _prufer_edges(seq, n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted normalized edges of the labeled tree with Prüfer sequence seq."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    edges = []
     leaves = [i for i in range(n) if degree[i] == 1]
     heapq.heapify(leaves)
+    edges = []
     for x in seq:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
+        edges.append(_norm_edge((leaf, x)))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return SpanningTree(n, edges)
+    edges.append(_norm_edge((u, v)))
+    return tuple(sorted(edges))
+
+
+def tree_from_prufer(seq, n: int) -> SpanningTree:
+    """Labeled tree for a Prüfer sequence over vertices 0..n-1."""
+    return SpanningTree(n, _prufer_edges(seq, n))
+
+
+def labeled_tree_edges(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Sorted edge tuples of all n^(n-2) labeled trees on n >= 2 vertices,
+    in the lexicographic order of their Prüfer sequences."""
+    if n == 2:
+        return [((0, 1),)]
+    return [_prufer_edges(seq, n) for seq in product(range(n), repeat=n - 2)]
 
 
 def enumerate_spanning_trees(n: int):
@@ -222,9 +235,7 @@ def enumerate_spanning_trees(n: int):
         raise SizeError("exhaustive tree enumeration capped at n=8")
     if n < 2:
         raise ParameterError("need at least 2 vertices")
-    if n == 2:
-        return [SpanningTree(2, [(0, 1)])]
-    return [tree_from_prufer(seq, n) for seq in product(range(n), repeat=n - 2)]
+    return [SpanningTree(n, edges) for edges in labeled_tree_edges(n)]
 
 
 def min_tree_by_enumeration(cfg: PointConfig) -> tuple[float, SpanningTree]:
@@ -236,8 +247,3 @@ def min_tree_by_enumeration(cfg: PointConfig) -> tuple[float, SpanningTree]:
         if length < best_len:
             best, best_len = tree, length
     return best_len, best
-
-
-def all_pairs(n: int):
-    """Sorted list of all unordered index pairs."""
-    return list(combinations(range(n), 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -16,20 +17,15 @@ def format_cell(x) -> str:
     return str(x)
 
 
-def write_csv(path, columns, rows) -> None:
+def write_csv(path, record_type, records) -> None:
+    """One row per record; the columns are the record dataclass's fields."""
+    columns = [f.name for f in dataclasses.fields(record_type)]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(x) for x in row))
+    for rec in records:
+        lines.append(",".join(format_cell(getattr(rec, c)) for c in columns))
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
 
 
 _PALETTE = ("#1f6fb2", "#c23b21", "#2e8540", "#8031a7")

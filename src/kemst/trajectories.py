@@ -163,11 +163,6 @@ class Trajectory:
         return np.array([self.at(float(t)) for t in ts])
 
 
-def evaluate(traj: Trajectory, t: float) -> np.ndarray:
-    """Position of a trajectory at time t (alias of Trajectory.at)."""
-    return traj.at(t)
-
-
 def constant(values, horizon: float) -> Trajectory:
     """A stationary point."""
     vals = tuple(float(v) for v in np.atleast_1d(values))
@@ -189,20 +184,6 @@ def linear(start, end, horizon: float) -> Trajectory:
         horizon=horizon,
         coeffs=tuple((si, (ei - si) / horizon) for si, ei in zip(s, e)),
     )
-
-
-def chebyshev_coeffs(s: int) -> tuple[float, ...]:
-    """Power-basis coefficients of the degree-s Chebyshev polynomial."""
-    if s == 0:
-        return (1.0,)
-    prev = np.array([1.0])
-    cur = np.array([0.0, 1.0])
-    for _ in range(s - 1):
-        nxt = np.zeros(len(cur) + 1)
-        nxt[1:] = 2.0 * cur
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return tuple(cur)
 
 
 def unit_chebyshev_coeffs(s: int, horizon: float) -> tuple[float, ...]:

@@ -296,14 +296,14 @@ def test_criterion_12_determinism(tmp_path):
         assert (
             cli_main(
                 ["run-event", str(sc_path), "--out-dir", str(out_dir),
-                 "--samples", "32", "--seed", "0"]
+                 "--samples", "32"]
             )
             == 0
         )
         assert (
             cli_main(
                 ["run-lipschitz", "split", "--n", "8", "--K", "2.0",
-                 "--out-dir", str(out_dir), "--seed", "0"]
+                 "--out-dir", str(out_dir)]
             )
             == 0
         )

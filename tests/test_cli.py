@@ -54,7 +54,8 @@ def test_run_topo_diamond(tmp_path, capsys):
     out = capsys.readouterr().out
     ratio = float(out.split("max_ratio=")[1].split()[0])
     assert ratio >= (10 - 2 * math.sqrt(2)) / (9 - 2 * math.sqrt(2)) - 1e-6
-    assert (tmp_path / "diamond_q4_topo.csv").exists()
+    csv_path = tmp_path / "diamond_q4_topo.csv"
+    assert csv_path.read_text().splitlines()[0] == "time,tree_length,opt_length,ratio"
 
 
 def test_run_lipschitz_split(tmp_path, capsys):

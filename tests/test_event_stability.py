@@ -232,3 +232,54 @@ def test_estimator_split_pinned(pinned):
     )
     assert est == pytest.approx(want["value"], rel=1e-9)
     assert est > 0.0
+
+
+# --- active-tree lookup -------------------------------------------------------
+
+
+def _three_trees():
+    from kemst.spanning import SpanningTree
+
+    return (
+        SpanningTree(3, [(0, 1), (1, 2)]),
+        SpanningTree(3, [(0, 2), (1, 2)]),
+        SpanningTree(3, [(0, 1), (0, 2)]),
+    )
+
+
+def test_tree_at_event_time_and_clamping():
+    from kemst.event_stability import EventRunResult, EventTrace
+
+    a, b, c = _three_trees()
+    result = EventRunResult(EventTrace(), 2, [(0.25, a), (0.5, b), (0.75, c)], 0.1)
+    assert result.tree_at(0.5) is b  # exactly at the event
+    assert result.tree_at(0.5 - 1e-13) is b  # within the 1e-12 tolerance
+    assert result.tree_at(0.5 - 1e-11) is a  # outside it
+    assert result.tree_at(0.75) is c
+    assert result.tree_at(2.0) is c
+    assert result.tree_at(0.0) is a  # before the first start: clamp
+    assert result.tree_at(-1.0) is a
+
+
+def test_estimator_tree_lookup_at_event_times():
+    # one sampled pair; point 0 moves at unit speed, so d_I = |t1 - t2|
+    sc = KineticScenario(
+        points=(
+            linear([0.0, 0.0], [1.0, 0.0], 1.0),
+            constant([0.5, 0.5], 1.0),
+            constant([0.0, 1.0], 1.0),
+        ),
+        k=0.1,
+    )
+    lo, hi = sorted(float(t) for t in np.random.default_rng(0).uniform(0.0, 1.0, size=2))
+    a, b, _c = _three_trees()
+
+    def est(schedule):
+        return estimate_stability_ratio(schedule, sc, pair_samples=1, flip_limit=0)
+
+    want = 2.0 / (hi - lo)  # a and b differ in two edges
+    assert est([(lo, a), (hi, b)]) == pytest.approx(want, rel=1e-12)
+    assert est([(lo, a), (hi + 1e-13, b)]) == pytest.approx(want, rel=1e-12)
+    assert est([(lo, a), (hi + 1e-11, b)]) == 0.0
+    assert est([(lo + 1e-11, a), (hi, b)]) == pytest.approx(want, rel=1e-12)
+    assert est([(hi + 1e-11, b), (hi + 2e-11, a)]) == 0.0  # both clamp to b

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,3 +82,58 @@ def test_scenario_json_is_versioned_text(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["format_version"] == 1
     assert raw["generator"]["name"] == "split"
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        gen_chebyshev(3, 5, T=2.0, k=0.1),
+        gen_rational_bumps(4, 4, k=0.2),
+        gen_circle(6, e_len=0.07),
+        gen_diamond(5),
+        gen_split(6, colors=[0, 0, 1, 0, 1, 1], K=2.5),
+    ],
+    ids=["chebyshev", "bumps", "circle", "diamond", "split"],
+)
+def test_generator_save_load_save_byte_identical(tmp_path, sc):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_scenario(first, sc)
+    save_scenario(second, load_scenario(first))
+    assert second.read_bytes() == first.read_bytes()
+    data = scenario_to_dict(sc)
+    assert json.loads(json.dumps(data)) == data  # plain JSON types in memory too
+
+
+def test_explicit_points_save_load_save_byte_identical(tmp_path):
+    from kemst.trajectories import ArcSegment, LinearSegment, Trajectory
+
+    bump = ((0.3,), (1.0, 0.0, 1.0))  # 0.3 / (1 + t^2)
+    scripted = Trajectory(
+        "scripted",
+        2,
+        1.0,
+        segments=(
+            LinearSegment(0.0, 0.5, (1.0, 0.5), (0.5, 0.5)),
+            ArcSegment(0.5, 1.0, (0.5, 0.0), 0.5, math.pi / 2, math.pi),
+        ),
+    )
+    sc = KineticScenario(
+        points=(
+            Trajectory("polynomial", 2, 1.0, coeffs=((0.1, 0.7, -0.2), (0.9,))),
+            Trajectory("rational", 2, 1.0, terms=((bump, bump), (bump,)), clamp_unit=True),
+            scripted,
+        ),
+        k=0.05,
+        K=3.0,
+        morph_mode="rotation",
+        label="mixed",
+    )
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_scenario(first, sc)
+    back = load_scenario(first)
+    save_scenario(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert back.points == sc.points
+    data = scenario_to_dict(sc)
+    assert json.loads(json.dumps(data)) == data
+    assert scenario_from_dict(data).points == sc.points

@@ -11,7 +11,6 @@ from kemst.trajectories import (
     LinearSegment,
     Trajectory,
     constant,
-    evaluate,
     linear,
     max_speed,
     normalize_unit_range,
@@ -24,12 +23,12 @@ from kemst.trajectories import (
 def test_constant_evaluates_everywhere():
     traj = constant([0.5], 1.0)
     for t in (0.0, 0.3, 1.0):
-        assert evaluate(traj, t)[0] == 0.5
+        assert traj.at(t)[0] == 0.5
 
 
 def test_linear_midpoint():
     traj = linear([0.0], [1.0], 1.0)
-    assert evaluate(traj, 0.25)[0] == pytest.approx(0.25, abs=1e-15)
+    assert traj.at(0.25)[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_chebyshev_degree3_starts_at_one():
