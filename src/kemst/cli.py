@@ -12,7 +12,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .errors import AuditFailure, ParameterError
+from .errors import (
+    AuditFailure,
+    DomainError,
+    ParameterError,
+    SizeError,
+    UnsupportedKindError,
+)
 from .event_stability import TraceRecord, approximation_audit, run_event_regime
 from .flip_oracle import minimax_flip_oracle
 from .lipschitz import LipschitzRecord, run_lipschitz_regime
@@ -90,7 +96,7 @@ def _run_job(payload: dict) -> str:
     record_type, suffix, series = _RUNS[ns.cmd]
     out = _out_dir(ns.out_dir)
     write_csv(out / f"{sc.label}_{suffix}.csv", record_type, records)
-    if ns.svg and series:
+    if ns.svg and series and records:
         times = [r.time for r in records]
         svg_plot(
             out / f"{sc.label}_{suffix}.svg",
@@ -214,7 +220,7 @@ def main(argv=None) -> int:
     except AuditFailure as exc:
         print(f"AUDIT FAIL: {exc}", file=sys.stderr)
         return 1
-    except ParameterError as exc:
+    except (ParameterError, SizeError, UnsupportedKindError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -222,11 +222,20 @@ def run_lipschitz_regime(
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []
     final_pos = sc.positions(sc.horizon)
+    final_edge_lengths: dict[tuple[int, int], float] = {}
+
+    def final_edge_length(e: tuple[int, int]) -> float:
+        d = final_edge_lengths.get(e)
+        if d is None:
+            u, v = e
+            d = float(np.linalg.norm(final_pos[u] - final_pos[v]))
+            final_edge_lengths[e] = d
+        return d
 
     def final_len_of(edges) -> float:
-        return float(
-            sum(np.linalg.norm(final_pos[u] - final_pos[v]) for u, v in edges)
-        )
+        # Same per-edge floats summed in the same order as a fresh
+        # computation, so tied gains stay tied.
+        return float(sum(map(final_edge_length, edges)))
 
     def carrier_profile(m: int, w: int) -> tuple[float, float]:
         x_span = abs(heights[m] - heights[w])

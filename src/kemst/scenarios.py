@@ -195,8 +195,13 @@ def next_displacement_event(
     An event landing exactly on the horizon counts, and so does a
     tangential touch of the budget sphere (the displacement reaching k
     with zero derivative, as happens at trajectory turning points).
-    Polynomial trajectories use root isolation on the squared-displacement
-    polynomial; other kinds scan the displacement function directly.
+    Every kind is searched the same way, point by point: the squared
+    displacement minus k^2 is sampled on an EVENT_GRID-interval grid over
+    (t_ref, earliest hit so far], the first sign change is bisected, and
+    grid-local maxima are ternary-refined to catch touches. Polynomial
+    coordinates are evaluated in factored (Horner) form; there is no root
+    isolation, so a crossing is found only where a grid sample or a refined
+    local maximum reaches it.
     """
     if k <= 0:
         raise ParameterError("displacement budget k must be positive")

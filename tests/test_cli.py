@@ -4,6 +4,7 @@ import math
 import pytest
 
 from kemst.cli import main
+from kemst.errors import DomainError
 from kemst.scenario_io import save_scenario
 from kemst.scenarios import gen_stationary
 
@@ -132,3 +133,38 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
              "--out", str(sc_path)])
     run_cli(["run-event", str(sc_path)])
     assert (tmp_path / "envout" / "chebyshev_s2_n5_event.csv").exists()
+
+
+def test_size_error_exits_two(capsys):
+    # diamond has 26 points, above the oracle's default --n-limit of 7
+    assert run_cli(["oracle", "--scenario", "diamond"]) == 2
+    assert capsys.readouterr().err.startswith("error: oracle capped at n=7")
+
+
+def test_unsupported_kind_exits_two(tmp_path, capsys):
+    assert run_cli(["run-lipschitz", "circle", "--n", "8", "--K", "1",
+                    "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: the budgeted regime")
+
+
+def test_domain_error_exits_two(tmp_path, monkeypatch, capsys):
+    # No command-line input reaches a DomainError, so the regime raises one.
+    def out_of_horizon(*args, **kwargs):
+        raise DomainError("t=2 outside [0, 1]")
+
+    monkeypatch.setattr("kemst.cli.run_event_regime", out_of_horizon)
+    assert run_cli(["run-event", "circle", "--n", "5", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: t=2 outside [0, 1]\n"
+
+
+def test_svg_skipped_on_empty_trace(tmp_path, capsys):
+    sc_path = tmp_path / "still.json"
+    save_scenario(sc_path, gen_stationary([[0.2, 0.2], [0.8, 0.6]], k=0.1))
+    assert run_cli(["run-event", str(sc_path), "--samples", "0", "--svg",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "stationary events=0 max_ratio=1\n"
+    csv_path = tmp_path / "stationary_event.csv"
+    assert csv_path.read_text().splitlines() == [
+        "time,event_type,tree_length,opt_length,ratio,displacement_since_ref"
+    ]
+    assert not (tmp_path / "stationary_event.svg").exists()

@@ -99,6 +99,34 @@ def test_run_generous_budget_completes(pinned):
     assert res.completed >= 1
 
 
+# Greedy schedule of gen_split(40, K=5.0) as (fixed, moving, target, t0,
+# t_end): its many exactly tied gains pin the candidate order bit for bit.
+_T1 = 0.005033400063527332
+_T2 = 0.0050334000635273435
+_T3 = 0.0050334000635273496
+_T4 = 0.00503340006352735
+_T5 = 0.005033400063527352
+_T6 = 0.005033400063527355
+SPLIT40_K5_SCHEDULES = [
+    (26, 27, 28, 0.0, _T1), (36, 37, 38, 0.0, _T1), (10, 11, 12, 0.0, _T2),
+    (12, 13, 14, 0.0, _T2), (4, 5, 6, 0.0, _T3), (8, 9, 10, 0.0, _T3),
+    (0, 1, 2, 0.0, _T4), (2, 3, 4, 0.0, _T5), (6, 7, 8, 0.0, _T6),
+    (14, 15, 16, 0.0, _T6), (16, 17, 18, 0.0, _T6), (18, 19, 20, 0.0, _T6),
+    (20, 21, 22, 0.0, _T6), (22, 23, 24, 0.0, _T6), (24, 25, 26, 0.0, _T6),
+    (28, 29, 30, 0.0, _T6), (30, 31, 32, 0.0, _T6), (32, 33, 34, 0.0, _T6),
+    (34, 35, 36, 0.0, _T6), (37, 38, 39, _T1, 0.010268808145070373),
+]
+
+
+def test_run_greedy_schedule_pinned():
+    res = run_lipschitz_regime(gen_split(40, K=5.0))
+    assert res.completed == 20
+    got = [(s.fixed, s.moving, s.target, s.t0, s.t_end) for s in res.schedules]
+    assert got == SPLIT40_K5_SCHEDULES
+    assert res.final_length == 20.005936572555434
+    assert res.opt_length == 2.9003124511871254
+
+
 def test_run_initial_snapshot_ratio_one():
     res = run_lipschitz_regime(gen_split(8), K=1.0, trace_samples=9)
     first = res.records[0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kemst.errors import ParameterError, SizeError
+from kemst.scenarios import gen_split
 from kemst.spanning import (
     PointConfig,
     SpanningTree,
@@ -60,6 +61,72 @@ def test_emst_relabel_invariant_length():
     l1 = tree_length(PointConfig(pos), emst(PointConfig(pos)))
     l2 = tree_length(PointConfig(pos[perm]), emst(PointConfig(pos[perm])))
     assert l1 == pytest.approx(l2, abs=1e-12)
+
+
+def _kruskal_lexsort(cfg):
+    """Reference EMST: Kruskal over a lexsort by (length, u, v) with a
+    union-find class, the implementation the optimised `emst` replaced."""
+
+    class DSU:
+        def __init__(self, n):
+            self.parent = list(range(n))
+
+        def find(self, x):
+            while self.parent[x] != x:
+                self.parent[x] = self.parent[self.parent[x]]
+                x = self.parent[x]
+            return x
+
+        def union(self, a, b):
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                return False
+            self.parent[ra] = rb
+            return True
+
+    n = cfg.n
+    pos = cfg.positions
+    iu, ju = np.triu_indices(n, k=1)
+    lengths = np.linalg.norm(pos[iu] - pos[ju], axis=1)
+    dsu = DSU(n)
+    edges = []
+    for idx in np.lexsort((ju, iu, lengths)):
+        u, v = int(iu[idx]), int(ju[idx])
+        if dsu.union(u, v):
+            edges.append((u, v))
+            if len(edges) == n - 1:
+                break
+    return SpanningTree(n, edges)
+
+
+def _tie_heavy_configs(n, rng):
+    """Lattice, collinear, half-coincident, 3-D and split configurations."""
+    side = max(2, int(np.ceil(np.sqrt(n))))
+    yield rng.integers(0, side, size=(n, 2)).astype(float)
+    yield 0.25 * rng.integers(0, 3, size=(n, 2)) + 0.5
+    yield np.column_stack([np.zeros(n), rng.integers(0, n, size=n) / n])
+    stack = np.arange(n, dtype=float)[:, None] * np.array([[0.3, 0.4]])
+    yield stack[rng.permutation(n)]
+    cloud = rng.uniform(0, 1, size=(n, 2))
+    cloud[rng.permutation(n)[: n // 2]] = cloud[0]
+    yield cloud
+    yield rng.integers(0, 3, size=(n, 3)).astype(float)
+    yield rng.uniform(0, 1, size=(n, 3))
+    if n >= 4:
+        sc = gen_split(n)
+        for t in (0.0, float(rng.uniform(0, 1)), 1.0):
+            yield sc.positions(t)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_emst_matches_lexsort_kruskal_reference(n):
+    rng = np.random.default_rng(1000 + n)
+    for pos in _tie_heavy_configs(n, rng):
+        cfg = PointConfig(pos)
+        got, want = emst(cfg), _kruskal_lexsort(cfg)
+        assert got.edges == want.edges
+        assert list(got.edges) == list(want.edges)
+        assert tree_length(cfg, got) == tree_length(cfg, want)
 
 
 def test_tree_length_345():
