@@ -64,9 +64,6 @@ class EventRunResult:
     schedule: list[tuple[float, SpanningTree]]
     k: float
 
-    def tree_at(self, t: float) -> SpanningTree:
-        return _active(self.schedule, t)[1]
-
 
 def _active(schedule, t: float) -> tuple[float, SpanningTree]:
     """The (start, tree) entry of a start-sorted schedule in force at time t:

@@ -8,8 +8,13 @@ single rotations, and answers two questions:
   within-step reachability closed by bottleneck relaxation), and
 * slide distances between trees (hop counts in the slide flip graph).
 
-Tables are cached per (n, mode); n is capped because the tree count is
-n^(n-2).
+A tree's id is its position in `labeled_tree_edges` order (Prüfer
+sequences, lexicographic). Its edges are also held as an int64 bitmask
+over the n(n-1)/2 vertex pairs (21 bits at n = 7); a flip clears one bit
+and sets another, so the tree it reaches is found by searching the sorted
+masks. The moves are held as CSR over targets: `src`/`dst` ordered by
+(dst, src), each pair once. Tables are cached per (n, mode); n is capped
+because the tree count is n^(n-2).
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ DEFAULT_N_LIMIT = 7
 class FlipGraph:
     n: int
     mode: str
-    trees: list  # canonical sorted edge tuples
-    index: dict  # edge tuple -> tree id
-    edge_pids: np.ndarray  # (N, n-1) indices into the pair list
-    pair_iu: np.ndarray
+    edge_pids: np.ndarray  # (N, n-1) int32 pair ids of each tree's sorted edges
+    pair_iu: np.ndarray  # pair id -> (u, v), u < v, lexicographic in (u, v)
     pair_ju: np.ndarray
-    src: np.ndarray  # directed flip edges, sorted by dst
+    masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending
+    mask_ids: np.ndarray  # tree id of each entry of `masks`
+    src: np.ndarray  # directed flip edges, ordered by (dst, src)
     dst: np.ndarray
     indptr: np.ndarray  # CSR over dst-sorted edges: src[indptr[x]:indptr[x+1]] flip into x
 
@@ -47,33 +52,14 @@ class FlipGraph:
         return pair_len[self.edge_pids].sum(axis=1)
 
     def as_spanning_tree(self, tid: int) -> SpanningTree:
-        return SpanningTree(self.n, self.trees[tid])
+        pids = self.edge_pids[tid]
+        edges = zip(self.pair_iu[pids].tolist(), self.pair_ju[pids].tolist())
+        return SpanningTree(self.n, edges)
 
 
-def _adjacency(edges, n):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _component_without(adj, start, banned_u, banned_v, n):
-    """Vertices reachable from `start` skipping the edge (banned_u, banned_v)."""
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    out = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if (x == banned_u and y == banned_v) or (x == banned_v and y == banned_u):
-                continue
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-                out.append(y)
-    return out
+def _pair_id(u, v, n: int):
+    """Index of pair (u, v), u < v, in the lexicographic pair list."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
 def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
@@ -88,63 +74,63 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
     if key in _GRAPH_CACHE:
         return _GRAPH_CACHE[key]
 
-    trees = labeled_tree_edges(n)
-    index = {t: i for i, t in enumerate(trees)}
-    pair_id = {}
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_id[(u, v)] = len(pairs)
-            pairs.append((u, v))
-    edge_pids = np.array(
-        [[pair_id[e] for e in t] for t in trees], dtype=np.int32
-    )
+    edges = np.array(labeled_tree_edges(n))  # (N, n-1, 2), u < v
+    num = edges.shape[0]
+    rows = np.arange(num)
+    eu, ev = edges[..., 0], edges[..., 1]
+    pids = _pair_id(eu, ev, n)
+    bits = np.int64(1) << pids
+    tree_masks = bits.sum(axis=1)
+    order = np.argsort(tree_masks)
+    sorted_masks = tree_masks[order]
+    # hops[t, x, w]: path length from x to w in tree t (Floyd-Warshall)
+    hops = np.full((num, n, n), n, dtype=np.int8)
+    hops[:, range(n), range(n)] = 0
+    hops[rows[:, None], eu, ev] = 1
+    hops[rows[:, None], ev, eu] = 1
+    for k in range(n):
+        np.minimum(hops, hops[:, :, k, None] + hops[:, None, k, :], out=hops)
 
-    src_list = []
-    dst_list = []
-    for tid, edges in enumerate(trees):
-        adj = _adjacency(edges, n)
-        edge_set = set(edges)
-        seen_moves = set()
-        for u, v in edges:
-            for fixed, moving in ((u, v), (v, u)):
-                if mode == "slide":
-                    targets = [w for w in adj[moving] if w != fixed]
-                else:
-                    comp = _component_without(adj, moving, u, v, n)
-                    targets = [w for w in comp if w != moving and w != fixed]
-                for w in targets:
-                    # spanning._norm_edge inlined: 0.2M-0.5M calls per graph at n = 7
-                    new_edge = (fixed, w) if fixed < w else (w, fixed)
-                    if new_edge in edge_set:
-                        continue
-                    new_tree = tuple(
-                        sorted((edge_set - {(u, v)}) | {new_edge})
-                    )
-                    nid = index[new_tree]
-                    if nid not in seen_moves:
-                        seen_moves.add(nid)
-                        src_list.append(tid)
-                        dst_list.append(nid)
+    src_parts = []
+    dst_parts = []
+    for j in range(n - 1):
+        u, v = eu[:, j], ev[:, j]
+        from_u, from_v = hops[rows, u], hops[rows, v]
+        kept = tree_masks - bits[:, j]
+        for fixed, near, far in ((u, from_v, from_u), (v, from_u, from_v)):
+            # Edge (u, v) becomes (fixed, w): w must not be fixed or one of
+            # its neighbours (far > 1), and must be a neighbour of the
+            # moving endpoint (slide) or on its side of (u, v) (rotation).
+            on_side = near == 1 if mode == "slide" else near < far
+            tid, w = np.nonzero(on_side & (far > 1))
+            f = fixed[tid]
+            new_pid = _pair_id(np.minimum(f, w), np.maximum(f, w), n)
+            src_parts.append(tid)
+            dst_parts.append(
+                order[np.searchsorted(sorted_masks, kept[tid] + (np.int64(1) << new_pid))]
+            )
 
-    src = np.asarray(src_list, dtype=np.int32)
-    dst = np.asarray(dst_list, dtype=np.int32)
-    order = np.argsort(dst, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(dst, minlength=len(trees))
+    # Sort and drop repeats: np.unique takes a hash path for integers that
+    # is about 80x slower than this sort on the 504,210 rotation moves at
+    # n = 7 (numpy 2.4).
+    moves = np.sort(np.concatenate(dst_parts) * num + np.concatenate(src_parts))
+    moves = moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
+    src = (moves % num).astype(np.int32)
+    dst = (moves // num).astype(np.int32)
+    counts = np.bincount(dst, minlength=num)
     if np.any(counts == 0):
         raise ParameterError("flip graph has an isolated tree")
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-    iu, ju = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    iu, ju = np.triu_indices(n, k=1)
     fg = FlipGraph(
         n=n,
         mode=mode,
-        trees=trees,
-        index=index,
-        edge_pids=edge_pids,
+        edge_pids=pids.astype(np.int32),
         pair_iu=iu,
         pair_ju=ju,
+        masks=sorted_masks,
+        mask_ids=order,
         src=src,
         dst=dst,
         indptr=indptr,
@@ -158,13 +144,15 @@ def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, fg: FlipGraph):
 
     dist[b] = min over trees a and flip paths a->b of
               max(start_vals[a], cost of every path vertex after a).
-    Computed by Jacobi relaxation sweeps until fixpoint.
+    Computed by Jacobi relaxation sweeps until fixpoint. Every move into b
+    is charged the same cost[b], so a sweep takes min_a max(dist[a], cost[b])
+    as max(min_a dist[a], cost[b]): min and max only select among their
+    arguments and max(., c) is monotone, so the two are the same float.
     """
     dist = start_vals.copy()
-    cost_dst = cost[fg.dst]
+    starts = fg.indptr[:-1]
     while True:
-        cand = np.maximum(dist[fg.src], cost_dst)
-        group_min = np.minimum.reduceat(cand, fg.indptr[:-1])
+        group_min = np.maximum(np.minimum.reduceat(dist[fg.src], starts), cost)
         new_dist = np.minimum(dist, group_min)
         if not np.any(new_dist < dist):
             return new_dist
@@ -196,6 +184,8 @@ def minimax_flip_oracle(
     n = sc.n
     if n > n_limit:
         raise SizeError(f"oracle capped at n={n_limit}")
+    if time_steps < 0:
+        raise ParameterError("time_steps must be >= 0")
     fg = flip_graph(n, mode or sc.morph_mode, n_limit)
     ts = np.linspace(0.0, sc.horizon, time_steps + 1)
     costs = []
@@ -250,10 +240,10 @@ def _walk_source(fg: FlipGraph, prev_vals, cost, target, budget):
 
 
 def tree_id(fg: FlipGraph, tree: SpanningTree) -> int:
-    key = tuple(sorted(tree.edges))
-    if key not in fg.index:
+    if tree.n != fg.n:
         raise ParameterError("tree is not on the expected vertex count")
-    return fg.index[key]
+    mask = sum(1 << _pair_id(u, v, fg.n) for u, v in tree.edges)
+    return int(fg.mask_ids[np.searchsorted(fg.masks, mask)])
 
 
 def slide_distance(a: SpanningTree, b: SpanningTree, n_limit: int = DEFAULT_N_LIMIT) -> int:
@@ -266,7 +256,7 @@ def slide_distance(a: SpanningTree, b: SpanningTree, n_limit: int = DEFAULT_N_LI
     sid = tree_id(fg, a)
     key = (a.n, sid)
     if key not in _BFS_CACHE:
-        dist = np.full(len(fg.trees), -1, dtype=np.int32)
+        dist = np.full(fg.edge_pids.shape[0], -1, dtype=np.int32)
         dist[sid] = 0
         frontier = [sid]
         d = 0

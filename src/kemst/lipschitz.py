@@ -132,10 +132,6 @@ class SlideSchedule:
             p = stretch_budget(self.x_span, self.K, self.t0, t)
         return min(p, 1.0)
 
-    def budget_spent(self, t0: float, t1: float) -> float:
-        """Numeric integral of K / L over [t0, t1] (for feasibility audits)."""
-        return adaptive_simpson(lambda t: self.K / self.carrier_length(t), t0, t1)
-
     def cost(self, t: float, length_fn=None) -> float:
         """Slide-metric distance accumulated by time t.
 

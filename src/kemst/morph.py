@@ -108,9 +108,6 @@ class MorphStep:
     edge: tuple[int, int]  # (fixed endpoint, moving endpoint) before the step
     target: int
 
-    def line(self) -> str:
-        return f"{self.op} {self.edge[0]} {self.edge[1]} -> {self.target}"
-
 
 @dataclass
 class MorphPlan:
@@ -119,11 +116,6 @@ class MorphPlan:
     lengths: list[float]  # tree lengths at the event configuration
     max_intermediate: float
     fallback: bool = False
-
-    def serialize(self) -> str:
-        lines = [s.line() for s in self.steps]
-        lines.append(f"max_intermediate {self.max_intermediate:.12g}")
-        return "\n".join(lines)
 
 
 def _materialize(ev: SwapEvent, cfg: PointConfig, steps: list[MorphStep]) -> MorphPlan:

@@ -79,18 +79,6 @@ class SpanningTree:
             raise ParameterError("edge to remove is not in the tree")
         return SpanningTree(self.n, (self.edges - {old}) | {new})
 
-    def serialize(self) -> str:
-        """Edge-list text, one 'u v' line per edge, lexicographic order."""
-        return "\n".join(f"{u} {v}" for u, v in self.sorted_edges())
-
-    @staticmethod
-    def deserialize(text: str, n: int) -> "SpanningTree":
-        edges = []
-        for line in text.strip().splitlines():
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-        return SpanningTree(n, edges)
-
 
 @dataclass(frozen=True)
 class PointConfig:

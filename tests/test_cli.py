@@ -141,6 +141,11 @@ def test_size_error_exits_two(capsys):
     assert capsys.readouterr().err.startswith("error: oracle capped at n=7")
 
 
+def test_negative_time_steps_exits_two(capsys):
+    assert run_cli(["oracle", "--scenario", "circle", "--n", "5", "--time-steps", "-1"]) == 2
+    assert capsys.readouterr().err == "error: time_steps must be >= 0\n"
+
+
 def test_unsupported_kind_exits_two(tmp_path, capsys):
     assert run_cli(["run-lipschitz", "circle", "--n", "8", "--K", "1",
                     "--out-dir", str(tmp_path)]) == 2

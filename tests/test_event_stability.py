@@ -248,17 +248,21 @@ def _three_trees():
 
 
 def test_tree_at_event_time_and_clamping():
-    from kemst.event_stability import EventRunResult, EventTrace
+    from kemst.event_stability import EventRunResult, EventTrace, _active
 
     a, b, c = _three_trees()
     result = EventRunResult(EventTrace(), 2, [(0.25, a), (0.5, b), (0.75, c)], 0.1)
-    assert result.tree_at(0.5) is b  # exactly at the event
-    assert result.tree_at(0.5 - 1e-13) is b  # within the 1e-12 tolerance
-    assert result.tree_at(0.5 - 1e-11) is a  # outside it
-    assert result.tree_at(0.75) is c
-    assert result.tree_at(2.0) is c
-    assert result.tree_at(0.0) is a  # before the first start: clamp
-    assert result.tree_at(-1.0) is a
+
+    def tree_at(t):
+        return _active(result.schedule, t)[1]
+
+    assert tree_at(0.5) is b  # exactly at the event
+    assert tree_at(0.5 - 1e-13) is b  # within the 1e-12 tolerance
+    assert tree_at(0.5 - 1e-11) is a  # outside it
+    assert tree_at(0.75) is c
+    assert tree_at(2.0) is c
+    assert tree_at(0.0) is a  # before the first start: clamp
+    assert tree_at(-1.0) is a
 
 
 def test_estimator_tree_lookup_at_event_times():

