@@ -86,6 +86,8 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     """
     if sc.k is None or sc.k <= 0:
         raise ParameterError("scenario needs a positive displacement budget k")
+    if samples < 0:
+        raise ParameterError("samples must be >= 0")
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
@@ -104,12 +106,13 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
         events.append((t_ev, trigger_disp))
 
     trace = EventTrace()
-    sample_times = np.linspace(0.0, sc.horizon, samples) if samples > 0 else []
+    sample_times = np.linspace(0.0, sc.horizon, samples)
     merged = [(float(t), "sample", None) for t in sample_times]
     merged += [(t, "recompute", disp) for t, disp in events]
     merged.sort(key=lambda item: (item[0], item[1] != "recompute"))
-    for t, kind, disp in merged:
-        cfg = sc.config(t)
+    all_pos = sc.positions_many([t for t, _kind, _disp in merged])
+    for (t, kind, disp), pos in zip(merged, all_pos):
+        cfg = PointConfig(pos)
         ref_time, tree = _active(schedule, t)
         t_len = tree_length(cfg, tree)
         o_len = tree_length(cfg, emst(cfg))
@@ -168,6 +171,11 @@ def approximation_audit(
     max_slack = 0.0
     max_ratio = 1.0
     context = []
+    sample_pos = iter(
+        sc.positions_many(
+            [rec.time for rec in result.trace.records if rec.event_type == "sample"]
+        )
+    )
     for rec in result.trace.records:
         slack = rec.tree_length - rec.opt_length
         if slack > bound + 1e-9:
@@ -178,7 +186,7 @@ def approximation_audit(
         max_slack = max(max_slack, slack)
         max_ratio = max(max_ratio, rec.ratio)
         if rec.event_type == "sample":
-            rep = spread(sc.config(rec.time), l)
+            rep = spread(PointConfig(next(sample_pos)), l)
             context.append((rec.time, 1.0 + 4.0 * k * l * rep.delta_l))
     return AuditReport(max_slack, max_ratio, bound, context)
 

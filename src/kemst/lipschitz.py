@@ -205,6 +205,8 @@ def run_lipschitz_regime(
     K = K if K is not None else sc.K
     if K is None or K <= 0:
         raise ParameterError("needs a positive speed budget K")
+    if trace_samples < 0:
+        raise ParameterError("trace_samples must be >= 0")
     if initial_tree is None:
         initial_tree = emst(sc.config(0.0))
     colors = two_coloring(initial_tree)

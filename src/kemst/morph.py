@@ -26,6 +26,7 @@ from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
     SpanningTree,
+    _kruskal,
     _norm_edge,
     emst,
     fundamental_cycle,
@@ -390,35 +391,43 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
 def detect_swaps(sc: KineticScenario, grid: int = 257):
     """Combinatorial EMST change times, bisected to 1e-9.
 
+    The EMST is built at `grid` uniform instants, whose positions come from
+    one `positions_many` pass. Each cell whose end trees differ is bisected
+    with `positions` at every midpoint (each midpoint depends on the last
+    answer, so there is no list to batch), comparing the midpoint's Kruskal
+    edge set with the tree the swap leaves. Only the tree each swap reaches
+    is wrapped in a validated SpanningTree, so every tree returned is
+    validated while a midpoint costs one Kruskal and no tree check.
+
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
     """
+    if grid < 2:
+        raise ParameterError("grid must be >= 2")
     ts = np.linspace(0.0, sc.horizon, grid)
+    trees = [emst(PointConfig(pos)) for pos in sc.positions_many(ts)]
     events = []
-    prev_t = float(ts[0])
-    prev_tree = emst(sc.config(prev_t))
-    for t in ts[1:]:
+    for prev_t, t, prev_tree, cur_tree in zip(ts, ts[1:], trees, trees[1:]):
+        a_t, a_tree = float(prev_t), prev_tree
         t = float(t)
-        cur_tree = emst(sc.config(t))
-        a_t, a_tree = prev_t, prev_tree
         guard = 0
         while a_tree.edges != cur_tree.edges:
             lo, hi = a_t, t
-            hi_tree = cur_tree
+            hi_edges = None
             while hi - lo > _SWAP_TIME_TOL:
                 m = 0.5 * (lo + hi)
-                m_tree = emst(sc.config(m))
-                if m_tree.edges == a_tree.edges:
+                m_edges = _kruskal(sc.config(m))
+                if frozenset(m_edges) == a_tree.edges:
                     lo = m
                 else:
                     hi = m
-                    hi_tree = m_tree
+                    hi_edges = m_edges
+            hi_tree = cur_tree if hi_edges is None else SpanningTree(sc.n, hi_edges)
             events.append((0.5 * (lo + hi), a_tree, hi_tree))
             a_t, a_tree = hi, hi_tree
             guard += 1
             if guard > 4 * sc.n:
                 raise ParameterError("EMST combinatorics churn too fast for the grid")
-        prev_t, prev_tree = t, cur_tree
     return events
 
 
@@ -473,6 +482,8 @@ def run_topo_regime(
     mode = mode or sc.morph_mode
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
+    if samples < 0:
+        raise ParameterError("samples must be >= 0")
     raw = detect_swaps(sc, grid)
     records = []
     plans = []
@@ -503,8 +514,9 @@ def run_topo_regime(
             plans.append(plan)
             for length in plan.lengths:
                 add_record(t_star, length, opt_len)
-    for t in np.linspace(0.0, sc.horizon, samples):
-        cfg = sc.config(float(t))
+    sample_ts = np.linspace(0.0, sc.horizon, samples)
+    for t, pos in zip(sample_ts, sc.positions_many(sample_ts)):
+        cfg = PointConfig(pos)
         opt = tree_length(cfg, emst(cfg))
         add_record(float(t), opt, opt)
     records.sort(key=lambda r: r.time)

@@ -59,7 +59,21 @@ class KineticScenario:
         return self.points[0].horizon
 
     def positions(self, t: float) -> np.ndarray:
+        """Positions at one instant, shape (n, d), point by point through
+        `Trajectory.at`. This is the path for sequential searches (event
+        search, swap bisection), where each instant depends on the last
+        answer; for one instant it is several times cheaper than
+        `positions_many([t])`."""
         return np.array([p.at(t) for p in self.points])
+
+    def positions_many(self, ts) -> np.ndarray:
+        """Positions at a known list of instants, shape (len(ts), n, d).
+
+        One `Trajectory.sample` pass per point, so polynomial and rational
+        motions are evaluated for all instants at once; entry i equals
+        `positions(ts[i])` bit for bit.
+        """
+        return np.stack([p.sample(ts) for p in self.points], axis=1)
 
     def config(self, t: float) -> PointConfig:
         return PointConfig(self.positions(t))
@@ -71,12 +85,8 @@ class KineticScenario:
         return gen_split(self.n, colors=colors, k=self.k, K=self.K)
 
     def is_unit_normalized(self, samples: int = 257, tol: float = 1e-9) -> bool:
-        ts = np.linspace(0.0, self.horizon, samples)
-        for t in ts:
-            pos = self.positions(float(t))
-            if pos.min() < -tol or pos.max() > 1.0 + tol:
-                return False
-        return True
+        pos = self.positions_many(np.linspace(0.0, self.horizon, samples))
+        return pos.size == 0 or not (pos.min() < -tol or pos.max() > 1.0 + tol)
 
 
 def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:

@@ -115,6 +115,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def emst(cfg: PointConfig) -> SpanningTree:
     """Euclidean minimum spanning tree with the deterministic tie rule."""
+    return SpanningTree(cfg.n, _kruskal(cfg))
+
+
+def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
+    """The EMST's edges as (u, v) pairs with u < v, in Kruskal order.
+
+    Not validated; `emst` wraps them in a SpanningTree. Callers that only
+    compare edge sets (the swap bisection) use the list directly.
+    """
     n = cfg.n
     if n < 2:
         raise ParameterError("EMST needs at least 2 points")
@@ -140,7 +149,7 @@ def emst(cfg: PointConfig) -> SpanningTree:
         edges.append((u, v))
         if len(edges) == n - 1:
             break
-    return SpanningTree(n, edges)
+    return edges
 
 
 def tree_length(cfg: PointConfig, tree: SpanningTree) -> float:

@@ -26,9 +26,16 @@ _CONTINUITY_TOL = 1e-9
 
 
 def polyval(coeffs, t):
-    """Horner evaluation of ascending power-basis coefficients."""
+    """Horner evaluation of ascending power-basis coefficients.
+
+    A float t (Python float or np.float64) takes the scalar path, which
+    skips numpy's dimension dispatch: it is the hot path of single-instant
+    evaluation. Anything else is evaluated elementwise as an array. Both
+    paths run the same multiply-then-add steps in the same order, so an
+    array entry equals the scalar result for that t bit for bit.
+    """
     acc = 0.0
-    if np.ndim(t) > 0:
+    if not isinstance(t, float) and np.ndim(t) > 0:
         acc = np.zeros_like(np.asarray(t, dtype=float))
     for c in reversed(coeffs):
         acc = acc * t + c
@@ -131,7 +138,11 @@ class Trajectory:
                 raise ParameterError("scripted segments must be continuous")
 
     def at(self, t: float) -> np.ndarray:
-        """Position at time t; raises DomainError outside [0, horizon]."""
+        """Position at time t; raises DomainError outside [0, horizon].
+
+        The single-instant path, for searches where each instant depends
+        on the previous answer; a known list of instants goes to `sample`.
+        """
         if t < -1e-12 or t > self.horizon + 1e-12:
             raise DomainError(f"t={t} outside [0, {self.horizon}]")
         t = min(max(t, 0.0), self.horizon)
@@ -158,9 +169,40 @@ class Trajectory:
                 return seg
         return self.segments[-1]
 
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Positions at an array of times, shape (len(ts), dim)."""
-        return np.array([self.at(float(t)) for t in ts])
+    def sample(self, ts) -> np.ndarray:
+        """Positions at a known list of times, shape (len(ts), dim).
+
+        Polynomial and rational kinds are evaluated in one array pass
+        (domain check, clamp to [0, horizon], array Horner, `clamp_unit`),
+        which runs per entry the same operations as `at`, so row i equals
+        `at(ts[i])` bit for bit. Scripted kinds call `at` per instant:
+        their arcs use `math.cos`/`math.sin`, which numpy's vectorised
+        versions need not match to the last bit.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.kind == "scripted":
+            return np.array([self.at(float(t)) for t in ts]).reshape(len(ts), self.dim)
+        outside = (ts < -1e-12) | (ts > self.horizon + 1e-12)
+        if outside.any():
+            t = float(ts[np.argmax(outside)])
+            raise DomainError(f"t={t} outside [0, {self.horizon}]")
+        # min(max(t, 0.0), horizon) per entry, keeping its choice on ties
+        ts = np.where(0.0 > ts, 0.0, ts)
+        ts = np.where(self.horizon < ts, self.horizon, ts)
+        if self.kind == "polynomial":
+            cols = [polyval(c, ts) for c in self.coeffs]
+        else:
+            cols = [
+                sum(
+                    (polyval(num, ts) / polyval(den, ts) for num, den in coord_terms),
+                    np.zeros_like(ts),
+                )
+                for coord_terms in self.terms
+            ]
+        out = np.stack(cols, axis=1)
+        if self.clamp_unit:
+            out = np.clip(out, 0.0, 1.0)
+        return out
 
 
 def constant(values, horizon: float) -> Trajectory:

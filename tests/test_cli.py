@@ -173,3 +173,26 @@ def test_svg_skipped_on_empty_trace(tmp_path, capsys):
         "time,event_type,tree_length,opt_length,ratio,displacement_since_ref"
     ]
     assert not (tmp_path / "stationary_event.svg").exists()
+
+
+@pytest.mark.parametrize("grid", ["-1", "0", "1"])
+def test_short_grid_exits_two(tmp_path, capsys, grid):
+    assert run_cli(["run-topo", "circle", "--n", "5", "--grid", grid,
+                    "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: grid must be >= 2\n"
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, name",
+    [
+        ("run-event", ["chebyshev", "--s", "3", "--n", "5", "--k", "0.2"], "samples"),
+        ("run-topo", ["circle", "--n", "5"], "samples"),
+        ("run-lipschitz", ["split", "--n", "8", "--K", "1"], "trace_samples"),
+    ],
+)
+def test_negative_samples_exits_two(tmp_path, capsys, cmd, flags, name):
+    args = [cmd, *flags, "--out-dir", str(tmp_path)]
+    assert run_cli(args + ["--samples", "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
+    assert run_cli(args + ["--samples", "0"]) == 0
+    assert " events=" in capsys.readouterr().out

@@ -19,8 +19,8 @@ from kemst.morph import (
     run_topo_regime,
 )
 from kemst.scenarios import KineticScenario, gen_circle, gen_diamond, gen_stationary
-from kemst.spanning import PointConfig, SpanningTree, tree_from_prufer, tree_length
-from kemst.trajectories import Trajectory, constant
+from kemst.spanning import PointConfig, SpanningTree, emst, tree_from_prufer, tree_length
+from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range
 
 SQRT2 = math.sqrt(2.0)
 
@@ -220,6 +220,83 @@ def test_detect_swaps_square():
     events = detect_swaps(square_swap_scenario(), grid=65)
     assert events
     assert all(abs(t - 0.5) < 1e-3 for t, _a, _b in events)
+
+
+def reference_detect_swaps(sc, grid=257):
+    """Swap bisection that builds a validated EMST at every midpoint."""
+    ts = np.linspace(0.0, sc.horizon, grid)
+    events = []
+    prev_t = float(ts[0])
+    prev_tree = emst(sc.config(prev_t))
+    for t in ts[1:]:
+        t = float(t)
+        cur_tree = emst(sc.config(t))
+        a_t, a_tree = prev_t, prev_tree
+        while a_tree.edges != cur_tree.edges:
+            lo, hi = a_t, t
+            hi_tree = cur_tree
+            while hi - lo > 1e-9:
+                m = 0.5 * (lo + hi)
+                m_tree = emst(sc.config(m))
+                if m_tree.edges == a_tree.edges:
+                    lo = m
+                else:
+                    hi = m
+                    hi_tree = m_tree
+            events.append((0.5 * (lo + hi), a_tree, hi_tree))
+            a_t, a_tree = hi, hi_tree
+        prev_t, prev_tree = t, cur_tree
+    return events
+
+
+def random_cubic_scenario(seed, n):
+    rng = np.random.default_rng(seed)
+    return KineticScenario(
+        points=tuple(
+            Trajectory(
+                "polynomial",
+                2,
+                1.0,
+                coeffs=tuple(
+                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
+                ),
+            )
+            for _ in range(n)
+        )
+    )
+
+
+def lattice_scenario():
+    """A 4x4 unit lattice whose rows slide at +-1 and 0 lattice steps: equal
+    edge lengths and simultaneous swaps throughout."""
+    points = []
+    for row in range(4):
+        dx = (1.0, -1.0, 0.0, 1.0)[row]
+        for col in range(4):
+            points.append(linear([col, row], [col + dx, row], 1.0))
+    return KineticScenario(points=tuple(points), label="lattice")
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [random_cubic_scenario(seed, n) for seed, n in ((21, 8), (22, 20), (23, 32))]
+    + [lattice_scenario()],
+    ids=["cubic8", "cubic20", "cubic32", "lattice"],
+)
+def test_detect_swaps_matches_reference_bisection(sc):
+    got = detect_swaps(sc)
+    want = reference_detect_swaps(sc)
+    assert got
+    assert [t.hex() for t, _a, _b in got] == [t.hex() for t, _a, _b in want]
+    for (_t, a, b), (_u, ra, rb) in zip(got, want):
+        assert list(a.edges) == list(ra.edges)
+        assert list(b.edges) == list(rb.edges)
+
+
+@pytest.mark.parametrize("grid", [-1, 0, 1])
+def test_detect_swaps_rejects_short_grid(grid):
+    with pytest.raises(ParameterError, match="grid must be >= 2"):
+        detect_swaps(square_swap_scenario(), grid=grid)
 
 
 def test_decompose_multi_swap_reaches_target():

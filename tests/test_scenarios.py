@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kemst.errors import ParameterError
+from kemst.errors import DomainError, ParameterError
 from kemst.scenarios import (
+    GENERATORS,
     KineticScenario,
     gen_chebyshev,
     gen_circle,
@@ -18,7 +19,7 @@ from kemst.scenarios import (
     next_displacement_event,
 )
 from kemst.spanning import emst, tree_length
-from kemst.trajectories import constant, linear, polyval
+from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range, polyval
 
 
 def two_point_scenario():
@@ -58,6 +59,54 @@ def test_input_distance_pseudometric(t1, t2, t3):
     assert d12 == pytest.approx(d21, abs=1e-12)
     assert input_distance(sc, t1, t1) == 0.0
     assert d12 <= d13 + d32 + 1e-12
+
+
+# --- batched positions ----------------------------------------------------
+
+
+def random_cubic_scenario(seed: int, n: int) -> KineticScenario:
+    rng = np.random.default_rng(seed)
+    return KineticScenario(
+        points=tuple(
+            Trajectory(
+                "polynomial",
+                2,
+                1.0,
+                coeffs=tuple(
+                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
+                ),
+            )
+            for _ in range(n)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        GENERATORS["chebyshev"](s=3, n=11),
+        GENERATORS["rational-bumps"](s=8, n=8),
+        GENERATORS["circle"](n=7),
+        GENERATORS["diamond"](per_side=4),
+        GENERATORS["split"](n=16),
+        gen_stationary([[0.1, 0.2], [0.7, 0.4], [0.3, 0.9]]),
+        random_cubic_scenario(11, 20),
+    ],
+    ids=lambda sc: sc.label,
+)
+def test_positions_many_matches_positions(sc):
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([[0.0, sc.horizon], rng.uniform(0.0, sc.horizon, 200)])
+    batched = sc.positions_many(ts)
+    single = np.array([sc.positions(float(t)) for t in ts])
+    assert batched.shape == (len(ts), sc.n, sc.dim)
+    assert np.array_equal(batched.view(np.int64), single.view(np.int64))
+    assert sc.positions_many([]).shape == (0, sc.n, sc.dim)
+    for t in (-1e-6, sc.horizon * (1 + 1e-6)):
+        with pytest.raises(DomainError):
+            sc.positions(t)
+        with pytest.raises(DomainError):
+            sc.positions_many([0.0, t])
 
 
 # --- displacement events --------------------------------------------------
