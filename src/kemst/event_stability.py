@@ -84,14 +84,21 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     The initial EMST at t=0 is not counted as an event; an event landing
     exactly on the horizon is.
     """
-    if sc.k is None or sc.k <= 0:
-        raise ParameterError("scenario needs a positive displacement budget k")
+    if sc.k is None or not math.isfinite(sc.k) or sc.k <= 0:
+        raise ParameterError("scenario needs a positive, finite displacement budget k")
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
-    state = MaintenanceState(current_tree=emst(sc.config(0.0)), t_ref=0.0, k=k)
+    # The records below reuse each event's positions and tree: the rows of
+    # `positions_many` equal `positions` bit for bit and `emst` is
+    # deterministic, so recomputing either would give the same floats. The
+    # trigger's displacement still comes from `input_distance`, the input
+    # metric the budget k is stated in, so each event is measured by the
+    # same function that `estimate_stability_ratio` and callers use.
+    ref_pos = {0.0: sc.positions(0.0)}
+    state = MaintenanceState(current_tree=emst(PointConfig(ref_pos[0.0])), t_ref=0.0, k=k)
     schedule = [(0.0, state.current_tree)]
     events = []
     while True:
@@ -99,25 +106,28 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
         if t_ev is None:
             break
         trigger_disp = input_distance(sc, state.t_ref, t_ev)
-        state.current_tree = emst(sc.config(t_ev))
+        ref_pos[t_ev] = sc.positions(t_ev)
+        state.current_tree = emst(PointConfig(ref_pos[t_ev]))
         state.t_ref = t_ev
         state.event_count += 1
         schedule.append((t_ev, state.current_tree))
-        events.append((t_ev, trigger_disp))
+        events.append((t_ev, trigger_disp, state.current_tree))
 
     trace = EventTrace()
     sample_times = np.linspace(0.0, sc.horizon, samples)
-    merged = [(float(t), "sample", None) for t in sample_times]
-    merged += [(t, "recompute", disp) for t, disp in events]
+    merged = [(float(t), "sample", None, None) for t in sample_times]
+    merged += [(t, "recompute", disp, tree) for t, disp, tree in events]
     merged.sort(key=lambda item: (item[0], item[1] != "recompute"))
-    all_pos = sc.positions_many([t for t, _kind, _disp in merged])
-    for (t, kind, disp), pos in zip(merged, all_pos):
+    all_pos = sc.positions_many([t for t, _kind, _disp, _tree in merged])
+    for (t, kind, disp, ev_tree), pos in zip(merged, all_pos):
         cfg = PointConfig(pos)
         ref_time, tree = _active(schedule, t)
         t_len = tree_length(cfg, tree)
-        o_len = tree_length(cfg, emst(cfg))
         if kind == "sample":
-            disp = input_distance(sc, ref_time, t)
+            o_len = tree_length(cfg, emst(cfg))
+            disp = float(np.max(np.linalg.norm(pos - ref_pos[ref_time], axis=1)))
+        else:
+            o_len = tree_length(cfg, ev_tree)
         trace.append(
             TraceRecord(t, kind, t_len, o_len, _ratio(t_len, o_len), disp)
         )

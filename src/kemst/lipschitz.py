@@ -203,8 +203,8 @@ def run_lipschitz_regime(
     if sc.meta.get("generator") != "split":
         raise UnsupportedKindError("the budgeted regime is tied to the split construction")
     K = K if K is not None else sc.K
-    if K is None or K <= 0:
-        raise ParameterError("needs a positive speed budget K")
+    if K is None or not math.isfinite(K) or K <= 0:
+        raise ParameterError("needs a positive, finite speed budget K")
     if trace_samples < 0:
         raise ParameterError("trace_samples must be >= 0")
     if initial_tree is None:
@@ -288,8 +288,7 @@ def run_lipschitz_regime(
             reserved.add(slider)
             reserved.add(carrier)
 
-    def geometric_length(t: float) -> float:
-        pos = sc.positions(t)
+    def geometric_length(t: float, pos: np.ndarray) -> float:
         sliding = {_norm_edge((s.fixed, s.moving)): s for s in active}
         total = 0.0
         for u, v in tree.edges:
@@ -312,8 +311,9 @@ def run_lipschitz_regime(
         nonlocal sample_idx
         while sample_idx < len(sample_ts) and sample_ts[sample_idx] <= up_to + 1e-12:
             t = float(sample_ts[sample_idx])
-            g_len = geometric_length(t)
-            cfg = sc.config(t)
+            pos = sc.positions(t)
+            g_len = geometric_length(t, pos)
+            cfg = PointConfig(pos)
             opt = tree_length(cfg, emst(cfg))
             ratio = math.inf if opt <= 0 else g_len / opt
             records.append(
@@ -334,8 +334,8 @@ def run_lipschitz_regime(
         start_greedy_slides()
     emit_samples(sc.horizon)
 
-    final_length = geometric_length(sc.horizon)
-    cfg_end = sc.config(sc.horizon)
+    final_length = geometric_length(sc.horizon, final_pos)
+    cfg_end = PointConfig(final_pos)
     opt_end = tree_length(cfg_end, emst(cfg_end))
     return LipschitzRunResult(
         final_tree=tree,

@@ -197,6 +197,68 @@ def _first_crossing(
     return best
 
 
+def _window_bound_fn(points, t_ref: float, horizon: float):
+    """Certified bounds for the displacement scan. Returns bound(upper), an
+    array with one entry per point: at least the sum of squared coordinate
+    displacements that `_displacement_sq_fn`'s fn computes in binary64,
+    before subtracting k^2, at every t in [t_ref, upper]. Unclamped
+    polynomial points get a finite bound, every other point +inf.
+
+    Coordinate c moves by sum_{j>=1} b_j u^j at t = t_ref + u, where b_j
+    are the coefficients of its Taylor shift to t_ref, so over a window of
+    width w = upper - t_ref it moves at most sum_{j>=1} |b_j| w^j, and the
+    bound is sum_c (sum_{j>=1} |b_j| w^j + margin_c)^2.
+
+    margin_c covers rounding. Let u = 2^-53, gamma_m = m u / (1 - m u),
+    D the padded degree, d the dimension, H the horizon and
+    P_c = sum_j |c_j| (2H)^j. The scan only runs when H - t_ref > 1e-9 and
+    t_ref >= -1e-12, so |t|, |t_ref| and |t_ref| + w are at most 2H.
+    - fn's Horner at t and at t_ref: 2D roundings each, each value off by
+      at most gamma_2D P_c (Higham, Accuracy and Stability, 5.1).
+    - The synthetic division takes each term of b_j through at most 3D
+      roundings, so sum_j |b_j - exact b_j| w^j <= gamma_3D P_c, since
+      sum_j sum_i C(i,j) |c_i| |t_ref|^(i-j) w^j = sum_i |c_i| (|t_ref| + w)^i.
+      The same identity keeps the reach sum_j |b_j| w^j below 2 P_c.
+    - Relative errors on quantities below 2 P_c: fn's subtraction (1),
+      w = fl(upper - t_ref) (D), the reach's Horner (2D), and fn's sum of
+      squares against the bound's own squares, sum and margin (4d + 1):
+      at most gamma_(2(3D + 4d + 2)) P_c.
+    In all gamma_(13D + 8d + 4) P_c; m = 16 (D + d + 1) covers it and the
+    shortfall of the computed P_c (2D + 2 roundings).
+    """
+    n = len(points)
+    idx = [i for i, p in enumerate(points) if p.kind == "polynomial" and not p.clamp_unit]
+    if not idx:
+        return lambda upper: np.full(n, np.inf)
+    deg = max(len(c) for i in idx for c in points[i].coeffs) - 1
+    dim = points[idx[0]].dim
+    coef = np.array(
+        [[list(cs) + [0.0] * (deg + 1 - len(cs)) for cs in points[i].coeffs] for i in idx],
+        dtype=float,
+    )
+    shifted = coef.copy()
+    for i in range(deg):  # repeated synthetic division by (t - t_ref)
+        for j in range(deg - 1, i - 1, -1):
+            shifted[..., j] += t_ref * shifted[..., j + 1]
+    steps = np.abs(shifted)
+    size = np.zeros(coef.shape[:2])
+    for j in range(deg, -1, -1):
+        size = size * (2.0 * horizon) + np.abs(coef[..., j])
+    m = 16 * (deg + dim + 1)
+    margin = m * 2.0**-53 / (1.0 - m * 2.0**-53) * size
+
+    def bound(upper: float) -> np.ndarray:
+        w = upper - t_ref
+        reach = np.zeros(coef.shape[:2])
+        for j in range(deg, 0, -1):
+            reach = (reach + steps[..., j]) * w
+        out = np.full(n, np.inf)
+        out[idx] = np.sum((reach + margin) ** 2, axis=1)
+        return out
+
+    return bound
+
+
 def next_displacement_event(
     sc: KineticScenario, t_ref: float, k: float
 ) -> float | None:
@@ -212,9 +274,18 @@ def next_displacement_event(
     coordinates are evaluated in factored (Horner) form; there is no root
     isolation, so a crossing is found only where a grid sample or a refined
     local maximum reaches it.
+
+    Unclamped polynomial points whose certified bound (`_window_bound_fn`)
+    keeps the computed squared displacement minus k^2 below the touch
+    tolerance over the whole window are skipped without a scan. Every
+    value the scan would compute (grid samples, bisection and refinement
+    points, the window end) is then below that tolerance, so the scan
+    would return nothing and the result is the same bit for bit. The
+    bounds are recomputed each time the earliest hit shrinks the window.
+    Rational, scripted and clamped points are always scanned.
     """
-    if k <= 0:
-        raise ParameterError("displacement budget k must be positive")
+    if not math.isfinite(k) or k <= 0:
+        raise ParameterError("displacement budget k must be positive and finite")
     if t_ref < -1e-12 or t_ref > sc.horizon + 1e-12:
         raise DomainError("t_ref outside horizon")
     hi = sc.horizon
@@ -224,7 +295,13 @@ def next_displacement_event(
     k_sq = k * k
     tangent_tol = 1e-9 * k_sq
     refine_cutoff = -0.5 * k_sq
-    for traj in sc.points:
+    window_bound = _window_bound_fn(sc.points, t_ref, hi)
+    # fl(x - k_sq) is monotone in x, so bound - k_sq < -tangent_tol as
+    # computed implies fn(t) < -tangent_tol as computed.
+    silent = window_bound(hi) - k_sq < -tangent_tol
+    for i, traj in enumerate(sc.points):
+        if silent[i]:
+            continue
         fn = _displacement_sq_fn(traj, t_ref, k_sq)
         upper = best if best is not None else hi
         t_hit = _first_crossing(
@@ -232,6 +309,7 @@ def next_displacement_event(
         )
         if t_hit is not None and (best is None or t_hit < best):
             best = t_hit
+            silent = window_bound(best) - k_sq < -tangent_tol
     return best
 
 

@@ -196,3 +196,19 @@ def test_negative_samples_exits_two(tmp_path, capsys, cmd, flags, name):
     assert capsys.readouterr().err == f"error: {name} must be >= 0\n"
     assert run_cli(args + ["--samples", "0"]) == 0
     assert " events=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, message",
+    [
+        ("run-event", ["chebyshev", "--s", "3", "--n", "5", "--k", "inf"],
+         "scenario needs a positive, finite displacement budget k"),
+        ("run-event", ["chebyshev", "--s", "3", "--n", "5", "--k", "nan"],
+         "scenario needs a positive, finite displacement budget k"),
+        ("run-lipschitz", ["split", "--n", "8", "--K", "nan"],
+         "needs a positive, finite speed budget K"),
+    ],
+)
+def test_non_finite_budget_exits_two(tmp_path, capsys, cmd, flags, message):
+    assert run_cli([cmd, *flags, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,14 @@ from kemst.event_stability import (
     spread,
     thinned_subset,
 )
-from kemst.scenarios import KineticScenario, gen_chebyshev, gen_split, gen_stationary
+from kemst.lipschitz import run_lipschitz_regime
+from kemst.scenarios import (
+    KineticScenario,
+    gen_chebyshev,
+    gen_split,
+    gen_stationary,
+    next_displacement_event,
+)
 from kemst.spanning import PointConfig, emst, tree_length
 from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range
 
@@ -41,6 +49,16 @@ def test_run_requires_budget_and_normalization():
     wild = KineticScenario(points=(linear([0.0], [3.0], 1.0), constant([0.5], 1.0)), k=0.1)
     with pytest.raises(ParameterError):
         run_event_regime(wild, samples=4)
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_non_finite_budgets_rejected(k):
+    with pytest.raises(ParameterError):
+        next_displacement_event(gen_chebyshev(3, 5), 0.0, k)
+    with pytest.raises(ParameterError):
+        run_event_regime(gen_chebyshev(3, 5, k=k), samples=4)
+    with pytest.raises(ParameterError):
+        run_lipschitz_regime(gen_split(8), K=k)
 
 
 def test_chebyshev_event_count_bound_and_pin(pinned):
@@ -287,3 +305,49 @@ def test_estimator_tree_lookup_at_event_times():
     assert est([(lo, a), (hi + 1e-11, b)]) == 0.0
     assert est([(lo + 1e-11, a), (hi, b)]) == pytest.approx(want, rel=1e-12)
     assert est([(hi + 1e-11, b), (hi + 2e-11, a)]) == 0.0  # both clamp to b
+
+
+def _cubic_scenario(seed: int, n: int, k: float) -> KineticScenario:
+    rng = np.random.default_rng(seed)
+    return KineticScenario(
+        points=tuple(
+            Trajectory(
+                "polynomial",
+                2,
+                1.0,
+                coeffs=tuple(
+                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
+                ),
+            )
+            for _ in range(n)
+        ),
+        k=k,
+    )
+
+
+def _event_run_digest(result) -> str:
+    """sha256 over the schedule (start times, sorted tree edges) and every
+    trace record, floats written with float.hex."""
+    h = hashlib.sha256()
+    for start, tree in result.schedule:
+        h.update(f"{float.hex(float(start))} {sorted(tree.edges)}\n".encode())
+    for r in result.trace.records:
+        fields = (r.time, r.tree_length, r.opt_length, r.ratio, r.displacement_since_ref)
+        h.update(f"{r.event_type} {' '.join(float.hex(float(x)) for x in fields)}\n".encode())
+    return h.hexdigest()
+
+
+# Pinned before the displacement scan learned to skip provably silent
+# points and before the trace records reused the event loop's positions and
+# trees: any later speed-up of the 2-D event path must reproduce them bit for bit.
+CUBIC_EVENT_DIGESTS = {
+    0: "da89e703ff8b72514a56b7e838bf642d5ea202a17893a4eb60cdc74a7ae1a405",
+    1: "c22788a8c9ac19647528140461ab25389ec4a032ec6f0d52073f3162ca0e63e8",
+    2: "7fced0421850d381a726ceef32535c5a9af3cfe8eba9fd72420680edc09d7625",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CUBIC_EVENT_DIGESTS))
+def test_event_regime_cubic_records_pinned(seed):
+    result = run_event_regime(_cubic_scenario(seed, 32, 0.05), samples=64)
+    assert _event_run_digest(result) == CUBIC_EVENT_DIGESTS[seed]

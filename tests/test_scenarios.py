@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from kemst.errors import DomainError, ParameterError
 from kemst.scenarios import (
+    EVENT_GRID,
+    EVENT_TIME_TOL,
     GENERATORS,
     KineticScenario,
     gen_chebyshev,
@@ -16,6 +18,9 @@ from kemst.scenarios import (
     gen_split,
     gen_stationary,
     input_distance,
+    _displacement_sq_fn,
+    _first_crossing,
+    _window_bound_fn,
     next_displacement_event,
 )
 from kemst.spanning import emst, tree_length
@@ -197,6 +202,93 @@ def test_event_random_polynomials_match_dense_oracle():
             assert got is None
         else:
             assert got == pytest.approx(want, abs=1e-8)
+
+
+def _reference_scan(sc, t_ref, k):
+    """The event search without the certified skip: every point's
+    displacement goes through the grid scan."""
+    hi = sc.horizon
+    if hi - t_ref <= EVENT_TIME_TOL:
+        return None
+    best = None
+    k_sq = k * k
+    for traj in sc.points:
+        fn = _displacement_sq_fn(traj, t_ref, k_sq)
+        upper = best if best is not None else hi
+        t_hit = _first_crossing(fn, t_ref, upper, EVENT_GRID, 1e-9 * k_sq, -0.5 * k_sq)
+        if t_hit is not None and (best is None or t_hit < best):
+            best = t_hit
+    return best
+
+
+def _event_chain(find, sc, k, steps, t_ref=0.0):
+    """float.hex of up to `steps` successive events from t_ref."""
+    out = []
+    for _ in range(steps):
+        t_ref = find(sc, t_ref, k)
+        if t_ref is None:
+            break
+        out.append(float.hex(float(t_ref)))
+    return out
+
+
+def _mixed_scenario():
+    cubic = random_cubic_scenario(4, 6)
+    return KineticScenario(points=gen_circle(6).points + cubic.points)
+
+
+@pytest.mark.parametrize(
+    "sc, ks, steps, last",
+    [
+        (random_cubic_scenario(0, 8), (0.02, 0.05, 0.1), 40, None),
+        (random_cubic_scenario(1, 32), (0.02, 0.05, 0.1), 10, None),
+        (random_cubic_scenario(2, 128), (0.02, 0.05, 0.1), 3, None),
+        (gen_chebyshev(3, 11), (0.1,), 200, None),
+        (gen_chebyshev(7, 11), (0.1,), 200, None),
+        (gen_rational_bumps(8, 8), (0.1,), 30, None),
+        (_mixed_scenario(), (0.05,), 6, None),
+        # the fourth event of the linear mover lands exactly on the horizon
+        (two_point_scenario(), (0.25,), 10, 1.0),
+    ],
+    ids=["cubic_n8", "cubic_n32", "cubic_n128", "cheb_s3", "cheb_s7", "bumps", "mixed", "linear"],
+)
+def test_next_displacement_event_matches_reference_scan(sc, ks, steps, last):
+    for k in ks:
+        want = _event_chain(_reference_scan, sc, k, steps)
+        assert want
+        assert _event_chain(next_displacement_event, sc, k, steps) == want
+    if last is not None:
+        assert float.fromhex(want[-1]) == pytest.approx(last, abs=1e-9)
+    for t_ref in (sc.horizon - 5e-13, sc.horizon):
+        assert next_displacement_event(sc, t_ref, ks[0]) is None
+        assert _reference_scan(sc, t_ref, ks[0]) is None
+
+
+@pytest.mark.parametrize("deg", [1, 2, 3, 4, 5])
+def test_window_bound_covers_computed_displacement(deg):
+    # Random Chebyshev-series motions have a small range for their power
+    # coefficients, so after normalize_unit_range these reach magnitudes of
+    # about 4^deg / 2 (over 400 at degree 5). With k = 0, fn(t) is exactly
+    # the accumulated sum of squared coordinate displacements that the
+    # bound must cover.
+    rng = np.random.default_rng(100 + deg)
+
+    def motion():
+        cheb = np.polynomial.Chebyshev(rng.normal(0, 1, deg + 1), domain=[0.0, 1.0])
+        power = cheb.convert(kind=np.polynomial.Polynomial).coef
+        return normalize_unit_range(tuple(power), 1.0)
+
+    points = tuple(
+        Trajectory("polynomial", 2, 1.0, coeffs=(motion(), motion())) for _ in range(60)
+    )
+    for t_ref in (0.0, 0.5, 1.0 - 1e-6):
+        window_bound = _window_bound_fn(points, t_ref, 1.0)
+        for upper in (1.0, t_ref + (1.0 - t_ref) / 3.0):
+            bound = window_bound(upper)
+            ts = np.linspace(t_ref, upper, 4097)
+            for traj, b in zip(points, bound):
+                assert b >= np.max(_displacement_sq_fn(traj, t_ref, 0.0)(ts))
+    assert np.all(np.isinf(_window_bound_fn(gen_circle(5).points, 0.0, 1.0)(1.0)))
 
 
 # --- generators -----------------------------------------------------------
