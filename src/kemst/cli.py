@@ -42,7 +42,7 @@ _GENERATOR_FLAGS = {
 _RUNS = {
     "run-event": (TraceRecord, "event", ("ratio", "tree_length")),
     "run-topo": (TopoRecord, "topo", ("ratio",)),
-    "run-lipschitz": (LipschitzRecord, "lipschitz", ()),
+    "run-lipschitz": (LipschitzRecord, "lipschitz", ("ratio",)),
 }
 
 
@@ -96,7 +96,7 @@ def _run_job(payload: dict) -> str:
     record_type, suffix, series = _RUNS[ns.cmd]
     out = _out_dir(ns.out_dir)
     write_csv(out / f"{sc.label}_{suffix}.csv", record_type, records)
-    if ns.svg and series and records:
+    if ns.svg and records:
         times = [r.time for r in records]
         svg_plot(
             out / f"{sc.label}_{suffix}.svg",
@@ -125,12 +125,14 @@ def _add_scenario_flags(p):
     p.add_argument("--label")
 
 
-def _add_common_run_flags(p, samples_default=64):
+def _add_common_run_flags(p, samples_default=64, writes=True):
+    """Flags of the run commands; `audit` (writes=False) writes no files."""
     p.add_argument("scenario", nargs="+", help="scenario file(s) or generator name")
-    p.add_argument("--out-dir", default=None, help=f"default ${OUT_DIR_ENV} or cwd")
     p.add_argument("--samples", type=int, default=samples_default)
-    p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
-    p.add_argument("--jobs", type=int, default=1)
+    if writes:
+        p.add_argument("--out-dir", default=None, help=f"default ${OUT_DIR_ENV} or cwd")
+        p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
+        p.add_argument("--jobs", type=int, default=1)
     _add_scenario_flags(p)
 
 
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n-limit", dest="n_limit", type=int, default=7)
 
     a = sub.add_parser("audit", help="event run plus approximation audit")
-    _add_common_run_flags(a)
+    _add_common_run_flags(a, writes=False)
     a.add_argument("--l", dest="l", type=int, default=1, help="spread neighbor rank")
 
     c = sub.add_parser("certify-diamond", help="rotation lower-bound certificate")

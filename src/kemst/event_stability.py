@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError
 from .scenarios import KineticScenario, input_distance, next_displacement_event
-from .spanning import PointConfig, SpanningTree, emst, tree_length
+from .spanning import PointConfig, SpanningTree, _ratio, emst, tree_length
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -70,12 +70,6 @@ def _active(schedule, t: float) -> tuple[float, SpanningTree]:
     the last one starting at or before t + 1e-12, else the first."""
     i = bisect_right([start for start, _tree in schedule], t + 1e-12)
     return schedule[max(i - 1, 0)]
-
-
-def _ratio(tree_len: float, opt_len: float) -> float:
-    if opt_len <= 0.0:
-        return 1.0 if tree_len <= 0.0 else math.inf
-    return tree_len / opt_len
 
 
 def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:

@@ -22,6 +22,7 @@ from .spanning import (
     PointConfig,
     SpanningTree,
     _norm_edge,
+    _ratio,
     emst,
     tree_length,
     two_coloring,
@@ -315,9 +316,8 @@ def run_lipschitz_regime(
             g_len = geometric_length(t, pos)
             cfg = PointConfig(pos)
             opt = tree_length(cfg, emst(cfg))
-            ratio = math.inf if opt <= 0 else g_len / opt
             records.append(
-                LipschitzRecord(t, len(active), len(done), g_len, opt, ratio)
+                LipschitzRecord(t, len(active), len(done), g_len, opt, _ratio(g_len, opt))
             )
             sample_idx += 1
 
@@ -341,7 +341,7 @@ def run_lipschitz_regime(
         final_tree=tree,
         final_length=final_length,
         opt_length=opt_end,
-        ratio=math.inf if opt_end <= 0 else final_length / opt_end,
+        ratio=_ratio(final_length, opt_end),
         completed=len(done),
         records=records,
         schedules=done + active,
@@ -370,4 +370,4 @@ def any_tree_bound_audit(cfg: PointConfig, tree: SpanningTree) -> AnyTreeAudit:
         raise AuditFailure(
             f"tree length {total} exceeds (n-1)*OPT", record=(total, opt)
         )
-    return AnyTreeAudit(max_edge, total, opt, math.inf if opt <= 0 else total / opt)
+    return AnyTreeAudit(max_edge, total, opt, _ratio(total, opt))

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import AuditFailure, ParameterError
 from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
     SpanningTree,
     _kruskal,
     _norm_edge,
+    _ratio,
     emst,
     fundamental_cycle,
     tree_from_prufer,
@@ -42,13 +43,9 @@ def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
     """Slide edge e=(u,v): the endpoint at v moves along tree edge (v,w).
 
     Result is tree - (u,v) + (u,w); raises if (v,w) is not a tree edge,
-    w == u, or the replacement breaks the tree.
+    (u,v) is not one, w == u, or the replacement breaks the tree.
     """
     u, v = e
-    if w == u:
-        raise ParameterError("slide target equals the fixed endpoint")
-    if not tree.has_edge((u, v)):
-        raise ParameterError("edge to slide is not in the tree")
     if not tree.has_edge((v, w)):
         raise ParameterError("slide carrier (v,w) is not a tree edge")
     return tree.replace((u, v), (u, w))
@@ -57,15 +54,10 @@ def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
 def apply_rotation(tree: SpanningTree, e, w: int) -> SpanningTree:
     """Rotate edge e=(u,v): the endpoint at v moves to any vertex w != u.
 
-    Result is tree - (u,v) + (u,w); raises on disconnection or cycle.
+    Result is tree - (u,v) + (u,w), the same edges when w == v; raises if
+    (u,v) is not a tree edge, w == u, or on disconnection or cycle.
     """
     u, v = e
-    if w == u:
-        raise ParameterError("rotation target equals the fixed endpoint")
-    if not tree.has_edge((u, v)):
-        raise ParameterError("edge to rotate is not in the tree")
-    if w == v:
-        return tree
     return tree.replace((u, v), (u, w))
 
 
@@ -195,54 +187,29 @@ def _pairs_to_slide_steps(cycle, i, pairs):
     return steps
 
 
-def _chord_step_lists(cycle, i, L):
-    """Single-chord shortcut plans: pre-stretch one cycle edge into a chord,
-    let the slider jump it, then restore the stretched edge."""
-    plans = []
-    # skip [g..h] on the low side (slider endpoint a walks i -> 0)
-    for g in range(0, i - 1):
-        for h in range(g + 2, i + 1):
-            steps = []
-            for j in range(g + 1, h):
-                steps.append(("slide", (g, j), j + 1))
-            a = i
-            while a > h:
-                steps.append(("slide", (i + 1, a), a - 1))
-                a -= 1
-            steps.append(("slide", (i + 1, h), g))  # jump the chord
-            for j in range(h, g + 1, -1):
-                steps.append(("slide", (g, j), j - 1))
-            a = g
-            while a > 0:
-                steps.append(("slide", (i + 1, a), a - 1))
-                a -= 1
-            b = i + 1
-            while b < L:
-                steps.append(("slide", (0, b), b + 1))
-                b += 1
-            plans.append(steps)
-    # skip [g..h] on the high side (slider endpoint b walks i+1 -> L)
+def _chord_plan(i, L, g, h):
+    """Single-chord shortcut plan on the low side, in cycle-index space:
+    stretch cycle edges g..h into the chord (g, h), let the slider's
+    moving endpoint walk i -> h and jump the chord to g, restore the
+    stretched edge, then finish the slide at (0, L)."""
+    steps = [("slide", (g, j), j + 1) for j in range(g + 1, h)]
+    steps += [("slide", (i + 1, a), a - 1) for a in range(i, h, -1)]
+    steps.append(("slide", (i + 1, h), g))  # jump the chord
+    steps += [("slide", (g, j), j - 1) for j in range(h, g + 1, -1)]
+    steps += [("slide", (i + 1, a), a - 1) for a in range(g, 0, -1)]
+    steps += [("slide", (0, b), b + 1) for b in range(i + 1, L)]
+    return steps
+
+
+def _chord_step_lists(i, L):
+    """Every single-chord shortcut plan, the low side's (g, h) first. A
+    high-side plan is the low-side plan of the reversed cycle (index
+    x -> L - x), mapped back."""
+    plans = [_chord_plan(i, L, g, h) for g in range(i - 1) for h in range(g + 2, i + 1)]
     for g in range(i + 1, L - 1):
         for h in range(g + 2, L + 1):
-            steps = []
-            for j in range(h - 1, g, -1):
-                steps.append(("slide", (h, j), j - 1))
-            b = i + 1
-            while b < g:
-                steps.append(("slide", (i, b), b + 1))
-                b += 1
-            steps.append(("slide", (i, g), h))  # jump the chord
-            for j in range(g, h - 1):
-                steps.append(("slide", (h, j), j + 1))
-            b = h
-            while b < L:
-                steps.append(("slide", (i, b), b + 1))
-                b += 1
-            a = i
-            while a > 0:
-                steps.append(("slide", (L, a), a - 1))
-                a -= 1
-            plans.append(steps)
+            mirrored = _chord_plan(L - 1 - i, L, L - h, L - g)
+            plans.append([(op, (L - f, L - m), L - t) for op, (f, m), t in mirrored])
     return plans
 
 
@@ -269,7 +236,7 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     plan with the smallest maximum intermediate tree length.
 
     Guarantee: max intermediate <= 1.5 * old tree length when
-    |e'| <= |e|.
+    |e'| <= |e|; a violation raises AuditFailure.
     """
     cycle = ev.cycle
     L = len(cycle) - 1
@@ -282,7 +249,7 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     best_steps = _pairs_to_slide_steps(cycle, i, pairs)
     best_worst = max(base, base - removed_len + best_value)
 
-    for idx_steps in _chord_step_lists(cycle, i, L):
+    for idx_steps in _chord_step_lists(i, L):
         worst, _final = _eval_index_steps(base, dmat, idx_steps)
         if worst < best_worst - 1e-12:
             best_worst = worst
@@ -294,8 +261,9 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     limit = 1.5 * base
     if cfg.distance(*ev.inserted) <= cfg.distance(*ev.removed) + _EDGE_TOL:
         if plan.max_intermediate > limit + 1e-9:
-            raise ParameterError(
-                f"slide morph exceeded 3/2 bound: {plan.max_intermediate} > {limit}"
+            raise AuditFailure(
+                f"slide morph exceeded 3/2 bound: {plan.max_intermediate} > {limit}",
+                record=(plan.max_intermediate, limit),
             )
     return plan
 
@@ -319,7 +287,8 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     detours through the midpoint edges of the two cycle parts; the plan
     with the smallest maximum intermediate is returned.
 
-    Guarantee: max intermediate <= (4/3) * old tree length.
+    Guarantee: max intermediate <= (4/3) * old tree length; a violation
+    raises AuditFailure, a failed precondition ParameterError.
     """
     cycle = ev.cycle
     L = len(cycle) - 1
@@ -334,30 +303,22 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
         raise ParameterError("inserted edge exceeds the removed edge")
 
     u, v, u_p, v_p = i, i + 1, 0, L  # cycle-index aliases
-    candidates: list[list[tuple]] = []
-    # two-step detours via an endpoint of e'
-    candidates.append([("rotate", (u, v), v_p), ("rotate", (v_p, u), u_p)])
-    candidates.append([("rotate", (v, u), u_p), ("rotate", (u_p, v), v_p)])
+
+    def via_u(w):  # (u,v) -> (u,w), (w,u) -> (w,u'), (u',w) -> (u',v')
+        return [("rotate", (u, v), w), ("rotate", (w, u), u_p), ("rotate", (u_p, w), v_p)]
+
+    def via_v(w):  # the mirror image, rotating from v's side
+        return [("rotate", (v, u), w), ("rotate", (w, v), v_p), ("rotate", (v_p, w), u_p)]
+
+    # two-step detours via an endpoint of e' (their third step is a no-op)
+    candidates = [via_u(v_p), via_v(u_p)]
     # three-step detours via the midpoint edges of both parts
     if i >= 1 and L - i >= 2:
-        left = list(range(0, i + 1))  # u' .. u
-        right = list(range(i + 1, L + 1))  # v .. v'
-        lg, lh = _midpoint_edge(dmat, left)
+        lg, lh = _midpoint_edge(dmat, list(range(0, i + 1)))  # u' .. u
         u_l, v_l = max(lg, lh), min(lg, lh)  # u_L nearest e
-        rg, rh = _midpoint_edge(dmat, right)
+        rg, rh = _midpoint_edge(dmat, list(range(i + 1, L + 1)))  # v .. v'
         u_r, v_r = min(rg, rh), max(rg, rh)  # u_R nearest e
-        candidates.append(
-            [("rotate", (u, v), v_r), ("rotate", (v_r, u), u_p), ("rotate", (u_p, v_r), v_p)]
-        )
-        candidates.append(
-            [("rotate", (v, u), v_l), ("rotate", (v_l, v), v_p), ("rotate", (v_p, v_l), u_p)]
-        )
-        candidates.append(
-            [("rotate", (u, v), u_r), ("rotate", (u_r, u), u_p), ("rotate", (u_p, u_r), v_p)]
-        )
-        candidates.append(
-            [("rotate", (v, u), u_l), ("rotate", (u_l, v), v_p), ("rotate", (v_p, u_l), u_p)]
-        )
+        candidates += [via_u(v_r), via_v(v_l), via_u(u_r), via_v(u_l)]
 
     base = tree_length(cfg, ev.old_tree)
     best_plan = None
@@ -377,8 +338,9 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
         raise ParameterError("no valid rotation plan found")
     limit = (4.0 / 3.0) * base
     if best_plan.max_intermediate > limit + 1e-9:
-        raise ParameterError(
-            f"rotation morph exceeded 4/3 bound: {best_plan.max_intermediate} > {limit}"
+        raise AuditFailure(
+            f"rotation morph exceeded 4/3 bound: {best_plan.max_intermediate} > {limit}",
+            record=(best_plan.max_intermediate, limit),
         )
     return best_plan
 
@@ -478,7 +440,9 @@ def run_topo_regime(
     grid: int = 257,
 ) -> TopoRunResult:
     """Follow the EMST, expressing each swap as a slide or rotation morph;
-    every intermediate tree is charged at the swap time."""
+    every intermediate tree is charged at the swap time. In rotation mode a
+    swap whose rotation preconditions fail (ParameterError) falls back to
+    slides; a violated 3/2 or 4/3 bound raises AuditFailure."""
     mode = mode or sc.morph_mode
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
@@ -491,10 +455,7 @@ def run_topo_regime(
     swaps = 0
 
     def add_record(t, tree_len, opt_len):
-        ratio = 1.0 if opt_len <= 0 and tree_len <= 0 else (
-            math.inf if opt_len <= 0 else tree_len / opt_len
-        )
-        records.append(TopoRecord(t, tree_len, opt_len, ratio))
+        records.append(TopoRecord(t, tree_len, opt_len, _ratio(tree_len, opt_len)))
 
     for t_star, old_tree, new_tree in raw:
         cfg = sc.config(t_star)

@@ -90,10 +90,8 @@ class KineticScenario:
 
 
 def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:
-    """Largest single-point displacement between the two instants."""
-    for x in (t, t_other):
-        if x < -1e-12 or x > sc.horizon + 1e-12:
-            raise DomainError(f"time {x} outside scenario horizon")
+    """Largest single-point displacement between the two instants; an
+    instant outside the horizon raises DomainError from `Trajectory.at`."""
     delta = sc.positions(t) - sc.positions(t_other)
     return float(np.max(np.linalg.norm(delta, axis=1)))
 
@@ -286,8 +284,8 @@ def next_displacement_event(
     """
     if not math.isfinite(k) or k <= 0:
         raise ParameterError("displacement budget k must be positive and finite")
-    if t_ref < -1e-12 or t_ref > sc.horizon + 1e-12:
-        raise DomainError("t_ref outside horizon")
+    if not -1e-12 <= t_ref <= sc.horizon + 1e-12:
+        raise DomainError(f"t_ref={t_ref} outside [0, {sc.horizon}]")
     hi = sc.horizon
     if hi - t_ref <= EVENT_TIME_TOL:
         return None

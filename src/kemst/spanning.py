@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -157,6 +158,13 @@ def tree_length(cfg: PointConfig, tree: SpanningTree) -> float:
     if tree.n != cfg.n:
         raise ParameterError("tree and configuration vertex counts differ")
     return float(sum(cfg.distance(u, v) for u, v in tree.edges))
+
+
+def _ratio(tree_len: float, opt_len: float) -> float:
+    """tree/OPT; 0/0 (every point coincides) is 1.0 and x/0 is inf."""
+    if opt_len <= 0.0:
+        return 1.0 if tree_len <= 0.0 else math.inf
+    return tree_len / opt_len
 
 
 def fundamental_cycle(tree: SpanningTree, new_edge) -> list[int]:

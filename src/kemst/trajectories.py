@@ -143,24 +143,25 @@ class Trajectory:
         The single-instant path, for searches where each instant depends
         on the previous answer; a known list of instants goes to `sample`.
         """
-        if t < -1e-12 or t > self.horizon + 1e-12:
+        if not -1e-12 <= t <= self.horizon + 1e-12:
             raise DomainError(f"t={t} outside [0, {self.horizon}]")
         t = min(max(t, 0.0), self.horizon)
-        if self.kind == "polynomial":
-            out = np.array([polyval(c, t) for c in self.coeffs], dtype=float)
-        elif self.kind == "rational":
-            out = np.array(
-                [
-                    sum(polyval(num, t) / polyval(den, t) for num, den in coord_terms)
-                    for coord_terms in self.terms
-                ],
-                dtype=float,
-            )
-        else:
+        if self.kind == "scripted":
             out = self._segment_for(t).at(t)
-        if self.clamp_unit:
-            out = np.clip(out, 0.0, 1.0)
-        return out
+        else:
+            out = np.array(self._columns(t), dtype=float)
+        return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
+
+    def _columns(self, t):
+        """Per-coordinate values of a polynomial or rational motion at t, a
+        float or an array of instants already checked and clamped. The
+        rational terms are summed in order from 0."""
+        if self.kind == "polynomial":
+            return [polyval(c, t) for c in self.coeffs]
+        return [
+            sum(polyval(num, t) / polyval(den, t) for num, den in coord_terms)
+            for coord_terms in self.terms
+        ]
 
     def _segment_for(self, t):
         # Segments are few (tens at most); linear scan is fine.
@@ -182,27 +183,15 @@ class Trajectory:
         ts = np.asarray(ts, dtype=float)
         if self.kind == "scripted":
             return np.array([self.at(float(t)) for t in ts]).reshape(len(ts), self.dim)
-        outside = (ts < -1e-12) | (ts > self.horizon + 1e-12)
-        if outside.any():
-            t = float(ts[np.argmax(outside)])
+        inside = (-1e-12 <= ts) & (ts <= self.horizon + 1e-12)
+        if not inside.all():
+            t = float(ts[np.argmin(inside)])
             raise DomainError(f"t={t} outside [0, {self.horizon}]")
         # min(max(t, 0.0), horizon) per entry, keeping its choice on ties
         ts = np.where(0.0 > ts, 0.0, ts)
         ts = np.where(self.horizon < ts, self.horizon, ts)
-        if self.kind == "polynomial":
-            cols = [polyval(c, ts) for c in self.coeffs]
-        else:
-            cols = [
-                sum(
-                    (polyval(num, ts) / polyval(den, ts) for num, den in coord_terms),
-                    np.zeros_like(ts),
-                )
-                for coord_terms in self.terms
-            ]
-        out = np.stack(cols, axis=1)
-        if self.clamp_unit:
-            out = np.clip(out, 0.0, 1.0)
-        return out
+        out = np.stack(self._columns(ts), axis=1)
+        return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
 
 
 def constant(values, horizon: float) -> Trajectory:
@@ -249,34 +238,19 @@ def unit_chebyshev_coeffs(s: int, horizon: float) -> tuple[float, ...]:
     return tuple(mapped / 2.0)
 
 
-def max_speed(traj: Trajectory, grid: int = 4096) -> float:
+def max_speed(traj: Trajectory) -> float:
     """Largest per-coordinate |h'(t)| over the horizon, polynomial kind only.
 
-    Dense sampling plus ternary refinement around every local maximum;
-    accurate to ~1e-10 relative for desk-scale degrees.
+    Exact up to rounding: each coordinate's derivative is extremised by
+    `poly_extrema` (the horizon's ends and the real roots of the second
+    derivative), and the larger magnitude of its min and max is taken.
     """
     if traj.kind != "polynomial":
         raise UnsupportedKindError("max_speed is defined for polynomial trajectories")
     best = 0.0
-    ts = np.linspace(0.0, traj.horizon, grid + 1)
     for coord in traj.coeffs:
-        der = polyder(coord)
-        vals = np.abs(polyval(der, ts))
-        best = max(best, float(vals.max()))
-        # strict on one side so plateaus (constant derivative) refine nowhere
-        interior = np.flatnonzero(
-            (vals[1:-1] >= vals[:-2]) & (vals[1:-1] > vals[2:])
-        )
-        for idx in interior:
-            lo, hi = ts[idx], ts[idx + 2]
-            for _ in range(60):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if abs(polyval(der, m1)) < abs(polyval(der, m2)):
-                    lo = m1
-                else:
-                    hi = m2
-            best = max(best, abs(polyval(der, 0.5 * (lo + hi))))
+        lo, hi = poly_extrema(polyder(coord), traj.horizon)
+        best = max(best, float(-lo), float(hi))
     return best
 
 

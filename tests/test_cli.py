@@ -96,6 +96,27 @@ def test_svg_emission(tmp_path):
     assert svg.startswith("<svg") and "<polyline" in svg
 
 
+def test_run_lipschitz_svg(tmp_path):
+    assert run_cli(["run-lipschitz", "split", "--n", "16", "--K", "0.02", "--samples", "9",
+                    "--out-dir", str(tmp_path), "--svg"]) == 0
+    svg = (tmp_path / "split_n16_lipschitz.svg").read_text()
+    assert svg.startswith("<svg") and "<polyline" in svg
+
+
+@pytest.mark.parametrize("flag", [["--svg"], ["--jobs", "2"], ["--out-dir", "x"]])
+def test_audit_rejects_output_flags(tmp_path, flag):
+    # audit writes no files, so it takes none of the run commands' output flags
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["audit", "chebyshev", "--s", "2", "--n", "5", "--k", "0.2", *flag])
+    assert exc.value.code == 2
+
+
+def test_run_topo_bound_violation_exits_one(tmp_path, inflated_plans, capsys):
+    assert run_cli(["run-topo", "diamond", "--per-side", "4", "--mode", "rotation",
+                    "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("AUDIT FAIL: rotation morph exceeded 4/3")
+
+
 def test_jobs_parallel_runs(tmp_path, capsys):
     paths = []
     for s in (2, 3):

@@ -180,6 +180,13 @@ def test_any_tree_audit_star_on_collinear():
     assert audit.total <= 4 * audit.opt_length
 
 
+def test_any_tree_audit_coincident_points_ratio_one():
+    # OPT = 0 and tree = 0: the 0/0 = 1 convention of every other regime
+    cfg = PointConfig([[0.3, 0.3]] * 4)
+    audit = any_tree_bound_audit(cfg, SpanningTree(4, [(0, 1), (1, 2), (2, 3)]))
+    assert (audit.total, audit.opt_length, audit.ratio) == (0.0, 0.0, 1.0)
+
+
 def test_any_tree_audit_random():
     from kemst.spanning import tree_from_prufer
 

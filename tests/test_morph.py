@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from kemst.errors import ParameterError
+from kemst import morph
+from kemst.errors import AuditFailure, ParameterError
 from kemst.flip_oracle import minimax_flip_oracle
 from kemst.morph import (
     apply_rotation,
@@ -199,6 +201,109 @@ def test_rotation_bound_random_audit():
         plan = plan_rotation_morph(ev, cfg)
         base = tree_length(cfg, ev.old_tree)
         assert plan.max_intermediate <= (4.0 / 3.0) * base + 1e-9
+
+
+
+def reference_chord_step_lists(i, L):
+    """The chord shortcut plans written out for both sides of the cycle."""
+    plans = []
+    for g in range(0, i - 1):
+        for h in range(g + 2, i + 1):
+            steps = []
+            for j in range(g + 1, h):
+                steps.append(("slide", (g, j), j + 1))
+            a = i
+            while a > h:
+                steps.append(("slide", (i + 1, a), a - 1))
+                a -= 1
+            steps.append(("slide", (i + 1, h), g))
+            for j in range(h, g + 1, -1):
+                steps.append(("slide", (g, j), j - 1))
+            a = g
+            while a > 0:
+                steps.append(("slide", (i + 1, a), a - 1))
+                a -= 1
+            b = i + 1
+            while b < L:
+                steps.append(("slide", (0, b), b + 1))
+                b += 1
+            plans.append(steps)
+    for g in range(i + 1, L - 1):
+        for h in range(g + 2, L + 1):
+            steps = []
+            for j in range(h - 1, g, -1):
+                steps.append(("slide", (h, j), j - 1))
+            b = i + 1
+            while b < g:
+                steps.append(("slide", (i, b), b + 1))
+                b += 1
+            steps.append(("slide", (i, g), h))
+            for j in range(g, h - 1):
+                steps.append(("slide", (h, j), j + 1))
+            b = h
+            while b < L:
+                steps.append(("slide", (i, b), b + 1))
+                b += 1
+            a = i
+            while a > 0:
+                steps.append(("slide", (L, a), a - 1))
+                a -= 1
+            plans.append(steps)
+    return plans
+
+
+def test_chord_step_lists_match_reference():
+    # order matters: the slide planner keeps the first plan within 1e-12
+    for L in range(1, 17):
+        for i in range(L):
+            assert morph._chord_step_lists(i, L) == reference_chord_step_lists(i, L)
+
+
+def _plan_digest(h, plan):
+    for s in plan.steps:
+        h.update(repr((s.op, s.edge, s.target)).encode())
+    lengths = " ".join(float.hex(x) for x in plan.lengths)
+    h.update(f"{lengths} {plan.fallback}|".encode())
+
+
+def test_morph_plans_pinned():
+    # Steps and float.hex lengths of 600 random planner calls and of four
+    # topological runs, hashed; a reordered candidate list or a changed
+    # tie-break moves them.
+    h = hashlib.sha256()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 17))
+        cfg, ev = random_swap_instance(rng, n)
+        _plan_digest(h, plan_slide_morph(ev, cfg))
+        cfg, ev = random_swap_instance(rng, n, longest_removed=True)
+        _plan_digest(h, plan_rotation_morph(ev, cfg))
+    assert h.hexdigest() == (
+        "a93880fff019c1fa86069a750ec78cd45e76614153874782e80721bd3b484969"
+    )
+    h = hashlib.sha256()
+    for sc in (gen_diamond(6), gen_circle(9)):
+        for mode in ("slide", "rotation"):
+            for plan in run_topo_regime(sc, mode=mode, samples=8).plans:
+                _plan_digest(h, plan)
+    assert h.hexdigest() == (
+        "acfbcdca966c71800880ec81db0eccae4ded9f7a496ef643d12e2dc2edd836ad"
+    )
+
+
+@pytest.mark.parametrize(
+    "planner, bound",
+    [(plan_slide_morph, "3/2"), (plan_rotation_morph, "4/3")],
+)
+def test_planner_bound_violation_is_audit_failure(inflated_plans, planner, bound):
+    cfg, ev = unit_square_swap()
+    with pytest.raises(AuditFailure, match=bound):
+        planner(ev, cfg)
+
+
+def test_topo_rotation_bound_violation_is_not_a_fallback(inflated_plans):
+    with pytest.raises(AuditFailure, match="4/3"):
+        run_topo_regime(gen_diamond(4), mode="rotation", samples=4)
 
 
 # --- swap detection and the topological regime -------------------------------

@@ -49,6 +49,21 @@ def test_input_distance_single_mover():
     assert input_distance(sc, 0.0, 0.3) == pytest.approx(0.3, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc: sc.positions(math.nan),
+        lambda sc: sc.positions_many([0.1, math.nan]),
+        lambda sc: input_distance(sc, math.nan, 0.5),
+        lambda sc: next_displacement_event(sc, math.nan, 0.1),
+    ],
+    ids=["positions", "positions_many", "input_distance", "next_displacement_event"],
+)
+def test_nan_time_is_outside_the_horizon(call):
+    with pytest.raises(DomainError):
+        call(gen_chebyshev(3, 5))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.0, 1.0),

@@ -15,6 +15,7 @@ from kemst.trajectories import (
     max_speed,
     normalize_unit_range,
     poly_extrema,
+    polyder,
     polyval,
     unit_chebyshev_coeffs,
 )
@@ -64,6 +65,19 @@ def test_max_speed_chebyshev4_square():
     c4 = unit_chebyshev_coeffs(4, 1.0)
     traj = Trajectory("polynomial", 2, 1.0, coeffs=(c4, c4))
     assert max_speed(traj) == pytest.approx(16.0, abs=1e-6)
+
+
+def test_max_speed_bounds_dense_grid():
+    # exact maximum: never below any sampled |h'|, and attained up to rounding
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        T = float(rng.uniform(0.5, 2.0))
+        coeffs = tuple(tuple(rng.normal(0, 1, size=int(rng.integers(1, 8)))) for _ in "xy")
+        speed = max_speed(Trajectory("polynomial", 2, T, coeffs=coeffs))
+        ts = np.linspace(0.0, T, 20_001)
+        dense = max(float(np.abs(polyval(polyder(c), ts)).max()) for c in coeffs)
+        assert dense <= speed * (1 + 1e-12) + 1e-300
+        assert speed <= dense * (1 + 1e-6) + 1e-12
 
 
 def test_max_speed_rejects_scripted():
