@@ -200,7 +200,7 @@ def recompute_always_schedule(
 ) -> list[tuple[float, SpanningTree]]:
     """Schedule of the plain EMST re-evaluated on a uniform grid."""
     ts = np.linspace(0.0, sc.horizon, samples)
-    return [(float(t), emst(sc.config(float(t)))) for t in ts]
+    return [(float(t), emst(PointConfig(pos))) for t, pos in zip(ts, sc.positions_many(ts))]
 
 
 def estimate_stability_ratio(

@@ -355,11 +355,12 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
 
     The EMST is built at `grid` uniform instants, whose positions come from
     one `positions_many` pass. Each cell whose end trees differ is bisected
-    with `positions` at every midpoint (each midpoint depends on the last
-    answer, so there is no list to batch), comparing the midpoint's Kruskal
-    edge set with the tree the swap leaves. Only the tree each swap reaches
-    is wrapped in a validated SpanningTree, so every tree returned is
-    validated while a midpoint costs one Kruskal and no tree check.
+    with the compiled tensor at every midpoint (`_compiled_positions`, one
+    instant at a time since each depends on the last answer; bitwise equal
+    to `positions`), comparing the midpoint's Kruskal edge set with the
+    tree the swap leaves. Only the tree each swap reaches is wrapped in a
+    validated SpanningTree, so every tree returned is validated while a
+    midpoint costs one Kruskal and no tree check.
 
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
@@ -378,7 +379,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
             hi_edges = None
             while hi - lo > _SWAP_TIME_TOL:
                 m = 0.5 * (lo + hi)
-                m_edges = _kruskal(sc.config(m))
+                m_edges = _kruskal(PointConfig(sc._compiled_positions(m)))
                 if frozenset(m_edges) == a_tree.edges:
                     lo = m
                 else:

@@ -5,6 +5,7 @@ circle spread/converge, diamond flow, vertical split).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ from .trajectories import (
     ArcSegment,
     LinearSegment,
     Trajectory,
+    _clamp_times,
     constant,
     polyval,
     unit_chebyshev_coeffs,
@@ -60,20 +62,53 @@ class KineticScenario:
 
     def positions(self, t: float) -> np.ndarray:
         """Positions at one instant, shape (n, d), point by point through
-        `Trajectory.at`. This is the path for sequential searches (event
-        search, swap bisection), where each instant depends on the last
-        answer; for one instant it is several times cheaper than
-        `positions_many([t])`."""
+        `Trajectory.at`. The swap bisection reads the same bits from the
+        compiled tensor (`_compiled_positions`); this stays per-point while
+        `perfbench/tracer.py` requires per-point `at` and `polyval` calls on
+        the cubic workloads, which now come from here."""
         return np.array([p.at(t) for p in self.points])
 
     def positions_many(self, ts) -> np.ndarray:
-        """Positions at a known list of instants, shape (len(ts), n, d).
+        """Positions at a known list of instants, shape (len(ts), n, d), from
+        `_compiled_positions`; entry i equals `positions(ts[i])` bit for bit."""
+        return self._compiled_positions(np.asarray(ts, dtype=float))
 
-        One `Trajectory.sample` pass per point, so polynomial and rational
-        motions are evaluated for all instants at once; entry i equals
-        `positions(ts[i])` bit for bit.
-        """
-        return np.stack([p.sample(ts) for p in self.points], axis=1)
+    @functools.cached_property
+    def _tensor(self):
+        """Polynomial points compiled once: (rows, coef, clamp, others). coef
+        is (D+1, len(rows), d), ascending, zero-padded to the top degree D; a
+        padded Horner step keeps the accumulator at its start value +0.0, so
+        `polyval` over coef is each point's own Horner bit for bit. clamp
+        masks the `clamp_unit` rows (None if none), `others` the rest."""
+        rows = [i for i, p in enumerate(self.points) if p.kind == "polynomial"]
+        size = max([len(c) for i in rows for c in self.points[i].coeffs] + [1])
+        coef = np.zeros((size, len(rows), self.dim))
+        for r, i in enumerate(rows):
+            for c, cs in enumerate(self.points[i].coeffs):
+                coef[: len(cs), r, c] = cs
+        coef.setflags(write=False)
+        clamp = np.array([self.points[i].clamp_unit for i in rows], dtype=bool)
+        others = [i for i, p in enumerate(self.points) if p.kind != "polynomial"]
+        return np.array(rows, dtype=int), coef, clamp if clamp.any() else None, others
+
+    def _compiled_positions(self, ts) -> np.ndarray:
+        """`positions` at a float t, shape (n, d), or at an array of instants,
+        shape (len(ts), n, d), bit for bit: polynomial points from one
+        `polyval` over the compiled tensor, the others from `at` or `sample`.
+        An instant outside the horizon raises DomainError."""
+        ts = _clamp_times(ts, self.horizon)
+        scalar = isinstance(ts, float)
+        rows, coef, clamp, others = self._tensor
+        vals = polyval(coef, ts if scalar else ts[:, None, None])
+        if clamp is not None:
+            vals[..., clamp, :] = np.clip(vals[..., clamp, :], 0.0, 1.0)
+        if not others:
+            return vals
+        out = np.empty(vals.shape[:-2] + (self.n, self.dim))
+        out[..., rows, :] = vals
+        for i in others:
+            out[..., i, :] = (self.points[i].at if scalar else self.points[i].sample)(ts)
+        return out
 
     def config(self, t: float) -> PointConfig:
         return PointConfig(self.positions(t))
@@ -195,7 +230,7 @@ def _first_crossing(
     return best
 
 
-def _window_bound_fn(points, t_ref: float, horizon: float):
+def _window_bound_fn(sc: KineticScenario, t_ref: float):
     """Certified bounds for the displacement scan. Returns bound(upper), an
     array with one entry per point: at least the sum of squared coordinate
     displacements that `_displacement_sq_fn`'s fn computes in binary64,
@@ -207,8 +242,10 @@ def _window_bound_fn(points, t_ref: float, horizon: float):
     width w = upper - t_ref it moves at most sum_{j>=1} |b_j| w^j, and the
     bound is sum_c (sum_{j>=1} |b_j| w^j + margin_c)^2.
 
+    The coefficients are the unclamped rows of `sc._tensor`, built once.
+
     margin_c covers rounding. Let u = 2^-53, gamma_m = m u / (1 - m u),
-    D the padded degree, d the dimension, H the horizon and
+    D the tensor's padded degree, d the dimension, H the horizon and
     P_c = sum_j |c_j| (2H)^j. The scan only runs when H - t_ref > 1e-9 and
     t_ref >= -1e-12, so |t|, |t_ref| and |t_ref| + w are at most 2H.
     - fn's Horner at t and at t_ref: 2D roundings each, each value off by
@@ -224,32 +261,29 @@ def _window_bound_fn(points, t_ref: float, horizon: float):
     In all gamma_(13D + 8d + 4) P_c; m = 16 (D + d + 1) covers it and the
     shortfall of the computed P_c (2D + 2 roundings).
     """
-    n = len(points)
-    idx = [i for i, p in enumerate(points) if p.kind == "polynomial" and not p.clamp_unit]
-    if not idx:
+    n, horizon = sc.n, sc.horizon
+    idx, coef, clamp, _others = sc._tensor
+    if clamp is not None:
+        idx, coef = idx[~clamp], coef[:, ~clamp]
+    if not len(idx):
         return lambda upper: np.full(n, np.inf)
-    deg = max(len(c) for i in idx for c in points[i].coeffs) - 1
-    dim = points[idx[0]].dim
-    coef = np.array(
-        [[list(cs) + [0.0] * (deg + 1 - len(cs)) for cs in points[i].coeffs] for i in idx],
-        dtype=float,
-    )
+    deg, dim = len(coef) - 1, sc.dim
     shifted = coef.copy()
     for i in range(deg):  # repeated synthetic division by (t - t_ref)
         for j in range(deg - 1, i - 1, -1):
-            shifted[..., j] += t_ref * shifted[..., j + 1]
+            shifted[j] += t_ref * shifted[j + 1]
     steps = np.abs(shifted)
-    size = np.zeros(coef.shape[:2])
+    size = np.zeros(coef.shape[1:])
     for j in range(deg, -1, -1):
-        size = size * (2.0 * horizon) + np.abs(coef[..., j])
+        size = size * (2.0 * horizon) + np.abs(coef[j])
     m = 16 * (deg + dim + 1)
     margin = m * 2.0**-53 / (1.0 - m * 2.0**-53) * size
 
     def bound(upper: float) -> np.ndarray:
         w = upper - t_ref
-        reach = np.zeros(coef.shape[:2])
+        reach = np.zeros(coef.shape[1:])
         for j in range(deg, 0, -1):
-            reach = (reach + steps[..., j]) * w
+            reach = (reach + steps[j]) * w
         out = np.full(n, np.inf)
         out[idx] = np.sum((reach + margin) ** 2, axis=1)
         return out
@@ -293,7 +327,7 @@ def next_displacement_event(
     k_sq = k * k
     tangent_tol = 1e-9 * k_sq
     refine_cutoff = -0.5 * k_sq
-    window_bound = _window_bound_fn(sc.points, t_ref, hi)
+    window_bound = _window_bound_fn(sc, t_ref)
     # fl(x - k_sq) is monotone in x, so bound - k_sq < -tangent_tol as
     # computed implies fn(t) < -tangent_tol as computed.
     silent = window_bound(hi) - k_sq < -tangent_tol

@@ -32,7 +32,8 @@ def polyval(coeffs, t):
     skips numpy's dimension dispatch: it is the hot path of single-instant
     evaluation. Anything else is evaluated elementwise as an array. Both
     paths run the same multiply-then-add steps in the same order, so an
-    array entry equals the scalar result for that t bit for bit.
+    array entry equals the scalar result for that t bit for bit. A scenario's
+    compiled tensor passes arrays as coefficients; they broadcast against t.
     """
     acc = 0.0
     if not isinstance(t, float) and np.ndim(t) > 0:
@@ -45,6 +46,20 @@ def polyval(coeffs, t):
 def polyder(coeffs):
     """Coefficients of the derivative (ascending power basis)."""
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0.0,)
+
+
+def _clamp_times(ts, horizon: float):
+    """`Trajectory.at`'s domain check (DomainError, NaN included) and clamp
+    min(max(t, 0.0), horizon) for a float or, entry by entry, an array."""
+    if isinstance(ts, float):
+        if not -1e-12 <= ts <= horizon + 1e-12:
+            raise DomainError(f"t={ts} outside [0, {horizon}]")
+        return min(max(ts, 0.0), horizon)
+    inside = (-1e-12 <= ts) & (ts <= horizon + 1e-12)
+    if not inside.all():
+        raise DomainError(f"t={float(ts[np.argmin(inside)])} outside [0, {horizon}]")
+    ts = np.where(0.0 > ts, 0.0, ts)
+    return np.where(horizon < ts, horizon, ts)
 
 
 @dataclass(frozen=True)
@@ -100,8 +115,8 @@ class Trajectory:
     clamp_unit: bool = field(default=False)
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ParameterError("horizon must be positive and finite")
         if self.kind == "polynomial":
             if len(self.coeffs) != self.dim:
                 raise ParameterError("need one coefficient list per coordinate")
@@ -171,25 +186,14 @@ class Trajectory:
         return self.segments[-1]
 
     def sample(self, ts) -> np.ndarray:
-        """Positions at a known list of times, shape (len(ts), dim).
-
-        Polynomial and rational kinds are evaluated in one array pass
-        (domain check, clamp to [0, horizon], array Horner, `clamp_unit`),
-        which runs per entry the same operations as `at`, so row i equals
-        `at(ts[i])` bit for bit. Scripted kinds call `at` per instant:
-        their arcs use `math.cos`/`math.sin`, which numpy's vectorised
-        versions need not match to the last bit.
-        """
+        """Positions at a known list of times, shape (len(ts), dim), row i
+        equal to `at(ts[i])` bit for bit. Polynomial and rational kinds run
+        `at`'s steps in one array pass. Scripted kinds call `at` per instant:
+        numpy's vectorised cos/sin need not match `math`'s to the last bit."""
         ts = np.asarray(ts, dtype=float)
         if self.kind == "scripted":
             return np.array([self.at(float(t)) for t in ts]).reshape(len(ts), self.dim)
-        inside = (-1e-12 <= ts) & (ts <= self.horizon + 1e-12)
-        if not inside.all():
-            t = float(ts[np.argmin(inside)])
-            raise DomainError(f"t={t} outside [0, {self.horizon}]")
-        # min(max(t, 0.0), horizon) per entry, keeping its choice on ties
-        ts = np.where(0.0 > ts, 0.0, ts)
-        ts = np.where(self.horizon < ts, self.horizon, ts)
+        ts = _clamp_times(ts, self.horizon)
         out = np.stack(self._columns(ts), axis=1)
         return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
 

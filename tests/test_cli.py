@@ -233,3 +233,12 @@ def test_negative_samples_exits_two(tmp_path, capsys, cmd, flags, name):
 def test_non_finite_budget_exits_two(tmp_path, capsys, cmd, flags, message):
     assert run_cli([cmd, *flags, "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_gen_non_finite_horizon_exits_two(tmp_path, capsys, horizon):
+    out = tmp_path / "cheb.json"
+    args = ["gen", "chebyshev", "--s", "3", "--n", "5", "--T", horizon, "--k", "0.1"]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: horizon must be positive and finite\n"
+    assert not out.exists()

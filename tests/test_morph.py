@@ -20,9 +20,16 @@ from kemst.morph import (
     random_swap_instance,
     run_topo_regime,
 )
-from kemst.scenarios import KineticScenario, gen_circle, gen_diamond, gen_stationary
+from kemst.scenarios import KineticScenario, gen_circle, gen_diamond, gen_split, gen_stationary
 from kemst.spanning import PointConfig, SpanningTree, emst, tree_from_prufer, tree_length
-from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range
+from kemst.trajectories import (
+    ArcSegment,
+    LinearSegment,
+    Trajectory,
+    constant,
+    linear,
+    normalize_unit_range,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -382,11 +389,27 @@ def lattice_scenario():
     return KineticScenario(points=tuple(points), label="lattice")
 
 
+def mixed_scripted_scenario():
+    """Ten random cubic movers plus a scripted arc and a scripted polyline,
+    so the bisection's midpoints mix tensor rows with per-point rows."""
+    cubics = random_cubic_scenario(24, 10).points
+    arc = (
+        ArcSegment(0.0, 0.5, (0.5, 0.5), 0.3, 0.0, 3.0),
+        ArcSegment(0.5, 1.0, (0.5, 0.5), 0.3, 3.0, 1.0),
+    )
+    path = (
+        LinearSegment(0.0, 0.4, (0.0, 0.0), (1.0, 0.5)),
+        LinearSegment(0.4, 1.0, (1.0, 0.5), (0.2, 1.0)),
+    )
+    scripted = tuple(Trajectory("scripted", 2, 1.0, segments=s) for s in (arc, path))
+    return KineticScenario(points=cubics[:5] + scripted[:1] + cubics[5:] + scripted[1:])
+
+
 @pytest.mark.parametrize(
     "sc",
     [random_cubic_scenario(seed, n) for seed, n in ((21, 8), (22, 20), (23, 32))]
-    + [lattice_scenario()],
-    ids=["cubic8", "cubic20", "cubic32", "lattice"],
+    + [lattice_scenario(), gen_split(6), mixed_scripted_scenario()],
+    ids=["cubic8", "cubic20", "cubic32", "lattice", "split6", "mixed_scripted"],
 )
 def test_detect_swaps_matches_reference_bisection(sc):
     got = detect_swaps(sc)

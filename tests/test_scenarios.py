@@ -24,7 +24,15 @@ from kemst.scenarios import (
     next_displacement_event,
 )
 from kemst.spanning import emst, tree_length
-from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range, polyval
+from kemst.trajectories import (
+    ArcSegment,
+    LinearSegment,
+    Trajectory,
+    constant,
+    linear,
+    normalize_unit_range,
+    polyval,
+)
 
 
 def two_point_scenario():
@@ -125,6 +133,75 @@ def test_positions_many_matches_positions(sc):
     for t in (-1e-6, sc.horizon * (1 + 1e-6)):
         with pytest.raises(DomainError):
             sc.positions(t)
+        with pytest.raises(DomainError):
+            sc.positions_many([0.0, t])
+
+
+def mixed_kind_scenario():
+    """Polynomial (one clamped), rational and scripted points in 2-D."""
+    arc = (
+        ArcSegment(0.0, 0.5, (0.5, 0.5), 0.25, 0.0, 2.0),
+        ArcSegment(0.5, 1.0, (0.5, 0.5), 0.25, 2.0, 0.5),
+    )
+    line = (LinearSegment(0.0, 1.0, (0.1, 0.9), (0.8, 0.2)),)
+    bump = (((0.0, 1.0), (1.0, 0.0, 1.0)), ((0.3,), (1.0, 0.5)))
+    cubic = ((0.1, 0.7, -0.4, 0.2), (0.9, -0.5))
+    overshoot = ((-0.2, 2.5), (0.5, 0.0, 0.0, 0.0, 1.0))
+    return KineticScenario(
+        points=(
+            Trajectory("polynomial", 2, 1.0, coeffs=cubic),
+            Trajectory("scripted", 2, 1.0, segments=arc),
+            Trajectory("polynomial", 2, 1.0, coeffs=overshoot, clamp_unit=True),
+            Trajectory("rational", 2, 1.0, terms=(bump[:1], bump), clamp_unit=True),
+            Trajectory("scripted", 2, 1.0, segments=line),
+            constant([0.4, 0.6], 1.0),
+        ),
+        label="mixed",
+    )
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        random_cubic_scenario(12, 20),
+        gen_split(8),
+        gen_chebyshev(3, 11, T=2.5),
+        KineticScenario(
+            points=(
+                Trajectory("polynomial", 1, 1.0, coeffs=((-0.3, 1.6, 0.2),), clamp_unit=True),
+                Trajectory("polynomial", 1, 1.0, coeffs=((1.2, -1.5),), clamp_unit=True),
+                linear([0.2], [0.7], 1.0),
+            ),
+            label="clamped",
+        ),
+        KineticScenario(
+            points=(
+                Trajectory("polynomial", 2, 1.0, coeffs=((-0.0,), (0.25, -0.0, 0.5))),
+                Trajectory("polynomial", 2, 1.0, coeffs=((0.5, 0.0, -0.0), (-0.0, -0.0))),
+                constant([0.0, -0.0], 1.0),
+            ),
+            label="negative_zero",
+        ),
+        mixed_kind_scenario(),
+    ],
+    ids=lambda sc: sc.label,
+)
+def test_compiled_positions_match_positions(sc):
+    rng = np.random.default_rng(4)
+    H = sc.horizon
+    ends = [0.0, H, -1e-12, 1e-12, H - 1e-12, H + 1e-12]
+    ts = np.concatenate([ends, rng.uniform(0.0, H, 200)])
+    single = np.array([sc.positions(float(t)) for t in ts])
+    compiled = np.array([sc._compiled_positions(float(t)) for t in ts])
+    assert np.array_equal(compiled.view(np.int64), single.view(np.int64))
+    assert np.array_equal(sc.positions_many(ts).view(np.int64), single.view(np.int64))
+    rows = [i for i, p in enumerate(sc.points) if p.kind == "polynomial"]
+    assert list(sc._tensor[0]) == rows
+    for t in (math.nan, -1e-6, H * (1 + 1e-6)):
+        with pytest.raises(DomainError):
+            sc.points[0].at(t)
+        with pytest.raises(DomainError):
+            sc._compiled_positions(t)
         with pytest.raises(DomainError):
             sc.positions_many([0.0, t])
 
@@ -297,13 +374,13 @@ def test_window_bound_covers_computed_displacement(deg):
         Trajectory("polynomial", 2, 1.0, coeffs=(motion(), motion())) for _ in range(60)
     )
     for t_ref in (0.0, 0.5, 1.0 - 1e-6):
-        window_bound = _window_bound_fn(points, t_ref, 1.0)
+        window_bound = _window_bound_fn(KineticScenario(points), t_ref)
         for upper in (1.0, t_ref + (1.0 - t_ref) / 3.0):
             bound = window_bound(upper)
             ts = np.linspace(t_ref, upper, 4097)
             for traj, b in zip(points, bound):
                 assert b >= np.max(_displacement_sq_fn(traj, t_ref, 0.0)(ts))
-    assert np.all(np.isinf(_window_bound_fn(gen_circle(5).points, 0.0, 1.0)(1.0)))
+    assert np.all(np.isinf(_window_bound_fn(gen_circle(5), 0.0)(1.0)))
 
 
 # --- generators -----------------------------------------------------------

@@ -53,6 +53,12 @@ def test_evaluate_outside_horizon_raises():
         traj.at(-0.1)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_positive_or_non_finite_horizon_rejected(horizon):
+    with pytest.raises(ParameterError, match="horizon must be positive and finite"):
+        Trajectory("polynomial", 1, horizon, coeffs=((0.5,),))
+
+
 def test_max_speed_constant_zero():
     assert max_speed(constant([0.3, 0.7], 2.0)) == 0.0
 
