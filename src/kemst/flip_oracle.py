@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, SizeError
 from .scenarios import KineticScenario
-from .spanning import SpanningTree, labeled_tree_edges
+from .spanning import PointConfig, SpanningTree, _pair_index, _pairs, labeled_tree_edges
 
 _GRAPH_CACHE: dict = {}
 _BFS_CACHE: dict = {}
@@ -37,9 +37,7 @@ DEFAULT_N_LIMIT = 7
 class FlipGraph:
     n: int
     mode: str
-    edge_pids: np.ndarray  # (N, n-1) int32 pair ids of each tree's sorted edges
-    pair_iu: np.ndarray  # pair id -> (u, v), u < v, lexicographic in (u, v)
-    pair_ju: np.ndarray
+    edge_pids: np.ndarray  # (N, n-1) int32 `_pairs(n)` indices of each tree's sorted edges
     masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending
     mask_ids: np.ndarray  # tree id of each entry of `masks`
     src: np.ndarray  # directed flip edges, ordered by (dst, src)
@@ -47,19 +45,13 @@ class FlipGraph:
     indptr: np.ndarray  # CSR over dst-sorted edges: src[indptr[x]:indptr[x+1]] flip into x
 
     def tree_lengths(self, positions: np.ndarray) -> np.ndarray:
-        seg = positions[self.pair_iu] - positions[self.pair_ju]
-        pair_len = np.linalg.norm(seg, axis=1)
-        return pair_len[self.edge_pids].sum(axis=1)
+        """Every tree's length, summed from `PointConfig.pair_lengths`: the
+        oracle's ratios read the floats that order the EMST."""
+        return PointConfig(positions).pair_lengths[self.edge_pids].sum(axis=1)
 
     def as_spanning_tree(self, tid: int) -> SpanningTree:
-        pids = self.edge_pids[tid]
-        edges = zip(self.pair_iu[pids].tolist(), self.pair_ju[pids].tolist())
-        return SpanningTree(self.n, edges)
-
-
-def _pair_id(u, v, n: int):
-    """Index of pair (u, v), u < v, in the lexicographic pair list."""
-    return u * (2 * n - u - 1) // 2 + v - u - 1
+        iu, ju = (a[self.edge_pids[tid]].tolist() for a in _pairs(self.n))
+        return SpanningTree(self.n, zip(iu, ju))
 
 
 def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
@@ -78,7 +70,7 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
     num = edges.shape[0]
     rows = np.arange(num)
     eu, ev = edges[..., 0], edges[..., 1]
-    pids = _pair_id(eu, ev, n)
+    pids = _pair_index(n, eu, ev)
     bits = np.int64(1) << pids
     tree_masks = bits.sum(axis=1)
     order = np.argsort(tree_masks)
@@ -104,7 +96,7 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
             on_side = near == 1 if mode == "slide" else near < far
             tid, w = np.nonzero(on_side & (far > 1))
             f = fixed[tid]
-            new_pid = _pair_id(np.minimum(f, w), np.maximum(f, w), n)
+            new_pid = _pair_index(n, np.minimum(f, w), np.maximum(f, w))
             src_parts.append(tid)
             dst_parts.append(
                 order[np.searchsorted(sorted_masks, kept[tid] + (np.int64(1) << new_pid))]
@@ -122,13 +114,10 @@ def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
         raise ParameterError("flip graph has an isolated tree")
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
-    iu, ju = np.triu_indices(n, k=1)
     fg = FlipGraph(
         n=n,
         mode=mode,
         edge_pids=pids.astype(np.int32),
-        pair_iu=iu,
-        pair_ju=ju,
         masks=sorted_masks,
         mask_ids=order,
         src=src,
@@ -242,7 +231,7 @@ def _walk_source(fg: FlipGraph, prev_vals, cost, target, budget):
 def tree_id(fg: FlipGraph, tree: SpanningTree) -> int:
     if tree.n != fg.n:
         raise ParameterError("tree is not on the expected vertex count")
-    mask = sum(1 << _pair_id(u, v, fg.n) for u, v in tree.edges)
+    mask = sum(1 << _pair_index(fg.n, u, v) for u, v in tree.edges)
     return int(fg.mask_ids[np.searchsorted(fg.masks, mask)])
 
 

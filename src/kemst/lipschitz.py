@@ -21,6 +21,7 @@ from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
     SpanningTree,
+    _edge_lengths,
     _norm_edge,
     _ratio,
     emst,
@@ -220,21 +221,11 @@ def run_lipschitz_regime(
     t_now = 0.0
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []
-    final_pos = sc.positions(sc.horizon)
-    final_edge_lengths: dict[tuple[int, int], float] = {}
-
-    def final_edge_length(e: tuple[int, int]) -> float:
-        d = final_edge_lengths.get(e)
-        if d is None:
-            u, v = e
-            d = float(np.linalg.norm(final_pos[u] - final_pos[v]))
-            final_edge_lengths[e] = d
-        return d
+    cfg_end = PointConfig(sc.positions(sc.horizon))
 
     def final_len_of(edges) -> float:
-        # Same per-edge floats summed in the same order as a fresh
-        # computation, so tied gains stay tied.
-        return float(sum(map(final_edge_length, edges)))
+        # Summed as `tree_length` sums, so tied gains stay tied.
+        return float(sum(_edge_lengths(cfg_end, edges).tolist()))
 
     def carrier_profile(m: int, w: int) -> tuple[float, float]:
         x_span = abs(heights[m] - heights[w])
@@ -289,22 +280,21 @@ def run_lipschitz_regime(
             reserved.add(slider)
             reserved.add(carrier)
 
-    def geometric_length(t: float, pos: np.ndarray) -> float:
-        sliding = {_norm_edge((s.fixed, s.moving)): s for s in active}
-        total = 0.0
-        for u, v in tree.edges:
-            key = _norm_edge((u, v))
-            if key in sliding:
-                s = sliding[key]
-                p = s.progress(t)
-                end = pos[s.moving] + p * (pos[s.target] - pos[s.moving])
-                total += float(np.linalg.norm(pos[s.fixed] - end))
-            else:
-                total += float(np.linalg.norm(pos[u] - pos[v]))
-        return total
+    def geometric_length(t: float, cfg: PointConfig) -> float:
+        # A slider's moving end is off the configuration: same axis norm.
+        pos = cfg.positions
+        edges = list(tree.edges)
+        lengths = _edge_lengths(cfg, edges).tolist()
+        where = {e: i for i, e in enumerate(edges)}
+        for s in active:
+            end = pos[s.moving] + s.progress(t) * (pos[s.target] - pos[s.moving])
+            slider = where[_norm_edge((s.fixed, s.moving))]
+            lengths[slider] = float(np.linalg.norm(pos[s.fixed] - end, axis=-1))
+        return float(sum(lengths))
 
     start_greedy_slides()
-    sample_ts = list(np.linspace(0.0, sc.horizon, trace_samples))
+    sample_ts = np.linspace(0.0, sc.horizon, trace_samples)
+    sample_pos = sc.positions_many(sample_ts)
     records: list[LipschitzRecord] = []
     sample_idx = 0
 
@@ -312,9 +302,8 @@ def run_lipschitz_regime(
         nonlocal sample_idx
         while sample_idx < len(sample_ts) and sample_ts[sample_idx] <= up_to + 1e-12:
             t = float(sample_ts[sample_idx])
-            pos = sc.positions(t)
-            g_len = geometric_length(t, pos)
-            cfg = PointConfig(pos)
+            cfg = PointConfig(sample_pos[sample_idx])
+            g_len = geometric_length(t, cfg)
             opt = tree_length(cfg, emst(cfg))
             records.append(
                 LipschitzRecord(t, len(active), len(done), g_len, opt, _ratio(g_len, opt))
@@ -334,8 +323,7 @@ def run_lipschitz_regime(
         start_greedy_slides()
     emit_samples(sc.horizon)
 
-    final_length = geometric_length(sc.horizon, final_pos)
-    cfg_end = PointConfig(final_pos)
+    final_length = geometric_length(sc.horizon, cfg_end)
     opt_end = tree_length(cfg_end, emst(cfg_end))
     return LipschitzRunResult(
         final_tree=tree,
@@ -360,8 +348,8 @@ def any_tree_bound_audit(cfg: PointConfig, tree: SpanningTree) -> AnyTreeAudit:
     """Every tree edge is at most OPT long, and the whole tree at most
     (n-1) * OPT; violations would indicate an EMST bug."""
     opt = tree_length(cfg, emst(cfg))
-    max_edge = max(cfg.distance(u, v) for u, v in tree.edges)
     total = tree_length(cfg, tree)
+    max_edge = float(_edge_lengths(cfg, tree.edges).max())
     if max_edge > opt + 1e-9:
         raise AuditFailure(
             f"edge length {max_edge} exceeds OPT {opt}", record=(max_edge, opt)

@@ -557,21 +557,16 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
     left = list(meta["left_chain"])
     right = list(meta["right_chain"])
     pos = cfg.positions
-    chains_len = 0.0
-    for chain in (left, right):
-        for a, b in zip(chain, chain[1:]):
-            chains_len += float(np.linalg.norm(pos[a] - pos[b]))
+    chains_len = sum(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
     m = len(left)
-    conn_len = np.linalg.norm(
-        pos[np.array(left)][:, None, :] - pos[np.array(right)][None, :, :], axis=2
-    )
+    conn_len = [[cfg.distance(a, b) for b in right] for a in left]
     kinds = [
         [classify_connector(pos[a], pos[b]) for b in right] for a in left
     ]
     start = (0, 0)  # (index into left, index into right) for edge e
     if kinds[0][0] != "top":
         raise ParameterError("start connector is not a top-connector")
-    tree_len = lambda a, b: chains_len + conn_len[a, b]
+    tree_len = lambda a, b: chains_len + conn_len[a][b]
     dist = {start: tree_len(*start)}
     heap = [(dist[start], start)]
     seen = set()

@@ -4,9 +4,11 @@ Trees are edge sets over vertex indices 0..n-1; geometry enters only
 through a PointConfig (positions at one instant). The EMST uses a
 Kruskal sweep ordered by (length, u, v), which pins a deterministic
 tie-break: among equal-weight choices the lexicographically smallest
-sorted edge list wins. The order is realised by a stable sort of the
-pair lengths over the pairs in `np.triu_indices` order, which already
-lists (u, v) lexicographically, so equal lengths keep that order.
+sorted edge list wins. The order is a stable sort of
+`PointConfig.pair_lengths` over the pairs in `np.triu_indices` order ((u, v)
+lexicographic), so equal lengths keep that order. `distance` and
+`tree_length` read the same vector: a quality ratio's tree and EMST lengths
+are summed from the floats that chose the EMST, not from a second norm.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -97,8 +99,21 @@ class PointConfig:
     def n(self) -> int:
         return self.positions.shape[0]
 
+    @functools.cached_property
+    def pair_lengths(self) -> np.ndarray:
+        """Read-only length of every pair u < v in `_pairs(n)` order."""
+        iu, ju = _pairs(self.n)
+        lengths = np.linalg.norm(self.positions[iu] - self.positions[ju], axis=1)
+        lengths.setflags(write=False)
+        return lengths
+
     def distance(self, u: int, v: int) -> float:
-        return float(np.linalg.norm(self.positions[u] - self.positions[v]))
+        """Length of pair (u, v): its `pair_lengths` entry, 0.0 if u == v."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError("vertex out of range")
+        if u == v:
+            return 0.0
+        return float(self.pair_lengths[_pair_index(self.n, min(u, v), max(u, v))])
 
 
 # Cached per point count: `np.triu_indices` is a large share of a small
@@ -112,6 +127,17 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu.setflags(write=False)
     ju.setflags(write=False)
     return iu, ju
+
+
+def _pair_index(n: int, u, v):
+    """Unchecked index of pair (u, v), 0 <= u < v < n, in `_pairs(n)` order."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
+def _edge_lengths(cfg: PointConfig, edges) -> np.ndarray:
+    """`cfg.pair_lengths` of normalized edges (u < v), in iteration order."""
+    uv = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+    return cfg.pair_lengths[_pair_index(cfg.n, uv[:, 0], uv[:, 1])]
 
 
 def emst(cfg: PointConfig) -> SpanningTree:
@@ -128,36 +154,38 @@ def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
     n = cfg.n
     if n < 2:
         raise ParameterError("EMST needs at least 2 points")
-    pos = cfg.positions
     iu, ju = _pairs(n)
-    lengths = np.linalg.norm(pos[iu] - pos[ju], axis=1)
-    order = np.argsort(lengths, kind="stable")
-    # Kruskal with component labels. Most pairs are rejected (about 27k
-    # per tree at n = 384 on the split construction), and a rejection is
-    # two list lookups; a merge relabels the smaller component.
+    order = np.argsort(cfg.pair_lengths, kind="stable")
+    # Kruskal with component labels; a rejection is two list lookups and a
+    # merge relabels the smaller component. Pairs reach Python in chunks: the
+    # sweep stops after n - 1 merges (on the split construction at n = 384
+    # after 383 to 37k of 73,536 pairs), so no list of every pair is built.
     comp = list(range(n))
     members = [[v] for v in range(n)]
     edges = []
-    for u, v in zip(iu[order].tolist(), ju[order].tolist()):
-        cu, cv = comp[u], comp[v]
-        if cu == cv:
-            continue
-        if len(members[cu]) < len(members[cv]):
-            cu, cv = cv, cu
-        for w in members[cv]:
-            comp[w] = cu
-        members[cu] += members[cv]
-        edges.append((u, v))
-        if len(edges) == n - 1:
-            break
+    for i in range(0, len(order), 8192):
+        chunk = order[i : i + 8192]
+        for u, v in zip(iu[chunk].tolist(), ju[chunk].tolist()):
+            cu, cv = comp[u], comp[v]
+            if cu == cv:
+                continue
+            if len(members[cu]) < len(members[cv]):
+                cu, cv = cv, cu
+            for w in members[cv]:
+                comp[w] = cu
+            members[cu] += members[cv]
+            edges.append((u, v))
+            if len(edges) == n - 1:
+                return edges
     return edges
 
 
 def tree_length(cfg: PointConfig, tree: SpanningTree) -> float:
-    """Total Euclidean length of the tree's edges."""
+    """Total length of the tree: its edges' `pair_lengths` entries, the
+    floats that ordered the EMST, summed in `tree.edges` order."""
     if tree.n != cfg.n:
         raise ParameterError("tree and configuration vertex counts differ")
-    return float(sum(cfg.distance(u, v) for u, v in tree.edges))
+    return float(sum(_edge_lengths(cfg, tree.edges).tolist()))
 
 
 def _ratio(tree_len: float, opt_len: float) -> float:

@@ -276,7 +276,10 @@ def _plan_digest(h, plan):
 def test_morph_plans_pinned():
     # Steps and float.hex lengths of 600 random planner calls and of four
     # topological runs, hashed; a reordered candidate list or a changed
-    # tie-break moves them.
+    # tie-break moves them. Re-pinned once when lengths came to be read
+    # from `PointConfig.pair_lengths`: 130 of 1,884 planner lengths and 1
+    # of 403 topological-run lengths moved, by at most 2 ulps; no step or
+    # fallback changed.
     h = hashlib.sha256()
     for seed in range(300):
         rng = np.random.default_rng(seed)
@@ -286,7 +289,7 @@ def test_morph_plans_pinned():
         cfg, ev = random_swap_instance(rng, n, longest_removed=True)
         _plan_digest(h, plan_rotation_morph(ev, cfg))
     assert h.hexdigest() == (
-        "a93880fff019c1fa86069a750ec78cd45e76614153874782e80721bd3b484969"
+        "1ce32d5030e295428317490d7b9dc080ca490f57248c830715548489aafa4bad"
     )
     h = hashlib.sha256()
     for sc in (gen_diamond(6), gen_circle(9)):
@@ -294,7 +297,7 @@ def test_morph_plans_pinned():
             for plan in run_topo_regime(sc, mode=mode, samples=8).plans:
                 _plan_digest(h, plan)
     assert h.hexdigest() == (
-        "acfbcdca966c71800880ec81db0eccae4ded9f7a496ef643d12e2dc2edd836ad"
+        "ce97e92c33dd53a761d982f20641bdcdf64a96c44b019ffb96d9c7f2705bc48e"
     )
 
 

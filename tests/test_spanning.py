@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kemst.errors import ParameterError, SizeError
+from kemst.event_stability import spread
+from kemst.flip_oracle import flip_graph
+from kemst.morph import _cycle_dist
 from kemst.scenarios import gen_split
 from kemst.spanning import (
     PointConfig,
     SpanningTree,
+    _pair_index,
+    _pairs,
     emst,
     enumerate_spanning_trees,
     fundamental_cycle,
@@ -100,7 +105,8 @@ def _kruskal_lexsort(cfg):
 
 
 def _tie_heavy_configs(n, rng):
-    """Lattice, collinear, half-coincident, 3-D and split configurations."""
+    """Lattice, collinear, half-coincident, 3-D, split and random 2-D
+    configurations."""
     side = max(2, int(np.ceil(np.sqrt(n))))
     yield rng.integers(0, side, size=(n, 2)).astype(float)
     yield 0.25 * rng.integers(0, 3, size=(n, 2)) + 0.5
@@ -116,17 +122,54 @@ def _tie_heavy_configs(n, rng):
         sc = gen_split(n)
         for t in (0.0, float(rng.uniform(0, 1)), 1.0):
             yield sc.positions(t)
+    yield rng.uniform(0, 1, size=(n, 2))
 
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_emst_matches_lexsort_kruskal_reference(n):
+    # Also: every pair length in the library is the reference's axis=1
+    # norm bit for bit, so a tree's length is summed from the floats that
+    # ordered the EMST.
     rng = np.random.default_rng(1000 + n)
+    iu, ju = np.triu_indices(n, k=1)
+    assert np.array_equal(_pair_index(n, *_pairs(n)), np.arange(len(iu)))
+    fg = flip_graph(n, "slide") if 3 <= n <= 6 else None
     for pos in _tie_heavy_configs(n, rng):
         cfg = PointConfig(pos)
         got, want = emst(cfg), _kruskal_lexsort(cfg)
         assert got.edges == want.edges
         assert list(got.edges) == list(want.edges)
         assert tree_length(cfg, got) == tree_length(cfg, want)
+
+        ref = np.linalg.norm(pos[iu] - pos[ju], axis=1)
+        assert np.array_equal(cfg.pair_lengths, ref)
+        with pytest.raises(ValueError):
+            cfg.pair_lengths[0] = 1.0
+        by_pair = dict(zip(zip(iu.tolist(), ju.tolist()), ref.tolist()))
+        for (u, v), d in by_pair.items():
+            assert cfg.distance(u, v) == d == cfg.distance(v, u)
+        assert tree_length(cfg, got) == sum(by_pair[e] for e in got.edges)
+        dmat = _cycle_dist(cfg, range(n))
+        assert np.array_equal(dmat[iu, ju], ref) and np.array_equal(dmat[ju, iu], ref)
+        full = np.full((n, n), np.inf)
+        full[iu, ju] = full[ju, iu] = ref
+        kth = np.sort(full, axis=1)
+        for l in range(1, n):
+            assert spread(cfg, l).mindist_l == kth[:, l - 1].min()
+        if fg is not None:
+            want_lengths = [sum(ref[p].tolist()) for p in fg.edge_pids]
+            assert fg.tree_lengths(pos).tolist() == want_lengths
+
+
+def test_emst_matches_reference_past_one_pair_chunk():
+    # `_kruskal` hands pairs to Python 8192 at a time. Two far clusters of
+    # 92 and 90 points have 8,191 inner pairs, so the bridge is the last pair
+    # of the first chunk; the split sweep runs into the fifth chunk.
+    clusters = np.random.default_rng(7).uniform(0, 1, size=(182, 2))
+    clusters[:92] += 10.0
+    for pos in (gen_split(384).positions(1.0), clusters):
+        cfg = PointConfig(pos)
+        assert list(emst(cfg).edges) == list(_kruskal_lexsort(cfg).edges)
 
 
 def test_tree_length_345():
@@ -138,6 +181,26 @@ def test_tree_length_coincident_zero():
     cfg = PointConfig([[0.5, 0.5]] * 4)
     tree = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
     assert tree_length(cfg, tree) == 0.0
+    assert cfg.distance(3, 0) == 0.0
+    assert cfg.pair_lengths.tolist() == [0.0] * 6
+
+
+def test_tree_length_one_point_tree_zero():
+    assert tree_length(PointConfig([[0.3, 0.4]]), SpanningTree(1, [])) == 0.0
+
+
+def test_distance_to_itself_zero():
+    cfg = PointConfig([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    assert [cfg.distance(u, u) for u in range(3)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (3, 3), (-1, 0), (0, -1), (-1, -1), (2, 7)])
+def test_distance_vertex_out_of_range(u, v):
+    # The pair-index formula maps (0, 3) at n = 3 onto pair (1, 2), and
+    # numpy indexing wraps -1 to the last point: both must raise.
+    cfg = PointConfig([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    with pytest.raises(ParameterError):
+        cfg.distance(u, v)
 
 
 def test_tree_length_vertex_mismatch():
