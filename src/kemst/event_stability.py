@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError
 from .scenarios import KineticScenario, input_distance, next_displacement_event
-from .spanning import PointConfig, SpanningTree, _ratio, emst, tree_length
+from .spanning import PointConfig, SpanningTree, _pair_index, _ratio, emst, tree_length
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -144,17 +144,14 @@ def spread(cfg: PointConfig, l: int) -> SpreadReport:
 
 def thinned_subset(cfg: PointConfig, radius: float) -> list[int]:
     """Greedy thinning: keep the lowest-index remaining point, drop everything
-    strictly within `radius` of it, repeat."""
-    pos = cfg.positions
-    remaining = list(range(cfg.n))
-    kept = []
-    while remaining:
-        p = remaining.pop(0)
-        kept.append(p)
-        remaining = [
-            q for q in remaining if np.linalg.norm(pos[q] - pos[p]) > radius - 1e-12
-        ]
-    return kept
+    strictly within `radius` of it, repeat. Distances are `pair_lengths`."""
+    n = cfg.n
+    alive = np.ones(n, dtype=bool)
+    for p in range(n):
+        if alive[p]:  # pairs (p, q > p) are one contiguous run of pair_lengths
+            start = _pair_index(n, p, p + 1)
+            alive[p + 1 :] &= cfg.pair_lengths[start : start + n - p - 1] > radius - 1e-12
+    return np.flatnonzero(alive).tolist()
 
 
 @dataclass

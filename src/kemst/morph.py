@@ -15,6 +15,7 @@ classification and the reachability certificate).
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -26,8 +27,11 @@ from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
     SpanningTree,
+    _cut_certificate,
+    _cuts_hold,
     _kruskal,
     _norm_edge,
+    _pair_lengths,
     _ratio,
     emst,
     fundamental_cycle,
@@ -37,6 +41,12 @@ from .spanning import (
 
 _EDGE_TOL = 1e-6
 _SWAP_TIME_TOL = 1e-9
+# `detect_swaps` adds cells to a round while their certificates sum to fewer
+# than `_WINDOW_ENTRIES` entries (about 1 MB of temporaries at any n); a tree
+# with over `_CERT_ENTRIES` gets a Kruskal per midpoint instead (an entry costs
+# ~30 ns, a Kruskal ~40 us + 0.2 us a pair, n = 12 to 96).
+_WINDOW_ENTRIES = 1 << 14
+_CERT_ENTRIES = 1 << 12
 
 
 def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
@@ -353,14 +363,12 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
 def detect_swaps(sc: KineticScenario, grid: int = 257):
     """Combinatorial EMST change times, bisected to 1e-9.
 
-    The EMST is built at `grid` uniform instants, whose positions come from
-    one `positions_many` pass. Each cell whose end trees differ is bisected
-    with the compiled tensor at every midpoint (`_compiled_positions`, one
-    instant at a time since each depends on the last answer; bitwise equal
-    to `positions`), comparing the midpoint's Kruskal edge set with the
-    tree the swap leaves. Only the tree each swap reaches is wrapped in a
-    validated SpanningTree, so every tree returned is validated while a
-    midpoint costs one Kruskal and no tree check.
+    The EMST is built at `grid` instants from one `positions_many` pass.
+    Cells whose end trees differ are bisected together: a round takes their
+    midpoints in one `_compiled_positions` call (bitwise equal to
+    `positions`) and checks the `_cut_certificate` of the tree each swap
+    leaves, which holds iff it is the midpoint's Kruskal tree. Times and
+    trees are a Kruskal per midpoint's; a certified swap runs one Kruskal.
 
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
@@ -369,29 +377,53 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
         raise ParameterError("grid must be >= 2")
     ts = np.linspace(0.0, sc.horizon, grid)
     trees = [emst(PointConfig(pos)) for pos in sc.positions_many(ts)]
-    events = []
-    for prev_t, t, prev_tree, cur_tree in zip(ts, ts[1:], trees, trees[1:]):
-        a_t, a_tree = float(prev_t), prev_tree
-        t = float(t)
-        guard = 0
-        while a_tree.edges != cur_tree.edges:
-            lo, hi = a_t, t
-            hi_edges = None
-            while hi - lo > _SWAP_TIME_TOL:
-                m = 0.5 * (lo + hi)
+    cells = zip(ts.tolist(), ts[1:].tolist(), trees, trees[1:])
+    found, window = [], []  # window: (bisection, its (midpoint, certificate))
+    while True:
+        entries = sum(len(cert[0]) for _b, (_m, cert) in window)
+        while entries < _WINDOW_ENTRIES and (cell := next(cells, None)):
+            found.append([])
+            bisection = _bisect_cell(sc, *cell, found[-1])
+            if step := next(bisection, None):
+                window.append((bisection, step))
+                entries += len(step[1][0])
+        if not window:
+            return [ev for events in found for ev in events]
+        pos = sc._compiled_positions(np.array([m for _b, (m, _cert) in window]))
+        if not np.all(np.isfinite(pos)):
+            raise ParameterError("positions must be finite")
+        holds = _cuts_hold(_pair_lengths(pos), [cert for _b, (_m, cert) in window])
+        advancing, window = window, []
+        for (bisection, _step), keep in zip(advancing, holds.tolist()):
+            with contextlib.suppress(StopIteration):
+                window.append((bisection, bisection.send(keep)))
+
+
+def _bisect_cell(sc, a_t: float, t: float, a_tree, cur_tree, events: list):
+    """Append the swaps of grid cell [a_t, t], in order, to `events`. Yields
+    (midpoint, certificate of the tree the swap leaves) and is sent whether
+    it holds there; a tree without a certificate is checked by Kruskal."""
+    while a_tree.edges != cur_tree.edges:
+        lo, hi, hi_edges = a_t, t, None
+        cert = _cut_certificate(a_tree, _CERT_ENTRIES)
+        while hi - lo > _SWAP_TIME_TOL:
+            m = 0.5 * (lo + hi)
+            if cert is None:
                 m_edges = _kruskal(PointConfig(sc._compiled_positions(m)))
-                if frozenset(m_edges) == a_tree.edges:
-                    lo = m
-                else:
-                    hi = m
-                    hi_edges = m_edges
-            hi_tree = cur_tree if hi_edges is None else SpanningTree(sc.n, hi_edges)
-            events.append((0.5 * (lo + hi), a_tree, hi_tree))
-            a_t, a_tree = hi, hi_tree
-            guard += 1
-            if guard > 4 * sc.n:
-                raise ParameterError("EMST combinatorics churn too fast for the grid")
-    return events
+                holds = frozenset(m_edges) == a_tree.edges
+            else:
+                holds, m_edges = (yield m, cert), None
+            if holds:
+                lo = m
+            else:
+                hi, hi_edges = m, m_edges
+        if hi < t:  # the tree reached: a failed midpoint's Kruskal, or one at hi
+            hi_edges = hi_edges or _kruskal(PointConfig(sc._compiled_positions(hi)))
+        hi_tree = cur_tree if hi == t else SpanningTree(sc.n, hi_edges)
+        events.append((0.5 * (lo + hi), a_tree, hi_tree))
+        a_t, a_tree = hi, hi_tree
+        if len(events) > 4 * sc.n:
+            raise ParameterError("EMST combinatorics churn too fast for the grid")
 
 
 def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg: PointConfig):
@@ -463,7 +495,6 @@ def run_topo_regime(
         opt_len = tree_length(cfg, emst(cfg))
         for ev in decompose_swap(old_tree, new_tree, t_star, cfg):
             swaps += 1
-            plan = None
             if mode == "rotation":
                 try:
                     plan = plan_rotation_morph(ev, cfg)

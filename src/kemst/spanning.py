@@ -24,6 +24,18 @@ import numpy as np
 from .errors import ParameterError, SizeError
 
 
+def _parents(adj, root: int = 0) -> dict:
+    """Parent of every vertex reached from `root` (the root's is itself),
+    keyed in breadth-first order."""
+    parent, order = {root: root}, [root]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
 def _norm_edge(e):
     u, v = e
     if u == v:
@@ -46,20 +58,8 @@ class SpanningTree:
             raise ParameterError(f"spanning tree on {n} vertices needs {n - 1} edges")
         if any(u < 0 or v >= n for u, v in norm):
             raise ParameterError("edge endpoint out of range")
-        if not self._connected():
+        if len(_parents(self.adjacency())) != n:
             raise ParameterError("edge set does not connect all vertices")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.n)]
@@ -102,8 +102,7 @@ class PointConfig:
     @functools.cached_property
     def pair_lengths(self) -> np.ndarray:
         """Read-only length of every pair u < v in `_pairs(n)` order."""
-        iu, ju = _pairs(self.n)
-        lengths = np.linalg.norm(self.positions[iu] - self.positions[ju], axis=1)
+        lengths = _pair_lengths(self.positions)
         lengths.setflags(write=False)
         return lengths
 
@@ -129,6 +128,13 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _pair_lengths(pos: np.ndarray) -> np.ndarray:
+    """Every pair's length in `_pairs(n)` order, of positions (..., n, d):
+    the one length rule, so a batch row equals its configuration's."""
+    iu, ju = _pairs(pos.shape[-2])
+    return np.linalg.norm(pos.take(iu, axis=-2) - pos.take(ju, axis=-2), axis=-1)
+
+
 def _pair_index(n: int, u, v):
     """Unchecked index of pair (u, v), 0 <= u < v < n, in `_pairs(n)` order."""
     return u * (2 * n - u - 1) // 2 + v - u - 1
@@ -148,8 +154,9 @@ def emst(cfg: PointConfig) -> SpanningTree:
 def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
     """The EMST's edges as (u, v) pairs with u < v, in Kruskal order.
 
-    Not validated; `emst` wraps them in a SpanningTree. Callers that only
-    compare edge sets (the swap bisection) use the list directly.
+    Not validated; `emst` wraps them in a SpanningTree. Pairs come in the
+    strict order (length, pair index), so this is the unique MST under it;
+    `_cut_certificate` tells whether a given tree is that MST.
     """
     n = cfg.n
     if n < 2:
@@ -180,6 +187,52 @@ def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
     return edges
 
 
+def _cut_certificate(tree: SpanningTree, limit: int):
+    """Flat int32 pair indices (P, E): each tree edge E with each non-tree
+    pair P crossing its fundamental cut; None if over `limit` entries, which
+    are counted first: from (n - 1)(n - 2) (a star) to ~n^3 / 6 (a path).
+
+    Rank pairs in `_kruskal`'s strict order (length, pair index): the MST is
+    unique and `_kruskal` returns it. T is that tree iff each tree edge e is
+    its cut's minimum: the cut property puts every such e in the MST, and a
+    crossing p below e would make T - e + p lighter. So, L being
+    `cfg.pair_lengths`, `frozenset(_kruskal(cfg)) == tree.edges` iff every
+    entry has (L[P], P) > (L[E], E) (`_cuts_hold`).
+    """
+    n, parent = tree.n, _parents(tree.adjacency())
+    kids = list(parent)[1:]
+    below = np.eye(n, dtype=bool)
+    for v in reversed(kids):
+        below[parent[v]] |= below[v]
+    below = below[kids]  # row k: the vertices below edge (kids[k], its parent)
+    outside = n - np.count_nonzero(below, axis=1)
+    if (size := int((n - outside) @ outside)) - (n - 1) > limit:
+        return None
+    pid = np.empty((n, n), dtype=np.int32)  # pid[u, v] = pid[v, u]: index of pair u < v
+    pid[_pairs(n)] = pid[_pairs(n)[::-1]] = np.arange(n * (n - 1) // 2)
+    k, a = np.nonzero(below)
+    reps = outside[k]  # pair each (k, a below) with every vertex outside k
+    shift = np.cumsum(outside)[k] - reps - (np.cumsum(reps) - reps)
+    b = np.nonzero(~below)[1][np.arange(size) + np.repeat(shift, reps)]
+    p = pid[np.repeat(a, reps), b]
+    e = pid[kids, [parent[v] for v in kids]][np.repeat(k, reps)]
+    keep = p != e  # an edge does not certify itself
+    return p[keep], e[keep]
+
+
+def _cuts_hold(lengths: np.ndarray, certs) -> np.ndarray:
+    """Per row r of `lengths` (rows, pairs), whether `_cut_certificate`
+    certs[r] holds there, i.e. whether its tree is that row's EMST."""
+    npairs = lengths.shape[1]
+    rows = np.arange(0, lengths.size, npairs, dtype=np.int32)
+    p, e = (np.concatenate(c) for c in zip(*certs))
+    for flat in (p, e):  # pair index -> index into the flattened lengths
+        flat += np.repeat(rows, [len(c) for c, _e in certs])
+    lp, le = lengths.take(p), lengths.take(e)
+    broken = p[(lp < le) | ((lp == le) & (p < e))] // npairs
+    return np.bincount(broken, minlength=len(certs)) == 0
+
+
 def tree_length(cfg: PointConfig, tree: SpanningTree) -> float:
     """Total length of the tree: its edges' `pair_lengths` entries, the
     floats that ordered the EMST, summed in `tree.edges` order."""
@@ -204,17 +257,7 @@ def fundamental_cycle(tree: SpanningTree, new_edge) -> list[int]:
     a, b = _norm_edge(new_edge)
     if tree.has_edge((a, b)):
         raise ParameterError("edge already in tree")
-    adj = tree.adjacency()
-    parent = {a: None}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            break
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
+    parent = _parents(tree.adjacency(), a)
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])
@@ -224,16 +267,9 @@ def fundamental_cycle(tree: SpanningTree, new_edge) -> list[int]:
 
 def two_coloring(tree: SpanningTree) -> np.ndarray:
     """Proper 2-coloring; color 0 ('red') at vertex 0."""
-    colors = np.full(tree.n, -1, dtype=int)
-    colors[0] = 0
-    adj = tree.adjacency()
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if colors[w] < 0:
-                colors[w] = 1 - colors[v]
-                stack.append(w)
+    colors = np.zeros(tree.n, dtype=int)
+    for v, u in list(_parents(tree.adjacency()).items())[1:]:
+        colors[v] = 1 - colors[u]
     return colors
 
 
@@ -281,10 +317,5 @@ def enumerate_spanning_trees(n: int):
 
 def min_tree_by_enumeration(cfg: PointConfig) -> tuple[float, SpanningTree]:
     """Brute-force EMST oracle: scan every labeled tree (n <= 8)."""
-    best = None
-    best_len = np.inf
-    for tree in enumerate_spanning_trees(cfg.n):
-        length = tree_length(cfg, tree)
-        if length < best_len:
-            best, best_len = tree, length
-    return best_len, best
+    best = min(enumerate_spanning_trees(cfg.n), key=lambda tree: tree_length(cfg, tree))
+    return tree_length(cfg, best), best  # `min` keeps the first shortest tree

@@ -206,6 +206,30 @@ def test_thinning_lower_bound():
         assert opt >= (n / l - 1) * rep.mindist_l - 1e-9
 
 
+def test_thinning_threshold_reads_pair_lengths():
+    # A point whose pair length is exactly radius - 1e-12 is thinned and one
+    # a float above it is kept. The pair is picked where the 1-D dot-form
+    # norm rounds above the pair length if this host has such a pair, so a
+    # second length rule would keep the point.
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        pos = rng.uniform(0, 1, size=(2, 2))
+        dist = PointConfig(pos).pair_lengths[0]
+        if np.linalg.norm(pos[1] - pos[0]) > dist:
+            break
+    radius = dist + 1e-12
+    while radius - 1e-12 != dist:
+        radius = np.nextafter(radius, np.inf if radius - 1e-12 < dist else -np.inf)
+    below = radius
+    while below - 1e-12 >= dist:
+        below = np.nextafter(below, -np.inf)
+    far = pos[0] + (pos[1] - pos[0]) * 3.0
+    cfg = PointConfig(np.vstack([pos, far]))
+    assert cfg.pair_lengths[0] == radius - 1e-12
+    assert thinned_subset(cfg, radius) == [0, 2]
+    assert thinned_subset(cfg, below) == [0, 1, 2]
+
+
 # --- stability-ratio estimator ----------------------------------------------
 
 

@@ -20,7 +20,14 @@ from kemst.morph import (
     random_swap_instance,
     run_topo_regime,
 )
-from kemst.scenarios import KineticScenario, gen_circle, gen_diamond, gen_split, gen_stationary
+from kemst.scenarios import (
+    KineticScenario,
+    gen_circle,
+    gen_diamond,
+    gen_rational_bumps,
+    gen_split,
+    gen_stationary,
+)
 from kemst.spanning import PointConfig, SpanningTree, emst, tree_from_prufer, tree_length
 from kemst.trajectories import (
     ArcSegment,
@@ -337,8 +344,10 @@ def test_detect_swaps_square():
     assert all(abs(t - 0.5) < 1e-3 for t, _a, _b in events)
 
 
-def reference_detect_swaps(sc, grid=257):
-    """Swap bisection that builds a validated EMST at every midpoint."""
+def reference_detect_swaps(sc, grid=257, moved=None, midpoints=None):
+    """Swap bisection that builds a validated EMST at every midpoint; appends
+    to `moved`, if given, whether the bisection moved each swap's upper end,
+    and to `midpoints` each midpoint."""
     ts = np.linspace(0.0, sc.horizon, grid)
     events = []
     prev_t = float(ts[0])
@@ -352,12 +361,16 @@ def reference_detect_swaps(sc, grid=257):
             hi_tree = cur_tree
             while hi - lo > 1e-9:
                 m = 0.5 * (lo + hi)
+                if midpoints is not None:
+                    midpoints.append(m)
                 m_tree = emst(sc.config(m))
                 if m_tree.edges == a_tree.edges:
                     lo = m
                 else:
                     hi = m
                     hi_tree = m_tree
+            if moved is not None:
+                moved.append(hi != t)
             events.append((0.5 * (lo + hi), a_tree, hi_tree))
             a_t, a_tree = hi, hi_tree
         prev_t, prev_tree = t, cur_tree
@@ -408,20 +421,132 @@ def mixed_scripted_scenario():
     return KineticScenario(points=cubics[:5] + scripted[:1] + cubics[5:] + scripted[1:])
 
 
-@pytest.mark.parametrize(
-    "sc",
-    [random_cubic_scenario(seed, n) for seed, n in ((21, 8), (22, 20), (23, 32))]
-    + [lattice_scenario(), gen_split(6), mixed_scripted_scenario()],
-    ids=["cubic8", "cubic20", "cubic32", "lattice", "split6", "mixed_scripted"],
-)
-def test_detect_swaps_matches_reference_bisection(sc):
-    got = detect_swaps(sc)
-    want = reference_detect_swaps(sc)
+def fast_sweep_scenario():
+    """A point sweeping past a row of eight fixed ones: with grid 5 one
+    cell holds up to five swaps."""
+    row = [constant([0.1 * (i + 1), 0.0], 1.0) for i in range(8)]
+    return KineticScenario(points=(linear([0.0, 0.05], [0.95, 0.08], 1.0), *row))
+
+
+SWAP_CASES = {
+    "cubic8": (random_cubic_scenario(21, 8), 257),
+    "cubic20": (random_cubic_scenario(22, 20), 257),
+    "cubic32": (random_cubic_scenario(23, 32), 257),
+    "lattice": (lattice_scenario(), 257),
+    "split6": (gen_split(6), 257),
+    "mixed_scripted": (mixed_scripted_scenario(), 257),
+    # 72 changed cells, more than one bisection round holds, and 163 swaps.
+    "rational_bumps": (gen_rational_bumps(4, 12), 257),
+    "fast_sweep": (fast_sweep_scenario(), 5),
+}
+
+
+def assert_same_swaps(got, want):
     assert got
     assert [t.hex() for t, _a, _b in got] == [t.hex() for t, _a, _b in want]
     for (_t, a, b), (_u, ra, rb) in zip(got, want):
         assert list(a.edges) == list(ra.edges)
         assert list(b.edges) == list(rb.edges)
+
+
+@pytest.mark.parametrize("case", SWAP_CASES)
+def test_detect_swaps_matches_reference_bisection(case):
+    sc, grid = SWAP_CASES[case]
+    got = detect_swaps(sc, grid)
+    assert_same_swaps(got, reference_detect_swaps(sc, grid))
+    if case == "fast_sweep":
+        cells = [math.floor(t * (grid - 1) / sc.horizon) for t, _a, _b in got]
+        assert max(cells.count(c) for c in cells) >= 3
+
+
+@pytest.mark.parametrize("case", ["cubic20", "lattice", "rational_bumps", "fast_sweep"])
+def test_detect_swaps_one_kruskal_per_moved_swap(case, monkeypatch):
+    sc, grid = SWAP_CASES[case]
+    moved = []
+    want = reference_detect_swaps(sc, grid, moved)
+    calls = []
+    real = morph._kruskal
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(morph, "_kruskal", counting)
+    assert len(detect_swaps(sc, grid)) == len(want)
+    assert len(calls) == sum(moved)
+
+
+@pytest.mark.parametrize(
+    "case, entries",
+    [("cubic20", -1), ("cubic20", 963), ("lattice", 473), ("rational_bumps", 260),
+     ("fast_sweep", 106)],
+)
+def test_detect_swaps_over_large_certificates(case, entries, monkeypatch):
+    # A tree whose certificate has more than `_CERT_ENTRIES` entries is
+    # bisected by a Kruskal per midpoint, with no extra Kruskal per swap:
+    # every tree at -1, and at the other caps (between the smallest and
+    # largest certificate of the case's swaps) some swaps are certified and
+    # some are not. Times and trees stay the reference's.
+    sc, grid = SWAP_CASES[case]
+    moved, midpoints = [], []
+    want = reference_detect_swaps(sc, grid, moved, midpoints)
+    calls = []
+    real = morph._kruskal
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(morph, "_kruskal", counting)
+    monkeypatch.setattr(morph, "_CERT_ENTRIES", entries)
+    assert_same_swaps(detect_swaps(sc, grid), want)
+    if entries < 0:
+        assert len(calls) == len(midpoints)
+    else:
+        assert sum(moved) < len(calls) < len(midpoints)
+
+
+@pytest.mark.parametrize("budget", [1, 600, None])
+def test_detect_swaps_round_entry_budget(budget, monkeypatch):
+    # Cells join a round while their certificates sum to under
+    # `_WINDOW_ENTRIES`: a budget of 1 bisects one cell at a time, 600 at
+    # most three (each certificate here has 245 to 275 entries). Any budget
+    # gives the reference's swaps.
+    sc, grid = SWAP_CASES["rational_bumps"]
+    rounds = []
+    real = morph._cuts_hold
+
+    def recording(lengths, certs):
+        rounds.append([len(p) for p, _e in certs])
+        return real(lengths, certs)
+
+    monkeypatch.setattr(morph, "_cuts_hold", recording)
+    if budget is not None:
+        monkeypatch.setattr(morph, "_WINDOW_ENTRIES", budget)
+    assert_same_swaps(detect_swaps(sc, grid), reference_detect_swaps(sc, grid))
+    cells = max(len(r) for r in rounds)
+    if budget is None:
+        assert 16 < cells < len(rounds)
+        assert max(sum(r) for r in rounds) < morph._WINDOW_ENTRIES + morph._CERT_ENTRIES
+    else:
+        assert cells == {1: 1, 600: 3}[budget]
+
+
+def test_detect_swaps_rejects_non_finite_midpoints(monkeypatch):
+    # Grid instants come through `positions_many`; a midpoint batch that is
+    # not finite raises ParameterError, as a midpoint PointConfig did.
+    sc = random_cubic_scenario(21, 8)
+    real = KineticScenario._compiled_positions
+
+    def poisoned(self, ts):
+        out = real(self, ts)
+        if np.ndim(ts) and len(ts) != 257:
+            out[..., 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(KineticScenario, "_compiled_positions", poisoned)
+    with pytest.raises(ParameterError, match="finite"):
+        detect_swaps(sc)
 
 
 @pytest.mark.parametrize("grid", [-1, 0, 1])

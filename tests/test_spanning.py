@@ -11,7 +11,11 @@ from kemst.scenarios import gen_split
 from kemst.spanning import (
     PointConfig,
     SpanningTree,
+    _cut_certificate,
+    _cuts_hold,
+    _kruskal,
     _pair_index,
+    _pair_lengths,
     _pairs,
     emst,
     enumerate_spanning_trees,
@@ -134,7 +138,9 @@ def test_emst_matches_lexsort_kruskal_reference(n):
     iu, ju = np.triu_indices(n, k=1)
     assert np.array_equal(_pair_index(n, *_pairs(n)), np.arange(len(iu)))
     fg = flip_graph(n, "slide") if 3 <= n <= 6 else None
+    by_dim = {}
     for pos in _tie_heavy_configs(n, rng):
+        by_dim.setdefault(pos.shape[1], []).append(pos)
         cfg = PointConfig(pos)
         got, want = emst(cfg), _kruskal_lexsort(cfg)
         assert got.edges == want.edges
@@ -159,6 +165,109 @@ def test_emst_matches_lexsort_kruskal_reference(n):
         if fg is not None:
             want_lengths = [sum(ref[p].tolist()) for p in fg.edge_pids]
             assert fg.tree_lengths(pos).tolist() == want_lengths
+    # A batch of configurations, as the swap bisection measures its
+    # midpoints, gives each row its own configuration's floats bit for bit.
+    for rows in by_dim.values():
+        batch = np.stack(rows)
+        for lengths in (_pair_lengths(batch), _pair_lengths(batch[None])[0]):
+            for row, got_row in zip(rows, lengths):
+                assert got_row.tobytes() == PointConfig(row).pair_lengths.tobytes()
+
+
+ANY_SIZE = 1 << 30  # a certificate size limit no test tree reaches
+
+
+def _one_swap_neighbours(tree):
+    """Every tree T - e + f for a non-tree pair f and an edge e on its cycle."""
+    for f in zip(*(a.tolist() for a in _pairs(tree.n))):
+        if not tree.has_edge(f):
+            cycle = fundamental_cycle(tree, f)
+            for e in zip(cycle, cycle[1:]):
+                yield tree.replace(e, f)
+
+
+def _certificate_configs():
+    rng = np.random.default_rng(77)
+    for n in (2, 3, 8, 20):
+        for _ in range(3):
+            yield rng.uniform(0, 1, size=(n, 2))
+    yield np.array([[x, y] for y in range(4) for x in range(4)], dtype=float)  # 4x4 ties
+    cloud = rng.uniform(0, 1, size=(10, 2))
+    cloud[[2, 5, 7]] = cloud[0]  # coincident points: zero-length ties
+    yield cloud
+    yield np.arange(9, dtype=float)[rng.permutation(9), None] * np.array([[0.3, 0.4]])
+
+
+def test_cut_certificate_holds_iff_kruskal_tree():
+    # The certificate of T holds at cfg exactly when Kruskal returns T: for
+    # the EMST and every one-swap neighbour, with ties and coincident points.
+    cases = []
+    for pos in _certificate_configs():
+        cfg = PointConfig(pos)
+        mst = emst(cfg)
+        want = frozenset(_kruskal(cfg))
+        assert mst.edges == want
+        for tree in [mst, *_one_swap_neighbours(mst)]:
+            p, e = cert = _cut_certificate(tree, ANY_SIZE)
+            assert p.dtype == e.dtype == np.int32
+            holds = _cuts_hold(cfg.pair_lengths[None], [cert])
+            assert holds.tolist() == [tree.edges == want]
+            cases.append((cfg.pair_lengths, cert, tree.edges == want))
+    # Batched: rows of different configurations, certificates of different
+    # sizes, in one call.
+    for n in (2, 3, 8, 9, 10, 16, 20):
+        same_n = [c for c in cases if len(c[0]) == n * (n - 1) // 2]
+        for i in range(0, len(same_n), 16):
+            chunk = same_n[i : i + 16]
+            holds = _cuts_hold(np.stack([c[0] for c in chunk]), [c[1] for c in chunk])
+            assert holds.tolist() == [c[2] for c in chunk]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cut_certificate_over_every_labeled_tree(n):
+    rng = np.random.default_rng(90 + n)
+    trees = enumerate_spanning_trees(n)
+    for pos in _tie_heavy_configs(n, rng):
+        cfg = PointConfig(pos)
+        want = frozenset(_kruskal(cfg))
+        certs = [_cut_certificate(t, ANY_SIZE) for t in trees]
+        holds = _cuts_hold(np.tile(cfg.pair_lengths, (len(trees), 1)), certs)
+        assert holds.tolist() == [t.edges == want for t in trees]
+        assert sum(holds.tolist()) == 1
+
+
+def test_cut_certificate_entries_cross_the_cut():
+    rng = np.random.default_rng(5)
+    tree = emst(PointConfig(rng.uniform(0, 1, size=(12, 2))))
+    iu, ju = _pairs(12)
+    p, e = _cut_certificate(tree, ANY_SIZE)
+    got = set(zip(p.tolist(), e.tolist()))
+    want = set()
+    for f in range(len(iu)):
+        pair = (int(iu[f]), int(ju[f]))
+        if not tree.has_edge(pair):
+            cycle = fundamental_cycle(tree, pair)
+            for u, v in zip(cycle, cycle[1:]):
+                want.add((f, int(_pair_index(12, min(u, v), max(u, v)))))
+    assert got == want
+
+
+def test_cut_certificate_size_limit():
+    # The entry count is known before the entries are built: a certificate
+    # over the limit is None, at the limit it is built in full.
+    rng = np.random.default_rng(8)
+    star = SpanningTree(30, [(0, v) for v in range(1, 30)])
+    path = SpanningTree(30, [(v, v + 1) for v in range(29)])
+    random_tree = emst(PointConfig(rng.uniform(0, 1, size=(30, 2))))
+    for tree, size in ((star, 2 * (435 - 29)), (path, sum(s * (30 - s) for s in range(30)) - 29),
+                       (random_tree, None)):
+        p, e = _cut_certificate(tree, ANY_SIZE)
+        assert size is None or len(p) == size
+        assert _cut_certificate(tree, len(p) - 1) is None
+        got = _cut_certificate(tree, len(p))
+        assert got[0].tobytes() == p.tobytes() and got[1].tobytes() == e.tobytes()
+    # A path at n = 2,000 would have about 1.3e9 entries; none is built.
+    assert _cut_certificate(SpanningTree(2000, [(v, v + 1) for v in range(1999)]), 4096) is None
 
 
 def test_emst_matches_reference_past_one_pair_chunk():
