@@ -10,7 +10,6 @@ from .errors import (
 from .event_stability import (
     EventRunResult,
     EventTrace,
-    MaintenanceState,
     SpreadReport,
     approximation_audit,
     estimate_stability_ratio,

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .event_stability import TraceRecord, approximation_audit, run_event_regime
-from .flip_oracle import minimax_flip_oracle
+from .flip_oracle import N_LIMIT, minimax_flip_oracle
 from .lipschitz import LipschitzRecord, run_lipschitz_regime
 from .morph import TopoRecord, diamond_rotation_certificate, run_topo_regime
 from .scenario_io import build_generator, load_scenario, save_scenario
@@ -160,12 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("run-lipschitz", help="budgeted-slide run on the split scenario")
     _add_common_run_flags(l, samples_default=65)
 
-    o = sub.add_parser("oracle", help="minimax flip-strategy ratio (small n)")
+    o = sub.add_parser("oracle", help=f"minimax flip-strategy ratio (n <= {N_LIMIT})")
     o.add_argument("--scenario", required=True, help="file or generator name")
     o.add_argument("--mode", choices=["slide", "rotation"], default=None)
     o.add_argument("--time-steps", dest="time_steps", type=int, default=64)
     _add_scenario_flags(o)
-    o.add_argument("--n-limit", dest="n_limit", type=int, default=7)
 
     a = sub.add_parser("audit", help="event run plus approximation audit")
     _add_common_run_flags(a, writes=False)
@@ -190,9 +189,7 @@ def main(argv=None) -> int:
             return 0
         if args.cmd == "oracle":
             sc = _load(args.scenario, args)
-            res = minimax_flip_oracle(
-                sc, mode=args.mode, time_steps=args.time_steps, n_limit=args.n_limit
-            )
+            res = minimax_flip_oracle(sc, mode=args.mode, time_steps=args.time_steps)
             print(f"{sc.label} oracle_ratio={res.ratio:.9g}")
             return 0
         if args.cmd == "audit":

@@ -16,8 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AuditFailure, ParameterError
+from .flip_oracle import N_LIMIT, slide_distance
 from .scenarios import KineticScenario, input_distance, next_displacement_event
-from .spanning import PointConfig, SpanningTree, _pair_index, _ratio, emst, tree_length
+from .spanning import (
+    PointConfig,
+    SpanningTree,
+    _length_grid,
+    _pair_index,
+    _ratio,
+    emst,
+    tree_length,
+)
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -40,14 +49,6 @@ class EventTrace:
 
     def max_ratio(self) -> float:
         return max((r.ratio for r in self.records), default=1.0)
-
-
-@dataclass
-class MaintenanceState:
-    current_tree: SpanningTree
-    t_ref: float
-    k: float
-    event_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,13 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     # metric the budget k is stated in, so each event is measured by the
     # same function that `estimate_stability_ratio` and callers use.
     ref_pos = {0.0: sc.positions(0.0)}
-    state = MaintenanceState(current_tree=emst(PointConfig(ref_pos[0.0])), t_ref=0.0, k=k)
-    schedule = [(0.0, state.current_tree)]
+    schedule = [(0.0, emst(PointConfig(ref_pos[0.0])))]
     events = []
-    while True:
-        t_ev = next_displacement_event(sc, state.t_ref, k)
-        if t_ev is None:
-            break
-        trigger_disp = input_distance(sc, state.t_ref, t_ev)
+    while (t_ev := next_displacement_event(sc, schedule[-1][0], k)) is not None:
+        trigger_disp = input_distance(sc, schedule[-1][0], t_ev)
         ref_pos[t_ev] = sc.positions(t_ev)
-        state.current_tree = emst(PointConfig(ref_pos[t_ev]))
-        state.t_ref = t_ev
-        state.event_count += 1
-        schedule.append((t_ev, state.current_tree))
-        events.append((t_ev, trigger_disp, state.current_tree))
+        schedule.append((t_ev, emst(PointConfig(ref_pos[t_ev]))))
+        events.append((t_ev, trigger_disp, schedule[-1][1]))
 
     trace = EventTrace()
     sample_times = np.linspace(0.0, sc.horizon, samples)
@@ -125,7 +119,7 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
         trace.append(
             TraceRecord(t, kind, t_len, o_len, _ratio(t_len, o_len), disp)
         )
-    return EventRunResult(trace, state.event_count, schedule, k)
+    return EventRunResult(trace, len(events), schedule, k)
 
 
 def spread(cfg: PointConfig, l: int) -> SpreadReport:
@@ -133,8 +127,7 @@ def spread(cfg: PointConfig, l: int) -> SpreadReport:
     n = cfg.n
     if not 1 <= l <= n - 1:
         raise ParameterError("neighbor rank out of range")
-    pos = cfg.positions
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    d = _length_grid(cfg, range(n), range(n))
     np.fill_diagonal(d, np.inf)
     kth = np.sort(d, axis=1)[:, l - 1]
     mindist = float(kth.min())
@@ -205,7 +198,7 @@ def estimate_stability_ratio(
     sc: KineticScenario,
     pair_samples: int = 200,
     seed: int = 0,
-    flip_limit: int = 7,
+    flip_limit: int = N_LIMIT,
 ) -> float:
     """Sampled lower estimate of sup d_S(A(t), A(t')) / d_I(t, t').
 
@@ -213,17 +206,11 @@ def estimate_stability_ratio(
     flip graph; beyond that, the edge-set symmetric difference size.
     A zero input distance with differing trees reports an infinite ratio.
     """
-    n = sc.n
-    if n <= flip_limit:
-        from .flip_oracle import slide_distance
 
-        def d_s(a, b):
+    def d_s(a, b):
+        if sc.n <= flip_limit:
             return float(slide_distance(a, b))
-
-    else:
-
-        def d_s(a, b):
-            return float(len(a.edges ^ b.edges))
+        return float(len(a.edges ^ b.edges))
 
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -30,7 +30,7 @@ from .spanning import PointConfig, SpanningTree, _pair_index, _pairs, labeled_tr
 _GRAPH_CACHE: dict = {}
 _BFS_CACHE: dict = {}
 
-DEFAULT_N_LIMIT = 7
+N_LIMIT = 7  # the tree count n^(n-2) is 16,807 at n = 7
 
 
 @dataclass
@@ -54,12 +54,12 @@ class FlipGraph:
         return SpanningTree(self.n, zip(iu, ju))
 
 
-def flip_graph(n: int, mode: str, n_limit: int = DEFAULT_N_LIMIT) -> FlipGraph:
+def flip_graph(n: int, mode: str) -> FlipGraph:
     """Cached flip graph over all labeled trees on n vertices."""
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
-    if n > n_limit:
-        raise SizeError(f"flip graph capped at n={n_limit}, got n={n}")
+    if n > N_LIMIT:
+        raise SizeError(f"flip graph capped at n={N_LIMIT}, got n={n}")
     if n < 3:
         raise ParameterError("flip graph needs n >= 3")
     key = (n, mode)
@@ -160,7 +160,6 @@ def minimax_flip_oracle(
     sc: KineticScenario,
     mode: str | None = None,
     time_steps: int = 64,
-    n_limit: int = DEFAULT_N_LIMIT,
 ) -> OracleResult:
     """Optimal worst-case ratio over all flip strategies on a time grid.
 
@@ -171,11 +170,11 @@ def minimax_flip_oracle(
     schedule of held trees.
     """
     n = sc.n
-    if n > n_limit:
-        raise SizeError(f"oracle capped at n={n_limit}")
+    if n > N_LIMIT:
+        raise SizeError(f"oracle capped at n={N_LIMIT}")
     if time_steps < 0:
         raise ParameterError("time_steps must be >= 0")
-    fg = flip_graph(n, mode or sc.morph_mode, n_limit)
+    fg = flip_graph(n, mode or sc.morph_mode)
     ts = np.linspace(0.0, sc.horizon, time_steps + 1)
     costs = []
     for t in ts:
@@ -235,13 +234,13 @@ def tree_id(fg: FlipGraph, tree: SpanningTree) -> int:
     return int(fg.mask_ids[np.searchsorted(fg.masks, mask)])
 
 
-def slide_distance(a: SpanningTree, b: SpanningTree, n_limit: int = DEFAULT_N_LIMIT) -> int:
+def slide_distance(a: SpanningTree, b: SpanningTree) -> int:
     """Fewest single slides turning tree a into tree b (exact BFS)."""
     if a.n != b.n:
         raise ParameterError("trees must share a vertex count")
     if a.edges == b.edges:
         return 0
-    fg = flip_graph(a.n, "slide", n_limit)
+    fg = flip_graph(a.n, "slide")
     sid = tree_id(fg, a)
     key = (a.n, sid)
     if key not in _BFS_CACHE:

@@ -32,8 +32,8 @@ from .spanning import (
 QUAD_TOL = 1e-10
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
-    """Adaptive Simpson quadrature with Richardson acceptance."""
+def adaptive_simpson(f, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with Richardson acceptance, to QUAD_TOL."""
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -54,7 +54,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
         return 0.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+    return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, 48)
 
 
 def stretch_budget(x: float, K: float, t0: float, t1: float) -> float:
@@ -192,7 +192,6 @@ class LipschitzRunResult:
 def run_lipschitz_regime(
     sc: KineticScenario,
     K: float | None = None,
-    initial_tree: SpanningTree | None = None,
     trace_samples: int = 65,
 ) -> LipschitzRunResult:
     """Greedy budgeted-slide run on the split construction over [0, 1].
@@ -209,15 +208,13 @@ def run_lipschitz_regime(
         raise ParameterError("needs a positive, finite speed budget K")
     if trace_samples < 0:
         raise ParameterError("trace_samples must be >= 0")
-    if initial_tree is None:
-        initial_tree = emst(sc.config(0.0))
-    colors = two_coloring(initial_tree)
+    tree = emst(sc.config(0.0))
+    colors = two_coloring(tree)
     if tuple(int(c) for c in colors) != tuple(sc.meta["colors"]):
         sc = sc.with_colors(colors)
     colors = [int(c) for c in sc.meta["colors"]]
     heights = sc.positions(0.0)[:, 1]
 
-    tree = initial_tree
     t_now = 0.0
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []

@@ -16,7 +16,6 @@ classification and the reachability certificate).
 from __future__ import annotations
 
 import contextlib
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ from .spanning import (
     _cut_certificate,
     _cuts_hold,
     _kruskal,
+    _length_grid,
     _norm_edge,
     _pair_lengths,
     _ratio,
@@ -83,12 +83,7 @@ class SwapEvent:
 
 
 def make_swap_event(
-    old_tree: SpanningTree,
-    removed,
-    inserted,
-    time: float,
-    cfg: PointConfig,
-    weight_tol: float = _EDGE_TOL,
+    old_tree: SpanningTree, removed, inserted, time: float, cfg: PointConfig
 ) -> SwapEvent:
     removed = _norm_edge(removed)
     inserted = _norm_edge(inserted)
@@ -96,11 +91,18 @@ def make_swap_event(
         raise ParameterError("removed edge not in the old tree")
     if old_tree.has_edge(inserted):
         raise ParameterError("inserted edge already in the old tree")
-    cycle = tuple(fundamental_cycle(old_tree, inserted))
+    cycle = fundamental_cycle(old_tree, inserted)
+    return _swap_event(old_tree, removed, inserted, time, cfg, cycle)
+
+
+def _swap_event(old_tree, removed, inserted, time, cfg, cycle) -> SwapEvent:
+    """SwapEvent of normalized edges, given `fundamental_cycle(old_tree,
+    inserted)`; `removed` must lie on it and be no shorter than `inserted`."""
+    cycle = tuple(cycle)
     cyc_edges = {_norm_edge(p) for p in zip(cycle, cycle[1:])}
     if removed not in cyc_edges:
         raise ParameterError("removed edge does not lie on the fundamental cycle")
-    if cfg.distance(*inserted) > cfg.distance(*removed) + weight_tol:
+    if cfg.distance(*inserted) > cfg.distance(*removed) + _EDGE_TOL:
         raise ParameterError("swap is not weight-improving at the event time")
     return SwapEvent(time, old_tree, removed, inserted, cycle)
 
@@ -137,11 +139,6 @@ def _materialize(ev: SwapEvent, cfg: PointConfig, steps: list[MorphStep]) -> Mor
         lengths=lengths,
         max_intermediate=max(lengths),
     )
-
-
-def _cycle_dist(cfg: PointConfig, cycle) -> np.ndarray:
-    pos = cfg.positions[list(cycle)]
-    return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
 
 
 def _locate_removed(cycle, removed):
@@ -251,7 +248,7 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     cycle = ev.cycle
     L = len(cycle) - 1
     i = _locate_removed(cycle, ev.removed)
-    dmat = _cycle_dist(cfg, cycle)
+    dmat = _length_grid(cfg, cycle, cycle)
     base = tree_length(cfg, ev.old_tree)
     removed_len = dmat[i, i + 1]
 
@@ -303,7 +300,7 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     cycle = ev.cycle
     L = len(cycle) - 1
     i = _locate_removed(cycle, ev.removed)
-    dmat = _cycle_dist(cfg, cycle)
+    dmat = _length_grid(cfg, cycle, cycle)
     rem_len = dmat[i, i + 1]
     for a in range(L):
         if dmat[a, a + 1] > rem_len + _EDGE_TOL:
@@ -441,7 +438,7 @@ def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg
             raise ParameterError("cannot pair inserted edge with a removed edge")
         options.sort(key=lambda e: (-cfg.distance(*e), e))
         e_old = options[0]
-        events.append(make_swap_event(current, e_old, e_new, t, cfg))
+        events.append(_swap_event(current, e_old, e_new, t, cfg, cycle))
         current = current.replace(e_old, e_new)
         removed_pool.discard(e_old)
     if current.edges != new_tree.edges:
@@ -576,10 +573,12 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
 
     The spread chains are the discrete stand-ins for the construction's
     continuum of boundary points, so states are the trees "both chains +
-    one connector edge" and rotations move one connector endpoint along
-    its chain side. The certificate reports the smallest possible maximum
-    tree length over any rotation path from the starting top-connector
-    tree to a bottom-connector tree.
+    one connector edge" (a, b), a on the left chain and b on the right, and
+    a rotation moves one connector endpoint along its chain side, to any
+    (a2, b) or (a, b2). The certificate reports the smallest possible maximum
+    tree length over any rotation path from the starting top-connector tree
+    (0, 0) to a bottom-connector tree, from `_grid_minimax` over the m x m
+    grid of tree lengths.
     """
     meta = sc.meta
     if meta.get("generator") != "diamond":
@@ -589,53 +588,38 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
     right = list(meta["right_chain"])
     pos = cfg.positions
     chains_len = sum(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
-    m = len(left)
-    conn_len = [[cfg.distance(a, b) for b in right] for a in left]
-    kinds = [
-        [classify_connector(pos[a], pos[b]) for b in right] for a in left
-    ]
-    start = (0, 0)  # (index into left, index into right) for edge e
-    if kinds[0][0] != "top":
+    cost = chains_len + _length_grid(cfg, left, right)
+    kinds = np.array([[classify_connector(pos[a], pos[b]) for b in right] for a in left])
+    if kinds[0, 0] != "top":
         raise ParameterError("start connector is not a top-connector")
-    tree_len = lambda a, b: chains_len + conn_len[a][b]
-    dist = {start: tree_len(*start)}
-    heap = [(dist[start], start)]
-    seen = set()
-    while heap:
-        d, state = heapq.heappop(heap)
-        if state in seen:
-            continue
-        seen.add(state)
-        a, b = state
-        for a2 in range(m):
-            if a2 != a:
-                _relax(dist, heap, (a2, b), max(d, tree_len(a2, b)))
-        for b2 in range(m):
-            if b2 != b:
-                _relax(dist, heap, (a, b2), max(d, tree_len(a, b2)))
-    bottoms = [
-        (a, b) for a in range(m) for b in range(m) if kinds[a][b] == "bottom"
-    ]
-    if not bottoms:
+    bottom = kinds == "bottom"
+    if not bottom.any():
         raise ParameterError("no bottom-connector states")
-    blocking = min(dist[s] for s in bottoms)
-    crosses = [
-        tree_len(a, b) for a in range(m) for b in range(m) if kinds[a][b] == "cross"
-    ]
+    blocking = float(_grid_minimax(cost)[bottom].min())
+    crosses = cost[kinds == "cross"]
     emst_len = tree_length(cfg, emst(cfg))
     return DiamondCertificate(
         per_side=meta["per_side"],
         emst_length=emst_len,
         blocking_length=blocking,
-        min_cross_tree=min(crosses) if crosses else math.inf,
+        min_cross_tree=float(crosses.min()) if crosses.size else math.inf,
         ratio=blocking / emst_len,
     )
 
 
-def _relax(dist, heap, state, value):
-    if value < dist.get(state, math.inf) - 1e-15:
-        dist[state] = value
-        heapq.heappush(heap, (value, state))
+def _grid_minimax(cost: np.ndarray) -> np.ndarray:
+    """dist[a, b] = min over paths from (0, 0) to (a, b) that change one index
+    per step of the largest cost on the path, endpoints included. Jacobi
+    sweeps as in `flip_oracle.bottleneck_closure`: a state is reached at the
+    larger of its own cost and the least dist in its row or column."""
+    dist = np.full_like(cost, np.inf)
+    dist[0, 0] = cost[0, 0]
+    while True:
+        reach = np.minimum(dist.min(axis=0), dist.min(axis=1)[:, None])
+        new_dist = np.minimum(dist, np.maximum(reach, cost))
+        if not np.any(new_dist < dist):
+            return new_dist
+        dist = new_dist
 
 
 # ---------------------------------------------------------------------------
@@ -671,4 +655,4 @@ def random_swap_instance(
             if not heavier:
                 continue
             e_old = heavier[int(rng.integers(0, len(heavier)))]
-        return cfg, make_swap_event(tree, e_old, e_new, 0.0, cfg)
+        return cfg, _swap_event(tree, e_old, e_new, 0.0, cfg, cycle)

@@ -62,10 +62,10 @@ class KineticScenario:
 
     def positions(self, t: float) -> np.ndarray:
         """Positions at one instant, shape (n, d), point by point through
-        `Trajectory.at`. The swap bisection reads the same bits from the
-        compiled tensor (`_compiled_positions`); this stays per-point while
-        `perfbench/tracer.py` requires per-point `at` and `polyval` calls on
-        the cubic workloads, which now come from here."""
+        `Trajectory.at`. `positions_many`, `input_distance` and the swap
+        bisection read the same bits from the compiled tensor; this stays per
+        point while `perfbench/tracer.py` requires per-point `at` and
+        `polyval` calls on the cubic workloads, which come from here."""
         return np.array([p.at(t) for p in self.points])
 
     def positions_many(self, ts) -> np.ndarray:
@@ -119,16 +119,17 @@ class KineticScenario:
             raise ParameterError("color reassignment only applies to split scenarios")
         return gen_split(self.n, colors=colors, k=self.k, K=self.K)
 
-    def is_unit_normalized(self, samples: int = 257, tol: float = 1e-9) -> bool:
-        pos = self.positions_many(np.linspace(0.0, self.horizon, samples))
-        return pos.size == 0 or not (pos.min() < -tol or pos.max() > 1.0 + tol)
+    def is_unit_normalized(self) -> bool:
+        """Every coordinate within [0, 1], to 1e-9, at 257 instants."""
+        pos = self.positions_many(np.linspace(0.0, self.horizon, 257))
+        return pos.size == 0 or not (pos.min() < -1e-9 or pos.max() > 1.0 + 1e-9)
 
 
 def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:
-    """Largest single-point displacement between the two instants; an
-    instant outside the horizon raises DomainError from `Trajectory.at`."""
-    delta = sc.positions(t) - sc.positions(t_other)
-    return float(np.max(np.linalg.norm(delta, axis=1)))
+    """Largest single-point displacement between the two instants, from one
+    `positions_many` call; DomainError from `_clamp_times` outside the horizon."""
+    pos, pos_other = sc.positions_many([t, t_other])
+    return float(np.max(np.linalg.norm(pos - pos_other, axis=1)))
 
 
 def _displacement_sq_fn(traj: Trajectory, t_ref: float, k_sq: float):

@@ -146,6 +146,14 @@ def _edge_lengths(cfg: PointConfig, edges) -> np.ndarray:
     return cfg.pair_lengths[_pair_index(cfg.n, uv[:, 0], uv[:, 1])]
 
 
+def _length_grid(cfg: PointConfig, rows, cols) -> np.ndarray:
+    """`cfg.pair_lengths` of every pair (rows[i], cols[j]) as a matrix, 0.0
+    where the two are one point."""
+    r, c = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
+    return np.where(lo == hi, 0.0, cfg.pair_lengths[_pair_index(cfg.n, lo, hi)])
+
+
 def emst(cfg: PointConfig) -> SpanningTree:
     """Euclidean minimum spanning tree with the deterministic tie rule."""
     return SpanningTree(cfg.n, _kruskal(cfg))

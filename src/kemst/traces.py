@@ -31,13 +31,13 @@ def write_csv(path, record_type, records) -> None:
 _PALETTE = ("#1f6fb2", "#c23b21", "#2e8540", "#8031a7")
 
 
-def svg_plot(path, series, title: str = "", width: int = 720, height: int = 420) -> None:
+def svg_plot(path, series, title: str = "") -> None:
     """Write a line plot; series is a list of (label, xs, ys) triples.
 
     Plots are reproduction aids, so this stays a bare polyline emitter:
     one axes box, linear scales, a small legend.
     """
-    pad = 48.0
+    width, height, pad = 720, 420, 48.0
     xs_all = [x for _label, xs, _ys in series for x in xs]
     ys_all = [y for _label, _xs, ys in series for y in ys if math.isfinite(y)]
     if not xs_all or not ys_all:

@@ -158,9 +158,7 @@ class Trajectory:
         The single-instant path, for searches where each instant depends
         on the previous answer; a known list of instants goes to `sample`.
         """
-        if not -1e-12 <= t <= self.horizon + 1e-12:
-            raise DomainError(f"t={t} outside [0, {self.horizon}]")
-        t = min(max(t, 0.0), self.horizon)
+        t = _clamp_times(float(t), self.horizon)
         if self.kind == "scripted":
             out = self._segment_for(t).at(t)
         else:

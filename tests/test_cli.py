@@ -157,7 +157,7 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
 
 
 def test_size_error_exits_two(capsys):
-    # diamond has 26 points, above the oracle's default --n-limit of 7
+    # diamond has 26 points, above the oracle's cap of 7
     assert run_cli(["oracle", "--scenario", "diamond"]) == 2
     assert capsys.readouterr().err.startswith("error: oracle capped at n=7")
 

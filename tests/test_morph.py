@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -566,6 +567,27 @@ def test_decompose_multi_swap_reaches_target():
         assert cur.edges == new.edges
 
 
+def test_decompose_swap_one_fundamental_cycle_per_inserted_edge(monkeypatch):
+    # Five points on a line: the EMST is the path; the old tree differs from
+    # it in two edges, (0, 2) -> (1, 2) and (2, 4) -> (3, 4).
+    cfg = PointConfig([[float(x), 0.0] for x in range(5)])
+    old = SpanningTree(5, [(0, 1), (0, 2), (2, 3), (2, 4)])
+    new = emst(cfg)
+    calls = []
+    real = morph.fundamental_cycle
+
+    def counting(tree, edge):
+        calls.append((tree, edge))
+        return real(tree, edge)
+
+    monkeypatch.setattr(morph, "fundamental_cycle", counting)
+    evs = decompose_swap(old, new, 0.5, cfg)
+    assert [(ev.removed, ev.inserted) for ev in evs] == [((0, 2), (1, 2)), ((2, 4), (3, 4))]
+    assert [edge for _tree, edge in calls] == [(1, 2), (3, 4)]
+    for ev, (tree, edge) in zip(evs, calls):
+        assert ev.old_tree is tree and ev.cycle == tuple(real(tree, edge))
+
+
 def test_topo_stationary_ratio_one():
     sc = gen_stationary([[0.0, 0.0], [1.0, 0.0], [0.4, 0.9]])
     res = run_topo_regime(sc, mode="slide", samples=8)
@@ -654,6 +676,51 @@ def test_diamond_blocking_tree_is_realizable():
     tree = SpanningTree(sc.n, edges)
     assert tree_length(cfg, tree) == pytest.approx(cert.min_cross_tree, abs=1e-9)
     assert tree_length(cfg, tree) >= 10 - 2 * SQRT2 - 1e-9
+
+
+def reference_grid_minimax(cost):
+    """Heap Dijkstra over the connector grid: (a, b) flips to any (a2, b) or
+    (a, b2), a path charged its largest cost."""
+    m = cost.shape[0]
+    dist = {(0, 0): cost[0, 0]}
+    heap = [(cost[0, 0], (0, 0))]
+    seen = set()
+    while heap:
+        d, (a, b) = heapq.heappop(heap)
+        if (a, b) in seen:
+            continue
+        seen.add((a, b))
+        for nxt in [(a2, b) for a2 in range(m)] + [(a, b2) for b2 in range(m)]:
+            value = max(d, cost[nxt])
+            if value < dist.get(nxt, math.inf):
+                dist[nxt] = value
+                heapq.heappush(heap, (value, nxt))
+    return np.array([[dist[a, b] for b in range(m)] for a in range(m)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13])
+def test_grid_minimax_matches_reference(m):
+    rng = np.random.default_rng(m)
+    for levels in (2, 4, 1000):  # few levels: many exact ties
+        cost = rng.integers(0, levels, size=(m, m)).astype(float) / 7.0
+        assert np.array_equal(morph._grid_minimax(cost), reference_grid_minimax(cost))
+
+
+@pytest.mark.parametrize("per_side", range(4, 13))
+def test_diamond_certificate_matches_reference_minimax(per_side):
+    sc = gen_diamond(per_side)
+    cert = diamond_rotation_certificate(sc)
+    cfg = sc.config(sc.meta["t_mid"])
+    left, right = sc.meta["left_chain"], sc.meta["right_chain"]
+    chains = sum(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
+    cost = np.array([[chains + cfg.distance(a, b) for b in right] for a in left])
+    dist = reference_grid_minimax(cost)
+    pos = cfg.positions
+    kinds = [[classify_connector(pos[a], pos[b]) for b in right] for a in left]
+    m = len(left)
+    want = min(dist[a, b] for a in range(m) for b in range(m) if kinds[a][b] == "bottom")
+    assert cert.blocking_length.hex() == float(want).hex()
+    assert cert.ratio.hex() == (float(want) / cert.emst_length).hex()
 
 
 def test_diamond_blocking_converges_from_above():

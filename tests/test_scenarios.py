@@ -130,11 +130,19 @@ def test_positions_many_matches_positions(sc):
     assert batched.shape == (len(ts), sc.n, sc.dim)
     assert np.array_equal(batched.view(np.int64), single.view(np.int64))
     assert sc.positions_many([]).shape == (0, sc.n, sc.dim)
+    # input_distance reads one positions_many pair: the per-point metric.
+    for i, (t1, t2) in enumerate(zip(ts[:100].tolist(), ts[100:].tolist())):
+        want = float(np.max(np.linalg.norm(single[i] - single[100 + i], axis=1)))
+        assert input_distance(sc, t1, t2).hex() == want.hex()
     for t in (-1e-6, sc.horizon * (1 + 1e-6)):
         with pytest.raises(DomainError):
             sc.positions(t)
         with pytest.raises(DomainError):
             sc.positions_many([0.0, t])
+        with pytest.raises(DomainError):
+            input_distance(sc, 0.0, t)
+        with pytest.raises(DomainError):
+            input_distance(sc, t, 0.0)
 
 
 def mixed_kind_scenario():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kemst.errors import ParameterError, SizeError
 from kemst.event_stability import spread
 from kemst.flip_oracle import flip_graph
-from kemst.morph import _cycle_dist
 from kemst.scenarios import gen_split
 from kemst.spanning import (
     PointConfig,
@@ -14,6 +13,7 @@ from kemst.spanning import (
     _cut_certificate,
     _cuts_hold,
     _kruskal,
+    _length_grid,
     _pair_index,
     _pair_lengths,
     _pairs,
@@ -155,7 +155,7 @@ def test_emst_matches_lexsort_kruskal_reference(n):
         for (u, v), d in by_pair.items():
             assert cfg.distance(u, v) == d == cfg.distance(v, u)
         assert tree_length(cfg, got) == sum(by_pair[e] for e in got.edges)
-        dmat = _cycle_dist(cfg, range(n))
+        dmat = _length_grid(cfg, range(n), range(n))
         assert np.array_equal(dmat[iu, ju], ref) and np.array_equal(dmat[ju, iu], ref)
         full = np.full((n, n), np.inf)
         full[iu, ju] = full[ju, iu] = ref
