@@ -86,9 +86,11 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
-    # The records below reuse each event's positions and tree: the rows of
+    # The records below reuse each event's tree and its length: the rows of
     # `positions_many` equal `positions` bit for bit and `emst` is
-    # deterministic, so recomputing either would give the same floats. The
+    # deterministic, so recomputing either would give the same floats. Only
+    # the length is kept, not the configuration, whose pair lengths would
+    # hold n(n - 1)/2 floats per event until the records are built. The
     # trigger's displacement still comes from `input_distance`, the input
     # metric the budget k is stated in, so each event is measured by the
     # same function that `estimate_stability_ratio` and callers use.
@@ -98,24 +100,26 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     while (t_ev := next_displacement_event(sc, schedule[-1][0], k)) is not None:
         trigger_disp = input_distance(sc, schedule[-1][0], t_ev)
         ref_pos[t_ev] = sc.positions(t_ev)
-        schedule.append((t_ev, emst(PointConfig(ref_pos[t_ev]))))
-        events.append((t_ev, trigger_disp, schedule[-1][1]))
+        cfg = PointConfig(ref_pos[t_ev])
+        tree = emst(cfg)
+        schedule.append((t_ev, tree))
+        events.append((t_ev, (trigger_disp, tree, tree_length(cfg, tree))))
 
     trace = EventTrace()
     sample_times = np.linspace(0.0, sc.horizon, samples)
-    merged = [(float(t), "sample", None, None) for t in sample_times]
-    merged += [(t, "recompute", disp, tree) for t, disp, tree in events]
+    merged = [(float(t), "sample", None) for t in sample_times]
+    merged += [(t, "recompute", event) for t, event in events]
     merged.sort(key=lambda item: (item[0], item[1] != "recompute"))
-    all_pos = sc.positions_many([t for t, _kind, _disp, _tree in merged])
-    for (t, kind, disp, ev_tree), pos in zip(merged, all_pos):
-        cfg = PointConfig(pos)
+    all_pos = sc.positions_many([t for t, _kind, _event in merged])
+    for (t, kind, event), pos in zip(merged, all_pos):
         ref_time, tree = _active(schedule, t)
-        t_len = tree_length(cfg, tree)
         if kind == "sample":
-            o_len = tree_length(cfg, emst(cfg))
+            cfg = PointConfig(pos)
+            t_len, o_len = tree_length(cfg, tree), tree_length(cfg, emst(cfg))
             disp = float(np.max(np.linalg.norm(pos - ref_pos[ref_time], axis=1)))
-        else:
-            o_len = tree_length(cfg, ev_tree)
+        else:  # the active tree is the event's, unless one starts within 1e-12
+            disp, ev_tree, o_len = event
+            t_len = o_len if tree is ev_tree else tree_length(PointConfig(pos), tree)
         trace.append(
             TraceRecord(t, kind, t_len, o_len, _ratio(t_len, o_len), disp)
         )
@@ -202,13 +206,14 @@ def estimate_stability_ratio(
 ) -> float:
     """Sampled lower estimate of sup d_S(A(t), A(t')) / d_I(t, t').
 
-    For n <= flip_limit the solution metric is the slide distance in the
-    flip graph; beyond that, the edge-set symmetric difference size.
+    For n <= min(flip_limit, flip_oracle.N_LIMIT) the solution metric is
+    the slide distance in the flip graph, which is not built past N_LIMIT;
+    beyond that, the edge-set symmetric difference size.
     A zero input distance with differing trees reports an infinite ratio.
     """
 
     def d_s(a, b):
-        if sc.n <= flip_limit:
+        if sc.n <= min(flip_limit, N_LIMIT):
             return float(slide_distance(a, b))
         return float(len(a.edges ^ b.edges))
 

@@ -6,6 +6,7 @@ import pytest
 
 from kemst.errors import AuditFailure, ParameterError
 from kemst.event_stability import (
+    _active,
     approximation_audit,
     estimate_stability_ratio,
     recompute_always_schedule,
@@ -133,6 +134,32 @@ def test_audit_zero_slack_at_recompute_records():
             assert rec.tree_length - rec.opt_length == pytest.approx(0.0, abs=1e-12)
 
 
+def test_event_records_match_recomputation():
+    # Each record's lengths equal a recomputation from `positions` at its
+    # time. In the fast scenario every next event starts within the 1e-12
+    # lookup tolerance, so each recompute record's active tree is a later
+    # event's, not its own; at x = 0.1 the EMST changes between two events.
+    T = 1.2e-9
+    fast = KineticScenario(
+        points=(
+            linear([0.0, 0.0], [1.0, 0.0], T),
+            constant([0.5, 0.5], T),
+            constant([0.0, math.sqrt(0.4)], T),
+        ),
+        k=5e-4,
+    )
+    for sc in (gen_chebyshev(3, 11, k=0.1), fast):
+        result = run_event_regime(sc, samples=8)
+        later = 0
+        for rec in result.trace.records:
+            cfg = PointConfig(sc.positions(rec.time))
+            start, tree = _active(result.schedule, rec.time)
+            assert rec.tree_length == tree_length(cfg, tree)
+            assert rec.opt_length == tree_length(cfg, emst(cfg))
+            later += rec.event_type == "recompute" and start > rec.time
+        assert later > 0 if sc is fast else later == 0
+
+
 def test_audit_chebyshev_pinned(pinned):
     sc = gen_chebyshev(3, 11, k=0.1)
     result = run_event_regime(sc, samples=64)
@@ -255,6 +282,16 @@ def test_estimator_infinite_on_zero_input_distance():
         (0.5, SpanningTree(3, [(0, 1), (1, 2)])),
     ]
     assert estimate_stability_ratio(schedule, sc, pair_samples=100) == math.inf
+
+
+def test_estimator_flip_limit_past_flip_graph_cap():
+    # n = 8 is past the flip graph's cap of 7: a flip_limit of 8 must fall
+    # back to the symmetric difference instead of raising SizeError.
+    sc = gen_chebyshev(3, 8, k=0.1)
+    schedule = recompute_always_schedule(sc, samples=16)
+    est = estimate_stability_ratio(schedule, sc, pair_samples=50, flip_limit=8)
+    assert 0.0 < est < math.inf
+    assert est == estimate_stability_ratio(schedule, sc, pair_samples=50, flip_limit=0)
 
 
 def test_spread_mindist_nondecreasing_in_rank():

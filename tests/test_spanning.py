@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kemst import spanning
 from kemst.errors import ParameterError, SizeError
 from kemst.event_stability import spread
 from kemst.flip_oracle import flip_graph
@@ -279,6 +280,54 @@ def test_emst_matches_reference_past_one_pair_chunk():
     for pos in (gen_split(384).positions(1.0), clusters):
         cfg = PointConfig(pos)
         assert list(emst(cfg).edges) == list(_kruskal_lexsort(cfg).edges)
+
+
+def _block_sweep_configs():
+    """Configurations above 16n pairs, where `_strict_order` yields blocks
+    of the 4n shortest pairs and filters the rest between blocks."""
+    rng = np.random.default_rng(14)
+    for n in (34, 48, 64, 96, 128, 200):
+        yield from _tie_heavy_configs(n, rng)
+    # 9 lattice sites with 10 coincident points each: the first cut falls
+    # inside the 405 zero lengths, the second inside the 1,200 unit ones.
+    sites = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
+    yield np.repeat(sites, 10, axis=0)[rng.permutation(90)]
+    yield np.zeros((100, 2))  # every length is 0: one block holds all
+    far = rng.uniform(0, 1, size=(200, 2))
+    far += 10.0 * rng.integers(0, 5, size=(200, 1))  # five far clusters
+    yield far
+    for t in (0.0, 0.5, 1.0):
+        yield gen_split(384).positions(t)
+    # Lengths overflow to inf: with 36 far points in threes the 4n-th
+    # smallest length is inf; with 30 near points it is finite and every
+    # later round sweeps inf lengths.
+    for near in (12, 30):
+        pos = 1e200 * rng.uniform(-1, 1, size=(48, 2))
+        pos[near:] = np.repeat(pos[near::3], 3, axis=0)[: 48 - near]
+        pos[:near] = rng.uniform(0, 1, size=(near, 2))
+        yield pos
+
+
+def test_block_sweep_matches_reference(monkeypatch):
+    # The block sweep returns the one-sort sweep's list element by element,
+    # and the tree of the lexsort reference.
+    seen = {"tied cut": 0, "spans late": 0, "inf top": 0}
+    with np.errstate(over="ignore"):
+        for pos in _block_sweep_configs():
+            cfg = PointConfig(pos)
+            n, lengths = cfg.n, cfg.pair_lengths
+            assert len(lengths) > 16 * n
+            got = _kruskal(cfg)
+            assert list(emst(cfg).edges) == list(_kruskal_lexsort(cfg).edges)
+            with monkeypatch.context() as m:
+                m.setattr(spanning, "_SORT_ALL_PER_POINT", len(lengths))
+                assert _kruskal(cfg) == got
+            low = np.sort(lengths)[4 * n - 1 : 4 * n + 2]
+            top = low[1]
+            seen["tied cut"] += bool(low[0] == top == low[2])
+            seen["spans late"] += sum(cfg.distance(*e) > top for e in got) >= 4
+            seen["inf top"] += bool(top == np.inf)
+    assert all(seen.values()), seen
 
 
 def test_tree_length_345():
