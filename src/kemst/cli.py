@@ -57,13 +57,17 @@ def _generate(name: str, args) -> KineticScenario:
 
 
 def _override(sc: KineticScenario, args) -> KineticScenario:
-    """Apply whichever of --k, --K, --label and --morph-mode were given."""
+    """Apply whichever of --k, --K, --label and --morph-mode were given, and
+    check that the label is a plain file name: it names the output files."""
     updates = {
         key: getattr(args, key)
         for key in ("k", "K", "label", "morph_mode")
         if getattr(args, key, None) not in (None, "")
     }
-    return dataclasses.replace(sc, **updates)
+    sc = dataclasses.replace(sc, **updates)
+    if os.path.basename(sc.label) != sc.label or "\0" in sc.label:
+        raise ParameterError(f"label must be a plain file name, got {sc.label!r}")
+    return sc
 
 
 def _load(path_or_name: str, args) -> KineticScenario:

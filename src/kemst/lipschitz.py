@@ -249,8 +249,6 @@ def run_lipschitz_regime(
                     new_edges = (tree.edges - {_norm_edge((u, v))}) | {
                         _norm_edge((fixed, w))
                     }
-                    if len(new_edges) != tree.n - 1:
-                        continue
                     gain = base_final - final_len_of(new_edges)
                     if gain > 1e-12:
                         candidates.append((gain, fixed, moving, w))

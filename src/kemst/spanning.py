@@ -117,7 +117,7 @@ class PointConfig:
 
 # Cached per point count: `np.triu_indices` is a large share of a small
 # EMST, and a run rebuilds many EMSTs at the same n (the topological regime
-# at n = 20 about 16k of them). Above 16n pairs `_strict_order` reads both
+# at n = 20 about 16k of them). Above 16n pairs `_kruskal` reads both
 # arrays whole, once per block, to find the pairs still between two
 # components. A run uses few point counts (one to three in each benchmark
 # workload), so eight entries hold them all.
@@ -161,9 +161,9 @@ def emst(cfg: PointConfig) -> SpanningTree:
     return SpanningTree(cfg.n, _kruskal(cfg))
 
 
-# Up to this many pairs per point `_strict_order` stable-sorts every pair
-# at once; above it, it yields blocks of the 4n shortest. A block costs a
-# partition and a filter: on random 2-D points (2-core Xeon, numpy 2.4.6)
+# Up to this many candidate pairs per point `_kruskal` stable-sorts them
+# all at once; above it, it takes a block of the 4n shortest. A block costs
+# a partition and a filter: on random 2-D points (2-core Xeon, numpy 2.4.6)
 # the block path took 35.9 us a call at n = 20 against 34.0 us for the one
 # sort, 46.9 against 69.7 us at n = 34 and 67 against 204 us at n = 64.
 # 16n < n(n - 1) / 2 means n >= 34: topo-cubic (n = 20), the diamond
@@ -174,68 +174,60 @@ _SORT_ALL_PER_POINT = 16
 def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
     """The EMST's edges as (u, v) pairs with u < v, in Kruskal order.
 
-    Not validated; `emst` wraps them in a SpanningTree. Pairs come in the
-    strict order (length, pair index), so this is the unique MST under it;
-    `_cut_certificate` tells whether a given tree is that MST.
+    Not validated; `emst` wraps them in a SpanningTree. Pairs are swept in
+    the strict order (length, pair index), so this is the unique MST under
+    it; `_cut_certificate` tells whether a given tree is that MST.
+
+    The sweep reads blocks of the candidates C, every pair at first, kept
+    in pair-index order. Up to `_SORT_ALL_PER_POINT * n` candidates the
+    block is all of C. Above, it is the filter step of Filter-Kruskal: the
+    block B is every candidate with length <= top, the (4n + 1)-th smallest
+    length in C. A stable sort of B by length, as B is in index order, is B
+    in the strict order, and every pair of B precedes every pair of C - B
+    (its length is <= top < theirs). After the sweep of B, C becomes the
+    pairs of C whose endpoints lie in two components, which leaves out all
+    of B. A dropped pair of C - B would be rejected when reached, since
+    components only merge. So the blocks make the same decisions, in the
+    same order, as one sweep over a stable sort of all pairs, and the list
+    equals that sweep's element by element. C keeps every pair between two
+    components, so a block of all of C ends at n - 1 merges.
     """
     n = cfg.n
     if n < 2:
         raise ParameterError("EMST needs at least 2 points")
     iu, ju = _pairs(n)
     # Kruskal with component labels; a rejection is two list lookups and a
-    # merge relabels the smaller component. The sweep stops after n - 1
-    # merges, and pairs reach Python in chunks, so a block of many ties is
-    # not listed whole. The filter keeps most rejections out of Python: on
-    # the split construction at n = 384 the sweep sees 383 to 1,670 of the
-    # 73,536 pairs, where one sort of every pair would feed it up to 37k.
+    # merge relabels the smaller component. The filter keeps most rejections
+    # out of Python: on the split construction at n = 384 the sweep sees 383
+    # to 1,670 of the 73,536 pairs, where one sort of every pair would feed
+    # it up to 37k.
     comp = list(range(n))
     members = [[v] for v in range(n)]
     edges = []
-    for block in _strict_order(cfg.pair_lengths, comp):
-        for i in range(0, len(block), 8192):
-            chunk = block[i : i + 8192]
-            for u, v in zip(iu[chunk].tolist(), ju[chunk].tolist()):
-                cu, cv = comp[u], comp[v]
-                if cu == cv:
-                    continue
-                if len(members[cu]) < len(members[cv]):
-                    cu, cv = cv, cu
-                for w in members[cv]:
-                    comp[w] = cu
-                members[cu] += members[cv]
-                edges.append((u, v))
-                if len(edges) == n - 1:
-                    return edges
-    return edges
-
-
-def _strict_order(lengths: np.ndarray, comp: list[int]):
-    """Pair indices in the strict order (length, pair index), in blocks,
-    less pairs that `comp` shows joined. `comp` is the sweep's component
-    label per point, read after each block has been swept.
-
-    Up to `_SORT_ALL_PER_POINT * n` pairs this is one stable sort of
-    `lengths`. Above, it is the filter step of Filter-Kruskal. The
-    candidates C, every pair at first, are kept in pair-index order. Each
-    round takes `top`, the (4n + 1)-th smallest length in C, and yields the
-    block B of every candidate with length <= top: a stable sort of B by
-    length, as B is in index order, is B in the strict order, and every
-    pair of B precedes every pair of C - B (its length is <= top < theirs).
-    C then becomes the pairs of C whose endpoints lie in two components,
-    which leaves out all of B. A dropped pair of C - B would be rejected
-    when reached, since components only merge. Once C is small it is
-    sorted whole. So a Kruskal sweep over the blocks makes the same
-    decisions, in the same order, as one over a stable sort of all pairs:
-    `_kruskal` returns that sweep's list, element by element.
-    """
-    n = len(comp)
-    iu, ju = _pairs(n)
-    cand, ls = None, lengths  # C is `cand`, None for every pair, of lengths `ls`
-    while len(ls) > _SORT_ALL_PER_POINT * n:
-        top = np.partition(ls, 4 * n)[4 * n]
-        block = np.flatnonzero(ls <= top)
-        block = block[np.argsort(ls[block], kind="stable")]
-        yield block if cand is None else cand[block]
+    cand, ls = None, cfg.pair_lengths  # C is `cand`, None for every pair, of lengths `ls`
+    while True:
+        whole = len(ls) <= _SORT_ALL_PER_POINT * n
+        if whole:
+            block = np.argsort(ls, kind="stable")
+        else:
+            block = np.flatnonzero(ls <= np.partition(ls, 4 * n)[4 * n])
+            block = block[np.argsort(ls[block], kind="stable")]
+        if cand is not None:
+            block = cand[block]
+        for u, v in zip(iu[block].tolist(), ju[block].tolist()):
+            cu, cv = comp[u], comp[v]
+            if cu == cv:
+                continue
+            if len(members[cu]) < len(members[cv]):
+                cu, cv = cv, cu
+            for w in members[cv]:
+                comp[w] = cu
+            members[cu] += members[cv]
+            edges.append((u, v))
+            if len(edges) == n - 1:
+                return edges
+        if whole:
+            return edges
         # Two label gathers per candidate are this loop's largest arrays; the
         # smallest label type halves them at n = 384 (uint16), and indexing,
         # unlike `take`, does not copy the read-only iu and ju first.
@@ -244,8 +236,6 @@ def _strict_order(lengths: np.ndarray, comp: list[int]):
         keep = labels[pu] != labels[pv]
         cand = np.flatnonzero(keep) if cand is None else cand[keep]
         ls = ls[keep]
-    order = np.argsort(ls, kind="stable")
-    yield order if cand is None else cand[order]
 
 
 def _cut_certificate(tree: SpanningTree, limit: int):

@@ -63,6 +63,9 @@ def svg_plot(path, series, title: str = "") -> None:
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
     if title:
+        # Escaped here, not with xml.sax.saxutils (which imports urllib.request)
+        # or html: either import adds to every cold CLI start.
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{width / 2:.1f}" y="{pad / 2:.1f}" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{title}</text>'

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from xml.dom import minidom
 
 import pytest
 
@@ -94,6 +96,39 @@ def test_svg_emission(tmp_path):
     run_cli(["run-event", str(sc_path), "--out-dir", str(tmp_path), "--svg"])
     svg = (tmp_path / "chebyshev_s2_n5_event.svg").read_text()
     assert svg.startswith("<svg") and "<polyline" in svg
+
+
+def test_svg_title_is_escaped(tmp_path):
+    label = "a&b<c>"
+    assert run_cli(["run-event", "chebyshev", "--s", "3", "--n", "5", "--k", "0.1",
+                    "--label", label, "--out-dir", str(tmp_path), "--svg"]) == 0
+    doc = minidom.parse(str(tmp_path / f"{label}_event.svg"))
+    title = doc.getElementsByTagName("text")[0]
+    assert title.getAttribute("font-size") == "14"
+    assert title.firstChild.data == label
+
+
+def test_label_not_a_plain_file_name_writes_nothing(tmp_path, monkeypatch, capsys):
+    # The label names the output files: one with a separator would write
+    # outside --out-dir (or the working directory for `gen`), and no file
+    # name holds a NUL byte.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    still = gen_stationary([[0.2, 0.2], [0.8, 0.6]], k=0.1)
+    for name, label in (("escape", "../escaped"), ("nul", "a\0b")):
+        save_scenario(tmp_path / f"{name}.json", dataclasses.replace(still, label=label))
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (
+        ["run-event", "chebyshev", "--s", "2", "--n", "5", "--k", "0.2",
+         "--label", "../escaped", "--out-dir", "out", "--svg"],
+        ["run-event", str(tmp_path / "escape.json"), "--out-dir", "out"],
+        ["run-event", str(tmp_path / "nul.json"), "--out-dir", "out"],
+        ["gen", "chebyshev", "--s", "2", "--n", "5", "--label", "sub/escaped"],
+    ):
+        assert run_cli(argv) == 2
+        assert "label must be a plain file name" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_run_lipschitz_svg(tmp_path):

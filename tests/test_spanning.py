@@ -271,20 +271,9 @@ def test_cut_certificate_size_limit():
     assert _cut_certificate(SpanningTree(2000, [(v, v + 1) for v in range(1999)]), 4096) is None
 
 
-def test_emst_matches_reference_past_one_pair_chunk():
-    # `_kruskal` hands pairs to Python 8192 at a time. Two far clusters of
-    # 92 and 90 points have 8,191 inner pairs, so the bridge is the last pair
-    # of the first chunk; the split sweep runs into the fifth chunk.
-    clusters = np.random.default_rng(7).uniform(0, 1, size=(182, 2))
-    clusters[:92] += 10.0
-    for pos in (gen_split(384).positions(1.0), clusters):
-        cfg = PointConfig(pos)
-        assert list(emst(cfg).edges) == list(_kruskal_lexsort(cfg).edges)
-
-
 def _block_sweep_configs():
-    """Configurations above 16n pairs, where `_strict_order` yields blocks
-    of the 4n shortest pairs and filters the rest between blocks."""
+    """Configurations above 16n pairs, where `_kruskal` sweeps blocks of
+    the 4n shortest pairs and filters the rest between blocks."""
     rng = np.random.default_rng(14)
     for n in (34, 48, 64, 96, 128, 200):
         yield from _tie_heavy_configs(n, rng)
@@ -292,10 +281,17 @@ def _block_sweep_configs():
     # inside the 405 zero lengths, the second inside the 1,200 unit ones.
     sites = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
     yield np.repeat(sites, 10, axis=0)[rng.permutation(90)]
+    # With 45 points a site the first block is the 8,910 zero lengths, more
+    # pairs than one block of the other cases, and leaves 9 components.
+    yield np.repeat(sites, 45, axis=0)[rng.permutation(405)]
     yield np.zeros((100, 2))  # every length is 0: one block holds all
     far = rng.uniform(0, 1, size=(200, 2))
     far += 10.0 * rng.integers(0, 5, size=(200, 1))  # five far clusters
     yield far
+    # Two far clusters of 92 and 90 points: the bridge is the longest edge.
+    clusters = np.random.default_rng(7).uniform(0, 1, size=(182, 2))
+    clusters[:92] += 10.0
+    yield clusters
     for t in (0.0, 0.5, 1.0):
         yield gen_split(384).positions(t)
     # Lengths overflow to inf: with 36 far points in threes the 4n-th
@@ -311,7 +307,7 @@ def _block_sweep_configs():
 def test_block_sweep_matches_reference(monkeypatch):
     # The block sweep returns the one-sort sweep's list element by element,
     # and the tree of the lexsort reference.
-    seen = {"tied cut": 0, "spans late": 0, "inf top": 0}
+    seen = {"tied cut": 0, "spans late": 0, "inf top": 0, "block over 8192 pairs": 0}
     with np.errstate(over="ignore"):
         for pos in _block_sweep_configs():
             cfg = PointConfig(pos)
@@ -327,6 +323,9 @@ def test_block_sweep_matches_reference(monkeypatch):
             seen["tied cut"] += bool(low[0] == top == low[2])
             seen["spans late"] += sum(cfg.distance(*e) > top for e in got) >= 4
             seen["inf top"] += bool(top == np.inf)
+            seen["block over 8192 pairs"] += bool(
+                np.count_nonzero(lengths <= top) > 8192 and cfg.distance(*got[-1]) > top
+            )
     assert all(seen.values()), seen
 
 
