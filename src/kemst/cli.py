@@ -80,11 +80,9 @@ def _load(path_or_name: str, args) -> KineticScenario:
     return _override(sc, args)
 
 
-def _run_job(payload: dict) -> str:
-    """Run one scenario through a run command's regime, write its trace
-    (and plot), and return the summary line."""
-    ns = argparse.Namespace(**payload["args"])
-    sc = _load(payload["scenario"], ns)
+def _run_job(sc: KineticScenario, ns: argparse.Namespace) -> str:
+    """Run one loaded scenario through a run command's regime, write its
+    trace (and plot), and return the summary line."""
     note = ""
     if ns.cmd == "run-event":
         res = run_event_regime(sc, samples=ns.samples)
@@ -111,12 +109,14 @@ def _run_job(payload: dict) -> str:
 
 
 def _run_many(args) -> None:
-    payloads = [{"scenario": s, "args": vars(args)} for s in args.scenario]
-    if args.jobs > 1 and len(payloads) > 1:
+    # Load and check every scenario before the first run, so a rejected one
+    # (say, a label that is not a plain file name) leaves no file written.
+    scenarios = [_load(s, args) for s in args.scenario]
+    if args.jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_run_job, payloads))
+            summaries = list(pool.map(_run_job, scenarios, [args] * len(scenarios)))
     else:
-        summaries = [_run_job(p) for p in payloads]
+        summaries = [_run_job(sc, args) for sc in scenarios]
     for line in summaries:
         print(line)
 

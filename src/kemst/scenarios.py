@@ -61,8 +61,9 @@ class KineticScenario:
         return self.points[0].horizon
 
     def positions(self, t: float) -> np.ndarray:
-        """Positions at one instant, shape (n, d), point by point through
-        `Trajectory.at`. `positions_many`, `input_distance` and the swap
+        """Positions at a float t, shape (n, d), from one float call of
+        `Trajectory.at` per point; an array of instants goes to
+        `positions_many`. `positions_many`, `input_distance` and the swap
         bisection read the same bits from the compiled tensor; this stays per
         point while `perfbench/tracer.py` requires per-point `at` and
         `polyval` calls on the cubic workloads, which come from here."""
@@ -94,12 +95,12 @@ class KineticScenario:
     def _compiled_positions(self, ts) -> np.ndarray:
         """`positions` at a float t, shape (n, d), or at an array of instants,
         shape (len(ts), n, d), bit for bit: polynomial points from one
-        `polyval` over the compiled tensor, the others from `at` or `sample`.
-        An instant outside the horizon raises DomainError."""
+        `polyval` over the compiled tensor, each other point from one
+        `Trajectory.at` call on the same float or array. An instant outside
+        the horizon raises DomainError."""
         ts = _clamp_times(ts, self.horizon)
-        scalar = isinstance(ts, float)
         rows, coef, clamp, others = self._tensor
-        vals = polyval(coef, ts if scalar else ts[:, None, None])
+        vals = polyval(coef, ts if isinstance(ts, float) else ts[:, None, None])
         if clamp is not None:
             vals[..., clamp, :] = np.clip(vals[..., clamp, :], 0.0, 1.0)
         if not others:
@@ -107,7 +108,7 @@ class KineticScenario:
         out = np.empty(vals.shape[:-2] + (self.n, self.dim))
         out[..., rows, :] = vals
         for i in others:
-            out[..., i, :] = (self.points[i].at if scalar else self.points[i].sample)(ts)
+            out[..., i, :] = self.points[i].at(ts)
         return out
 
     def config(self, t: float) -> PointConfig:
@@ -133,12 +134,17 @@ def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:
 
 
 def _displacement_sq_fn(traj: Trajectory, t_ref: float, k_sq: float):
-    """||x(t) - x(t_ref)||^2 - k^2 as a function accepting scalars or arrays.
+    """||x(t) - x(t_ref)||^2 - k^2 as a function of a float t or of an array
+    of instants (one value per instant); an array entry equals the float
+    value at that instant bit for bit.
 
-    Polynomial coordinates are evaluated in factored form (Horner per
-    coordinate, then square and sum): expanding the squared-displacement
-    polynomial would inflate coefficient magnitudes and cost ~6 digits of
-    absolute accuracy near the horizon.
+    Unclamped polynomial coordinates are evaluated in factored form (Horner
+    per coordinate through `polyval`, then square and sum in coordinate
+    order), the same steps on a float and on an array: expanding the
+    squared-displacement polynomial would inflate coefficient magnitudes and
+    cost ~6 digits of absolute accuracy near the horizon. Every other point
+    takes its positions from `Trajectory.at` on the same float or array and
+    sums the squared coordinate differences along the last axis.
     """
     if traj.kind == "polynomial" and not traj.clamp_unit:
         refs = [polyval(c, t_ref) for c in traj.coeffs]
@@ -153,15 +159,7 @@ def _displacement_sq_fn(traj: Trajectory, t_ref: float, k_sq: float):
         return fn
 
     ref = traj.at(t_ref)
-
-    def fn(ts):
-        if np.ndim(ts) > 0:
-            pos = traj.sample(np.asarray(ts))
-            return np.sum((pos - ref) ** 2, axis=1) - k_sq
-        d = traj.at(float(ts)) - ref
-        return float(np.dot(d, d)) - k_sq
-
-    return fn
+    return lambda ts: np.sum((traj.at(ts) - ref) ** 2, axis=-1) - k_sq
 
 
 def _refine_max(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -178,22 +176,18 @@ def _refine_max(fn, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _first_crossing(
-    fn,
-    lo: float,
-    hi: float,
-    grid: int,
-    tangent_tol: float = 0.0,
-    refine_cutoff: float = -math.inf,
+    fn, lo: float, hi: float, tangent_tol: float, refine_cutoff: float
 ) -> float | None:
     """Earliest t in (lo, hi] with fn(t) >= 0.
 
-    Sign-change scan plus bisection for transversal crossings; local maxima
-    above `refine_cutoff` are ternary-refined and count as events when they
-    reach -tangent_tol, so touch events (the displacement grazing the
-    budget sphere at a trajectory turn) are not missed. fn must accept an
-    array of times and fn(lo) is assumed negative.
+    Sign-change scan on an EVENT_GRID-interval grid plus bisection for
+    transversal crossings; local maxima above `refine_cutoff` are
+    ternary-refined and count as events when they reach -tangent_tol, so
+    touch events (the displacement grazing the budget sphere at a trajectory
+    turn) are not missed. fn takes the grid as one array and the bisection
+    and refinement points as floats; fn(lo) is assumed negative.
     """
-    ts = np.linspace(lo, hi, grid + 1)
+    ts = np.linspace(lo, hi, EVENT_GRID + 1)
     vals = np.asarray(fn(ts))
     hits = np.flatnonzero(vals[1:] >= 0.0)
     stop = int(hits[0]) + 1 if len(hits) else len(vals) - 1
@@ -337,9 +331,7 @@ def next_displacement_event(
             continue
         fn = _displacement_sq_fn(traj, t_ref, k_sq)
         upper = best if best is not None else hi
-        t_hit = _first_crossing(
-            fn, t_ref, upper, EVENT_GRID, tangent_tol, refine_cutoff
-        )
+        t_hit = _first_crossing(fn, t_ref, upper, tangent_tol, refine_cutoff)
         if t_hit is not None and (best is None or t_hit < best):
             best = t_hit
             silent = window_bound(best) - k_sq < -tangent_tol

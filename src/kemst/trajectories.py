@@ -10,7 +10,9 @@ supported:
 * ``scripted`` -- an ordered list of linear or circular-arc segments
   that tile [0, T].
 
-All arithmetic is plain binary64.
+`Trajectory.at` is the one evaluator: a float t gives one position, an
+array of instants one row per instant, each row the float answer bit for
+bit. All arithmetic is plain binary64.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class LinearSegment:
         e = np.asarray(self.end, dtype=float)
         return s + u * (e - s)
 
-    def position(self, which):
-        return np.asarray(self.start if which == 0 else self.end, dtype=float)
-
 
 @dataclass(frozen=True)
 class ArcSegment:
@@ -93,11 +92,6 @@ class ArcSegment:
     def at(self, t):
         u = 0.0 if self.t1 == self.t0 else (t - self.t0) / (self.t1 - self.t0)
         a = self.angle0 + u * (self.angle1 - self.angle0)
-        cx, cy = self.center
-        return np.array([cx + self.radius * math.cos(a), cy + self.radius * math.sin(a)])
-
-    def position(self, which):
-        a = self.angle0 if which == 0 else self.angle1
         cx, cy = self.center
         return np.array([cx + self.radius * math.cos(a), cy + self.radius * math.sin(a)])
 
@@ -149,32 +143,37 @@ class Trajectory:
         for a, b in zip(self.segments, self.segments[1:]):
             if abs(a.t1 - b.t0) > _CONTINUITY_TOL:
                 raise ParameterError("segments must tile the horizon without gaps")
-            if np.linalg.norm(a.position(1) - b.position(0)) > 1e-7:
+            if np.linalg.norm(a.at(a.t1) - b.at(b.t0)) > 1e-7:
                 raise ParameterError("scripted segments must be continuous")
 
-    def at(self, t: float) -> np.ndarray:
-        """Position at time t; raises DomainError outside [0, horizon].
+    def at(self, t) -> np.ndarray:
+        """Position at a float t, shape (dim,), or at a 1-D array of instants,
+        shape (len(t), dim), row i equal to `at(float(t[i]))` bit for bit.
+        DomainError if an instant lies outside [0, horizon].
 
-        The single-instant path, for searches where each instant depends
-        on the previous answer; a known list of instants goes to `sample`.
+        Polynomial and rational kinds run the same Horner steps on either
+        input, an array in one pass; rational terms are summed in order from
+        0. Scripted kinds clamp an array once and then evaluate it instant by
+        instant: numpy's vectorised cos/sin need not match `math`'s.
         """
-        t = _clamp_times(float(t), self.horizon)
+        many = not isinstance(t, float) and np.ndim(t) > 0
+        t = _clamp_times(np.asarray(t, dtype=float) if many else float(t), self.horizon)
         if self.kind == "scripted":
-            out = self._segment_for(t).at(t)
+            if many:
+                rows = [self._segment_for(s).at(s) for s in t.tolist()]
+                out = np.array(rows).reshape(len(t), self.dim)
+            else:
+                out = self._segment_for(t).at(t)
         else:
-            out = np.array(self._columns(t), dtype=float)
+            if self.kind == "polynomial":
+                cols = [polyval(c, t) for c in self.coeffs]
+            else:
+                cols = [
+                    sum(polyval(num, t) / polyval(den, t) for num, den in coord_terms)
+                    for coord_terms in self.terms
+                ]
+            out = np.stack(cols, axis=1) if many else np.array(cols, dtype=float)
         return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
-
-    def _columns(self, t):
-        """Per-coordinate values of a polynomial or rational motion at t, a
-        float or an array of instants already checked and clamped. The
-        rational terms are summed in order from 0."""
-        if self.kind == "polynomial":
-            return [polyval(c, t) for c in self.coeffs]
-        return [
-            sum(polyval(num, t) / polyval(den, t) for num, den in coord_terms)
-            for coord_terms in self.terms
-        ]
 
     def _segment_for(self, t):
         # Segments are few (tens at most); linear scan is fine.
@@ -182,18 +181,6 @@ class Trajectory:
             if t <= seg.t1 + _CONTINUITY_TOL:
                 return seg
         return self.segments[-1]
-
-    def sample(self, ts) -> np.ndarray:
-        """Positions at a known list of times, shape (len(ts), dim), row i
-        equal to `at(ts[i])` bit for bit. Polynomial and rational kinds run
-        `at`'s steps in one array pass. Scripted kinds call `at` per instant:
-        numpy's vectorised cos/sin need not match `math`'s to the last bit."""
-        ts = np.asarray(ts, dtype=float)
-        if self.kind == "scripted":
-            return np.array([self.at(float(t)) for t in ts]).reshape(len(ts), self.dim)
-        ts = _clamp_times(ts, self.horizon)
-        out = np.stack(self._columns(ts), axis=1)
-        return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
 
 
 def constant(values, horizon: float) -> Trajectory:

@@ -116,7 +116,7 @@ def test_label_not_a_plain_file_name_writes_nothing(tmp_path, monkeypatch, capsy
     work.mkdir()
     monkeypatch.chdir(work)
     still = gen_stationary([[0.2, 0.2], [0.8, 0.6]], k=0.1)
-    for name, label in (("escape", "../escaped"), ("nul", "a\0b")):
+    for name, label in (("ok", "ok"), ("escape", "../escaped"), ("nul", "a\0b")):
         save_scenario(tmp_path / f"{name}.json", dataclasses.replace(still, label=label))
     before = sorted(tmp_path.rglob("*"))
     for argv in (
@@ -124,6 +124,9 @@ def test_label_not_a_plain_file_name_writes_nothing(tmp_path, monkeypatch, capsy
          "--label", "../escaped", "--out-dir", "out", "--svg"],
         ["run-event", str(tmp_path / "escape.json"), "--out-dir", "out"],
         ["run-event", str(tmp_path / "nul.json"), "--out-dir", "out"],
+        # a good scenario first must not be run before the bad one is seen
+        ["run-event", str(tmp_path / "ok.json"), str(tmp_path / "escape.json"),
+         "--out-dir", "out"],
         ["gen", "chebyshev", "--s", "2", "--n", "5", "--label", "sub/escaped"],
     ):
         assert run_cli(argv) == 2

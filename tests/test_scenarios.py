@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kemst.errors import DomainError, ParameterError
 from kemst.scenarios import (
-    EVENT_GRID,
     EVENT_TIME_TOL,
     GENERATORS,
     KineticScenario,
@@ -214,6 +213,16 @@ def test_compiled_positions_match_positions(sc):
             sc.positions_many([0.0, t])
 
 
+def test_displacement_array_matches_float():
+    # The grid scan of `_first_crossing` passes an array, its bisection and
+    # refinement pass floats: both must evaluate the same function.
+    ts = np.linspace(0.2, 1.0, 200)
+    for traj in mixed_kind_scenario().points:
+        fn = _displacement_sq_fn(traj, 0.2, 0.01)
+        single = np.array([fn(float(t)) for t in ts])
+        assert np.array_equal(fn(ts).view(np.int64), single.view(np.int64))
+
+
 # --- displacement events --------------------------------------------------
 
 
@@ -315,7 +324,7 @@ def _reference_scan(sc, t_ref, k):
     for traj in sc.points:
         fn = _displacement_sq_fn(traj, t_ref, k_sq)
         upper = best if best is not None else hi
-        t_hit = _first_crossing(fn, t_ref, upper, EVENT_GRID, 1e-9 * k_sq, -0.5 * k_sq)
+        t_hit = _first_crossing(fn, t_ref, upper, 1e-9 * k_sq, -0.5 * k_sq)
         if t_hit is not None and (best is None or t_hit < best):
             best = t_hit
     return best

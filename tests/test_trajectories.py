@@ -129,6 +129,36 @@ def test_scripted_segments_must_tile():
     )
     with pytest.raises(ParameterError):
         Trajectory("scripted", 1, 1.0, segments=jump)
+    # a zero-duration segment evaluates to its start, so it jumps to its end
+    zero_jump = (
+        LinearSegment(0.0, 0.5, (0.0,), (0.5,)),
+        LinearSegment(0.5, 0.5, (0.5,), (0.9,)),
+        LinearSegment(0.5, 1.0, (0.9,), (0.0,)),
+    )
+    with pytest.raises(ParameterError):
+        Trajectory("scripted", 1, 1.0, segments=zero_jump)
+
+
+def test_at_array_rows_are_float_answers():
+    arc = (
+        ArcSegment(0.0, 0.5, (0.5, 0.5), 0.25, 0.0, 2.0),
+        ArcSegment(0.5, 1.0, (0.5, 0.5), 0.25, 2.0, 0.5),
+    )
+    bump = (((0.0, 1.0), (1.0, 0.0, 1.0)), ((0.3,), (1.0, 0.5)))
+    trajs = (
+        Trajectory("polynomial", 2, 1.0, coeffs=((-0.2, 2.5), (0.5, 0.0, 1.0)), clamp_unit=True),
+        Trajectory("rational", 2, 1.0, terms=(bump[:1], bump)),
+        Trajectory("scripted", 2, 1.0, segments=arc),
+    )
+    ts = np.concatenate([[-1e-12, 0.0, 0.5, 1.0, 1.0 + 1e-12], np.linspace(0.0, 1.0, 97)])
+    for traj in trajs:
+        rows = traj.at(ts)
+        assert rows.shape == (len(ts), 2) and rows.flags.c_contiguous
+        single = np.array([traj.at(float(t)) for t in ts])
+        assert np.array_equal(rows.view(np.int64), single.view(np.int64))
+        assert traj.at(np.array([])).shape == (0, 2)
+        with pytest.raises(DomainError):
+            traj.at(np.array([0.5, 1.0 + 1e-6]))
 
 
 def test_arc_segment_positions():
