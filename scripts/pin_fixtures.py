@@ -61,7 +61,7 @@ def main() -> None:
 
     sc = gen_chebyshev(3, 11, k=0.1)
     result = run_event_regime(sc, samples=64)
-    report = approximation_audit(result, sc, l=1)
+    report = approximation_audit(result, sc)
     pinned["chebyshev_s3_n11_k0.1"] = {
         "event_count": result.event_count,
         "max_slack": report.max_slack,

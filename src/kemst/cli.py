@@ -80,9 +80,20 @@ def _load(path_or_name: str, args) -> KineticScenario:
     return _override(sc, args)
 
 
-def _run_job(sc: KineticScenario, ns: argparse.Namespace) -> str:
-    """Run one loaded scenario through a run command's regime, write its
-    trace (and plot), and return the summary line."""
+def _run_job(sc: KineticScenario, ns: argparse.Namespace) -> tuple[str, int]:
+    """Run one loaded scenario; return its summary line and exit code. A run
+    command writes its trace (and plot). `audit` writes nothing and reports
+    a violated OPT + 4kn as an `AUDIT FAIL` line with code 1."""
+    if ns.cmd == "audit":
+        res = run_event_regime(sc, samples=ns.samples)
+        try:
+            rep = approximation_audit(res, sc)
+        except AuditFailure as exc:
+            return f"{sc.label} AUDIT FAIL: {exc} record={exc.record}", 1
+        return (
+            f"{sc.label} events={res.event_count} max_ratio={rep.max_ratio:.6g} "
+            f"max_slack={rep.max_slack:.6g} bound={rep.bound_4kn:.6g}"
+        ), 0
     note = ""
     if ns.cmd == "run-event":
         res = run_event_regime(sc, samples=ns.samples)
@@ -105,20 +116,23 @@ def _run_job(sc: KineticScenario, ns: argparse.Namespace) -> str:
             [(name, times, [getattr(r, name) for r in records]) for name in series],
             title=sc.label,
         )
-    return f"{sc.label} events={events} max_ratio={ratio:.6g}{note}"
+    return f"{sc.label} events={events} max_ratio={ratio:.6g}{note}", 0
 
 
-def _run_many(args) -> None:
-    # Load and check every scenario before the first run, so a rejected one
-    # (say, a label that is not a plain file name) leaves no file written.
+def _run_many(args) -> int:
+    """Load and check every scenario, so a rejected one (say, a label that is
+    not a plain file name) exits before any run prints or writes. Then run
+    each through `_run_job`, print the lines in scenario order and return
+    the largest exit code."""
     scenarios = [_load(s, args) for s in args.scenario]
     if args.jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            summaries = list(pool.map(_run_job, scenarios, [args] * len(scenarios)))
+            results = list(pool.map(_run_job, scenarios, [args] * len(scenarios)))
     else:
-        summaries = [_run_job(sc, args) for sc in scenarios]
-    for line in summaries:
+        results = [_run_job(sc, args) for sc in scenarios]
+    for line, _code in results:
         print(line)
+    return max(code for _line, code in results)
 
 
 def _add_scenario_flags(p):
@@ -172,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("audit", help="event run plus approximation audit")
     _add_common_run_flags(a, writes=False)
-    a.add_argument("--l", dest="l", type=int, default=1, help="spread neighbor rank")
+    a.set_defaults(jobs=1)
 
     c = sub.add_parser("certify-diamond", help="rotation lower-bound certificate")
     c.add_argument("--per-side", dest="per_side", type=int, default=6)
@@ -188,31 +202,13 @@ def main(argv=None) -> int:
             save_scenario(out, sc)
             print(f"{sc.label} wrote {out}")
             return 0
-        if args.cmd in _RUNS:
-            _run_many(args)
-            return 0
+        if args.cmd in _RUNS or args.cmd == "audit":
+            return _run_many(args)
         if args.cmd == "oracle":
             sc = _load(args.scenario, args)
             res = minimax_flip_oracle(sc, mode=args.mode, time_steps=args.time_steps)
             print(f"{sc.label} oracle_ratio={res.ratio:.9g}")
             return 0
-        if args.cmd == "audit":
-            code = 0
-            for path in args.scenario:
-                sc = _load(path, args)
-                result = run_event_regime(sc, samples=args.samples)
-                try:
-                    report = approximation_audit(result, sc, l=args.l)
-                except AuditFailure as exc:
-                    print(f"{sc.label} AUDIT FAIL: {exc} record={exc.record}")
-                    code = 1
-                    continue
-                print(
-                    f"{sc.label} events={result.event_count} "
-                    f"max_ratio={report.max_ratio:.6g} "
-                    f"max_slack={report.max_slack:.6g} bound={report.bound_4kn:.6g}"
-                )
-            return code
         if args.cmd == "certify-diamond":
             cert = diamond_rotation_certificate(gen_diamond(args.per_side))
             print(

@@ -156,24 +156,14 @@ class AuditReport:
     max_slack: float
     max_ratio: float
     bound_4kn: float
-    spread_context: list[tuple[float, float]]  # (time, 1 + 4*k*l*delta_l)
 
 
-def approximation_audit(
-    result: EventRunResult, sc: KineticScenario, l: int = 1
-) -> AuditReport:
-    """Check tree_length <= opt_length + 4kn on every trace record."""
-    k = result.k
-    n = sc.n
-    bound = 4.0 * k * n
+def approximation_audit(result: EventRunResult, sc: KineticScenario) -> AuditReport:
+    """Check tree_length <= opt_length + 4kn on every trace record; the first
+    violation raises AuditFailure carrying that record."""
+    bound = 4.0 * result.k * sc.n
     max_slack = 0.0
     max_ratio = 1.0
-    context = []
-    sample_pos = iter(
-        sc.positions_many(
-            [rec.time for rec in result.trace.records if rec.event_type == "sample"]
-        )
-    )
     for rec in result.trace.records:
         slack = rec.tree_length - rec.opt_length
         if slack > bound + 1e-9:
@@ -183,10 +173,7 @@ def approximation_audit(
             )
         max_slack = max(max_slack, slack)
         max_ratio = max(max_ratio, rec.ratio)
-        if rec.event_type == "sample":
-            rep = spread(PointConfig(next(sample_pos)), l)
-            context.append((rec.time, 1.0 + 4.0 * k * l * rep.delta_l))
-    return AuditReport(max_slack, max_ratio, bound, context)
+    return AuditReport(max_slack, max_ratio, bound)
 
 
 def recompute_always_schedule(

@@ -6,9 +6,10 @@ from xml.dom import minidom
 import pytest
 
 from kemst.cli import main
-from kemst.errors import DomainError
+from kemst.errors import AuditFailure, DomainError
+from kemst.event_stability import approximation_audit
 from kemst.scenario_io import save_scenario
-from kemst.scenarios import gen_stationary
+from kemst.scenarios import gen_chebyshev, gen_stationary
 
 
 def run_cli(args):
@@ -82,6 +83,40 @@ def test_audit_subcommand_passes(tmp_path, capsys):
     assert "max_slack" in capsys.readouterr().out
 
 
+def test_audit_failure_is_reported_and_later_scenarios_run(tmp_path, monkeypatch, capsys):
+    paths = []
+    for s in (2, 3, 4):
+        paths.append(str(tmp_path / f"c{s}.json"))
+        save_scenario(paths[-1], gen_chebyshev(s, 5, k=0.2))
+    assert run_cli(["audit", *paths, "--samples", "8"]) == 0
+    passing = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in passing] == [
+        "chebyshev_s2_n5", "chebyshev_s3_n5", "chebyshev_s4_n5"
+    ]
+
+    def fail_second(result, sc):
+        if sc.label == "chebyshev_s3_n5":
+            raise AuditFailure("additive bound violated", record="rec")
+        return approximation_audit(result, sc)
+
+    monkeypatch.setattr("kemst.cli.approximation_audit", fail_second)
+    assert run_cli(["audit", *paths, "--samples", "8"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        passing[0],
+        "chebyshev_s3_n5 AUDIT FAIL: additive bound violated record=rec",
+        passing[2],
+    ]
+
+
+def test_certify_diamond_pinned(capsys, pinned):
+    want = pinned["diamond_certificate_q6"]
+    assert run_cli(["certify-diamond", "--per-side", "6"]) == 0
+    assert capsys.readouterr().out == (
+        f"diamond_q6 blocking={want['blocking']:.9g} "
+        f"emst={want['emst']:.9g} ratio={want['ratio']:.9g}\n"
+    )
+
+
 def test_bad_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run-event"])  # missing scenario
@@ -127,10 +162,14 @@ def test_label_not_a_plain_file_name_writes_nothing(tmp_path, monkeypatch, capsy
         # a good scenario first must not be run before the bad one is seen
         ["run-event", str(tmp_path / "ok.json"), str(tmp_path / "escape.json"),
          "--out-dir", "out"],
+        # nor audited and reported
+        ["audit", str(tmp_path / "ok.json"), str(tmp_path / "escape.json")],
         ["gen", "chebyshev", "--s", "2", "--n", "5", "--label", "sub/escaped"],
     ):
         assert run_cli(argv) == 2
-        assert "label must be a plain file name" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "label must be a plain file name" in captured.err
+        assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -100,6 +100,16 @@ def test_run_generous_budget_completes(pinned):
     assert res.completed >= 1
 
 
+def test_run_recolours_to_the_initial_tree(pinned):
+    # Colours that are not the 2-colouring of the t = 0 EMST are replaced by
+    # it, so the run is the default colouring's run bit for bit.
+    want = pinned["split_n8_K80"]
+    res = run_lipschitz_regime(gen_split(8, colors=[1, 0] * 4, K=80.0))
+    assert res.completed == want["completed"] == 4
+    assert res.final_length == want["final_length"]
+    assert res.ratio == want["ratio"]
+
+
 # Greedy schedule of gen_split(40, K=5.0) as (fixed, moving, target, t0,
 # t_end): its many exactly tied gains pin the candidate order bit for bit.
 _T1 = 0.005033400063527332

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kemst import morph
+from kemst.cli import main
 from kemst.errors import AuditFailure, ParameterError
 from kemst.flip_oracle import minimax_flip_oracle
 from kemst.morph import (
@@ -322,6 +323,26 @@ def test_planner_bound_violation_is_audit_failure(inflated_plans, planner, bound
 def test_topo_rotation_bound_violation_is_not_a_fallback(inflated_plans):
     with pytest.raises(AuditFailure, match="4/3"):
         run_topo_regime(gen_diamond(4), mode="rotation", samples=4)
+
+
+def test_rotation_falls_back_to_slides(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def refuse(ev, cfg):
+        seen.append((ev, cfg))
+        raise ParameterError("no rotation")
+
+    monkeypatch.setattr(morph, "plan_rotation_morph", refuse)
+    res = run_topo_regime(gen_diamond(4), mode="rotation")
+    assert res.swap_count >= 1
+    assert res.fallback_count == res.swap_count == len(seen)
+    assert all(plan.fallback for plan in res.plans)
+    assert [plan.lengths for plan in res.plans] == [
+        plan_slide_morph(ev, cfg).lengths for ev, cfg in seen
+    ]
+    assert main(["run-topo", "diamond", "--per-side", "4", "--mode", "rotation",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f" fallbacks={res.swap_count}\n")
 
 
 # --- swap detection and the topological regime -------------------------------
