@@ -209,10 +209,9 @@ def run_lipschitz_regime(
     if trace_samples < 0:
         raise ParameterError("trace_samples must be >= 0")
     tree = emst(sc.config(0.0))
-    colors = two_coloring(tree)
-    if tuple(int(c) for c in colors) != tuple(sc.meta["colors"]):
+    colors = two_coloring(tree).tolist()
+    if tuple(colors) != sc.meta["colors"]:
         sc = sc.with_colors(colors)
-    colors = [int(c) for c in sc.meta["colors"]]
     heights = sc.positions(0.0)[:, 1]
 
     t_now = 0.0
@@ -223,11 +222,6 @@ def run_lipschitz_regime(
     def final_len_of(edges) -> float:
         # Summed as `tree_length` sums, so tied gains stay tied.
         return float(sum(_edge_lengths(cfg_end, edges).tolist()))
-
-    def carrier_profile(m: int, w: int) -> tuple[float, float]:
-        x_span = abs(heights[m] - heights[w])
-        drift = 0.0 if colors[m] == colors[w] else 1.0
-        return x_span, drift
 
     def start_greedy_slides():
         reserved = set()
@@ -258,15 +252,12 @@ def run_lipschitz_regime(
             carrier = _norm_edge((moving, w))
             if slider in reserved or carrier in reserved:
                 continue
-            x_span, drift = carrier_profile(moving, w)
-            if x_span <= 0:
-                continue
             sched = SlideSchedule(
                 fixed=fixed,
                 moving=moving,
                 target=w,
-                x_span=x_span,
-                drift=drift,
+                x_span=abs(heights[moving] - heights[w]),
+                drift=0.0 if colors[moving] == colors[w] else 1.0,
                 K=K,
                 t0=t_now,
             )

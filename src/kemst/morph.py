@@ -123,8 +123,14 @@ class MorphPlan:
     fallback: bool = False
 
 
-def _materialize(ev: SwapEvent, cfg: PointConfig, steps: list[MorphStep]) -> MorphPlan:
-    """Apply a step list, validating every intermediate tree."""
+def _materialize(ev: SwapEvent, cfg: PointConfig, steps) -> MorphPlan:
+    """Map cycle-index steps (op, (fixed, moving), target) onto `ev.cycle`,
+    dropping no-ops, and apply them, validating every intermediate tree. The
+    cycle is a tree path, so its vertices are distinct and a step is a no-op
+    exactly when moving == target. No slide step is; the third step of a
+    rotation detour through an endpoint of e' is."""
+    c = ev.cycle
+    steps = [MorphStep(op, (c[f], c[m]), c[t]) for op, (f, m), t in steps if m != t]
     trees = [ev.old_tree]
     for step in steps:
         fn = apply_slide if step.op == "slide" else apply_rotation
@@ -134,7 +140,7 @@ def _materialize(ev: SwapEvent, cfg: PointConfig, steps: list[MorphStep]) -> Mor
         raise ParameterError("morph plan does not realize the swap")
     lengths = [tree_length(cfg, t) for t in trees]
     return MorphPlan(
-        steps=list(steps),
+        steps=steps,
         trees=trees,
         lengths=lengths,
         max_intermediate=max(lengths),
@@ -153,7 +159,8 @@ def _slide_grid_plan(dmat, i, L):
 
     States are slider edges (a, b) with a <= i < b; moves decrement a or
     increment b; value-to-go is the largest chord visited. Returns the
-    optimal chord sequence from (i, i+1) to (0, L).
+    optimal value and its cycle-index steps from (i, i+1) to (0, L): moving
+    a down slides (b, a) to a - 1, moving b up slides (a, b) to b + 1.
     """
     INF = math.inf
     f = np.full((i + 1, L + 1), INF)
@@ -170,28 +177,17 @@ def _slide_grid_plan(dmat, i, L):
             f[a, b] = max(dmat[a, b], best)
     # reconstruct
     a, b = i, i + 1
-    pairs = []
+    steps = []
     while (a, b) != (0, L):
         go_a = f[a - 1, b] if a > 0 else INF
         go_b = f[a, b + 1] if b < L else INF
         if go_a <= go_b:
+            steps.append(("slide", (b, a), a - 1))
             a -= 1
         else:
+            steps.append(("slide", (a, b), b + 1))
             b += 1
-        pairs.append((a, b))
-    return f[i, i + 1], pairs
-
-
-def _pairs_to_slide_steps(cycle, i, pairs):
-    steps = []
-    a, b = i, i + 1
-    for na, nb in pairs:
-        if na == a - 1:
-            steps.append(MorphStep("slide", (cycle[b], cycle[a]), cycle[na]))
-        else:
-            steps.append(MorphStep("slide", (cycle[a], cycle[b]), cycle[nb]))
-        a, b = na, nb
-    return steps
+    return f[i, i + 1], steps
 
 
 def _chord_plan(i, L, g, h):
@@ -231,16 +227,16 @@ def _eval_index_steps(base, dmat, steps):
     for _op, (fixed, moving), target in steps:
         delta += dmat[fixed, target] - dmat[fixed, moving]
         worst = max(worst, base + delta)
-    return worst, base + delta
+    return worst
 
 
 def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     """Slide-based morph from the old tree to old - e + e'.
 
-    Evaluates every monotone interleaving of the two cycle directions
-    (exact minimax over slider chords) and single-chord shortcut plans
-    that stretch another cycle edge for the slider to jump; returns the
-    plan with the smallest maximum intermediate tree length.
+    Plans are cycle-index step lists for `_materialize`: the best monotone
+    interleaving of the two cycle directions (exact minimax over slider
+    chords), or a single-chord shortcut plan that stretches another cycle
+    edge for the slider to jump, if its largest tree is shorter by > 1e-12.
 
     Guarantee: max intermediate <= 1.5 * old tree length when
     |e'| <= |e|; a violation raises AuditFailure.
@@ -252,18 +248,12 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     base = tree_length(cfg, ev.old_tree)
     removed_len = dmat[i, i + 1]
 
-    best_value, pairs = _slide_grid_plan(dmat, i, L)
-    best_steps = _pairs_to_slide_steps(cycle, i, pairs)
+    best_value, best_steps = _slide_grid_plan(dmat, i, L)
     best_worst = max(base, base - removed_len + best_value)
-
     for idx_steps in _chord_step_lists(i, L):
-        worst, _final = _eval_index_steps(base, dmat, idx_steps)
+        worst = _eval_index_steps(base, dmat, idx_steps)
         if worst < best_worst - 1e-12:
-            best_worst = worst
-            best_steps = [
-                MorphStep(op, (cycle[f], cycle[m]), cycle[t])
-                for op, (f, m), t in idx_steps
-            ]
+            best_worst, best_steps = worst, idx_steps
     plan = _materialize(ev, cfg, best_steps)
     limit = 1.5 * base
     if cfg.distance(*ev.inserted) <= cfg.distance(*ev.removed) + _EDGE_TOL:
@@ -289,10 +279,10 @@ def _midpoint_edge(dmat, idxs):
 def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     """Rotation-based morph from the old tree to old - e + e'.
 
-    Requires e to be the longest edge on the cycle. Candidate plans follow
-    the two-step detours through an endpoint of e' and the four three-step
-    detours through the midpoint edges of the two cycle parts; the plan
-    with the smallest maximum intermediate is returned.
+    Requires e to be the longest edge on the cycle. Candidate cycle-index
+    plans for `_materialize` follow the two-step detours through an endpoint
+    of e' and the four three-step detours through the midpoint edges of the
+    two cycle parts; the first with the smallest maximum intermediate wins.
 
     Guarantee: max intermediate <= (4/3) * old tree length; a violation
     raises AuditFailure, a failed precondition ParameterError.
@@ -330,13 +320,8 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     base = tree_length(cfg, ev.old_tree)
     best_plan = None
     for cand in candidates:
-        steps = [
-            MorphStep(op, (cycle[f], cycle[m]), cycle[t])
-            for op, (f, m), t in cand
-            if cycle[m] != cycle[t]
-        ]
         try:
-            plan = _materialize(ev, cfg, steps)
+            plan = _materialize(ev, cfg, cand)
         except ParameterError:
             continue
         if best_plan is None or plan.max_intermediate < best_plan.max_intermediate:

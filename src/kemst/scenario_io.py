@@ -148,12 +148,18 @@ def scenario_from_dict(d: dict) -> KineticScenario:
             raise ParameterError("point count does not match field n")
     else:
         raise ParameterError("scenario needs either 'generator' or 'points'")
+    label, k, K = d.get("label", sc.label), d.get("k"), d.get("K")
+    if not isinstance(label, str):
+        raise ParameterError(f"field 'label' must be a string, got {label!r}")
+    for key, value in (("k", k), ("K", K)):
+        if value is not None and type(value) not in (int, float):
+            raise ParameterError(f"field {key!r} must be a number or null, got {value!r}")
     return dataclasses.replace(
         sc,
-        k=d.get("k"),
-        K=d.get("K"),
+        k=None if k is None else float(k),
+        K=None if K is None else float(K),
         morph_mode=d.get("morph_mode", sc.morph_mode),
-        label=d.get("label", sc.label),
+        label=label,
     )
 
 
@@ -164,4 +170,11 @@ def save_scenario(path, sc: KineticScenario) -> None:
 
 
 def load_scenario(path) -> KineticScenario:
-    return scenario_from_dict(json.loads(Path(path).read_text()))
+    """Read a scenario file. A file that cannot be read or parsed, or whose
+    fields are missing or of the wrong type, raises ParameterError naming it."""
+    try:
+        return scenario_from_dict(json.loads(Path(path).read_text()))
+    except ParameterError:
+        raise
+    except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParameterError(f"{path}: malformed scenario, {type(exc).__name__}: {exc}") from exc

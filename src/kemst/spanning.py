@@ -239,9 +239,10 @@ def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
 
 
 def _cut_certificate(tree: SpanningTree, limit: int):
-    """Flat int32 pair indices (P, E): each tree edge E with each non-tree
-    pair P crossing its fundamental cut; None if over `limit` entries, which
-    are counted first: from (n - 1)(n - 2) (a star) to ~n^3 / 6 (a path).
+    """Flat int32 pair indices (P, E), by edge and then pair: each tree edge
+    E with each non-tree pair P crossing its fundamental cut. None if over
+    `limit` entries, counted before any is built: (n - 1)(n - 2) (a star)
+    to ~n^3 / 6 (a path).
 
     Rank pairs in `_kruskal`'s strict order (length, pair index): the MST is
     unique and `_kruskal` returns it. T is that tree iff each tree edge e is
@@ -257,18 +258,14 @@ def _cut_certificate(tree: SpanningTree, limit: int):
         below[parent[v]] |= below[v]
     below = below[kids]  # row k: the vertices below edge (kids[k], its parent)
     outside = n - np.count_nonzero(below, axis=1)
-    if (size := int((n - outside) @ outside)) - (n - 1) > limit:
+    if int((n - outside) @ outside) - (n - 1) > limit:
         return None
-    pid = np.empty((n, n), dtype=np.int32)  # pid[u, v] = pid[v, u]: index of pair u < v
-    pid[_pairs(n)] = pid[_pairs(n)[::-1]] = np.arange(n * (n - 1) // 2)
-    k, a = np.nonzero(below)
-    reps = outside[k]  # pair each (k, a below) with every vertex outside k
-    shift = np.cumsum(outside)[k] - reps - (np.cumsum(reps) - reps)
-    b = np.nonzero(~below)[1][np.arange(size) + np.repeat(shift, reps)]
-    p = pid[np.repeat(a, reps), b]
-    e = pid[kids, [parent[v] for v in kids]][np.repeat(k, reps)]
+    iu, ju = _pairs(n)
+    k, p = np.nonzero(below[:, iu] != below[:, ju])  # pair p crosses edge k's cut
+    kv, pv = np.array(kids), np.array([parent[v] for v in kids])
+    e = _pair_index(n, np.minimum(kv, pv), np.maximum(kv, pv))[k]
     keep = p != e  # an edge does not certify itself
-    return p[keep], e[keep]
+    return p[keep].astype(np.int32), e[keep].astype(np.int32)
 
 
 def _cuts_hold(lengths: np.ndarray, certs) -> np.ndarray:

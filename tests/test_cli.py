@@ -319,3 +319,41 @@ def test_gen_non_finite_horizon_exits_two(tmp_path, capsys, horizon):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: horizon must be positive and finite\n"
     assert not out.exists()
+
+
+_STILL = {
+    "format_version": 1, "label": "still", "n": 2, "d": 2, "T": 1.0, "k": 0.1,
+    "K": None, "morph_mode": "slide",
+    "points": [{"kind": "polynomial", "coeffs": [[0.2], [0.2]]},
+               {"kind": "polynomial", "coeffs": [[0.8], [0.6]]}],
+}
+
+
+def _still(**fields):
+    return json.dumps(_STILL | fields)
+
+
+@pytest.mark.parametrize("text", [
+    _still(k="0.1"),
+    _still(label=5),
+    _still(T="abc"),
+    _still(points=[{"kind": "polynomial", "coeffs": [["a"], [0.2]]}, _STILL["points"][1]]),
+    _still(points=[{"coeffs": [[0.2], [0.2]]}, _STILL["points"][1]]),
+    json.dumps({"format_version": 1, "generator": {"name": "split", "n": "abc"}}),
+    json.dumps([_STILL]),
+    '{"format_version": 1,',
+], ids=["k-string", "label-int", "T-string", "coeff-string", "no-kind",
+        "generator-n-string", "top-level-array", "truncated"])
+def test_malformed_scenario_file_exits_two(tmp_path, capsys, text):
+    # Exit 1 means AUDIT FAIL, so a file that cannot be read as a scenario
+    # must be an argument error, not a traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (["audit", str(path)],
+                 ["run-event", str(path), "--out-dir", str(tmp_path / "out")]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before

@@ -11,8 +11,9 @@ from kemst.flip_oracle import (
     slide_distance,
     tree_id,
 )
-from kemst.scenarios import gen_circle, gen_stationary
+from kemst.scenarios import KineticScenario, gen_circle, gen_stationary
 from kemst.spanning import SpanningTree, labeled_tree_edges, tree_from_prufer
+from kemst.trajectories import linear
 
 
 def test_flip_graph_counts_small():
@@ -219,6 +220,16 @@ def test_oracle_rejects_negative_time_steps():
     res = minimax_flip_oracle(sc, "slide", time_steps=0)
     assert res.times.tolist() == [0.0]
     assert len(res.schedule) == 1 and res.per_step_value.shape == (1,)
+
+
+def test_oracle_when_every_point_coincides():
+    # The corners swap diagonally and all meet at the centre at t = 0.5,
+    # where every tree has length 0 and is charged ratio 1.
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    sc = KineticScenario(points=tuple(linear([x, y], [1 - x, 1 - y], 1.0) for x, y in corners))
+    res = minimax_flip_oracle(sc, "slide", time_steps=4)
+    assert res.ratio == 1.0
+    assert res.per_step_value.tolist() == [1.0] * 5
 
 
 def test_slide_distance_basics():

@@ -12,6 +12,7 @@ from kemst.lipschitz import (
     completion_time_quadrature,
     no_completion_certificate,
     run_lipschitz_regime,
+    schedule_completion,
 )
 from kemst.scenarios import gen_chebyshev, gen_split
 from kemst.spanning import PointConfig, SpanningTree, emst
@@ -81,6 +82,19 @@ def test_schedule_cost_scales_with_length():
     base = s.cost(1.0)
     doubled = s.cost(1.0, length_fn=lambda t: 2.0 * s.carrier_length(t))
     assert doubled == pytest.approx(2.0 * base, rel=1e-9)
+
+
+def test_same_color_slide_has_a_fixed_carrier():
+    # drift 0: the carrier keeps length x_span, so progress is linear in t
+    s = SlideSchedule(0, 1, 2, x_span=0.25, drift=0.0, K=2.0, t0=0.1)
+    s.t_end = schedule_completion(s, 1.0)
+    assert s.t_end == pytest.approx(0.225, abs=1e-15)
+    assert s.progress(0.2) == pytest.approx(0.8, abs=1e-15)
+    assert s.progress(1.0) == 1.0
+    spent = adaptive_simpson(lambda t: s.K / s.carrier_length(t), s.t0, s.t_end)
+    assert spent == pytest.approx(1.0, abs=1e-12)
+    slow = SlideSchedule(0, 1, 2, x_span=0.25, drift=0.0, K=0.1, t0=0.1)
+    assert schedule_completion(slow, 1.0) is None
 
 
 def test_run_tiny_budget_no_completions(pinned):

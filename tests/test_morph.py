@@ -117,6 +117,9 @@ def test_swap_event_validation():
     with pytest.raises(ParameterError):
         # (0,1) not on the cycle of (1,3): path 1-2-3
         make_swap_event(tree, (0, 1), (1, 3), 0.0, cfg)
+    with pytest.raises(ParameterError, match="not weight-improving"):
+        # (0,2), a diagonal, is longer than the side (0,1) it would replace
+        make_swap_event(tree, (0, 1), (0, 2), 0.0, cfg)
 
 
 def test_plan_slide_unit_square():

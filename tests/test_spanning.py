@@ -35,6 +35,12 @@ def test_tree_invariants_enforced():
         SpanningTree(4, [(0, 1), (1, 2), (0, 2)])  # cycle, disconnected 3
     with pytest.raises(ParameterError):
         SpanningTree(3, [(0, 1), (1, 1)])  # self loop
+    with pytest.raises(ParameterError, match="out of range"):
+        SpanningTree(3, [(0, 1), (1, 5)])
+    with pytest.raises(ParameterError, match="not in the tree"):
+        SpanningTree(3, [(0, 1), (1, 2)]).replace((0, 2), (0, 1))
+    with pytest.raises(ParameterError, match="finite"):
+        PointConfig([[0.0, 0.0], [np.nan, 1.0]])
 
 
 def test_emst_collinear():
