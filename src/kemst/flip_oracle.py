@@ -8,8 +8,9 @@ single rotations, and answers two questions:
   within-step reachability closed by bottleneck relaxation), and
 * slide distances between trees (hop counts in the slide flip graph).
 
-A tree's id is its position in `labeled_tree_edges` order (Prüfer
-sequences, lexicographic). Its edges are also held as an int64 bitmask
+A tree's id is its row in `labeled_tree_pids`, the batch Prüfer decoder
+over every sequence in lexicographic order; each row holds the tree's sorted
+`_pairs(n)` edge ids. Its edges are also held as an int64 bitmask
 over the n(n-1)/2 vertex pairs (21 bits at n = 7); a flip clears one bit
 and sets another, so the tree it reaches is found by searching the sorted
 masks. The moves are held as CSR over targets: `src`/`dst` ordered by
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, SizeError
 from .scenarios import KineticScenario
-from .spanning import PointConfig, SpanningTree, _pair_index, _pairs, labeled_tree_edges
+from .spanning import PointConfig, SpanningTree, _pair_index, _pairs, labeled_tree_pids
 
 _GRAPH_CACHE: dict = {}
 _BFS_CACHE: dict = {}
@@ -66,11 +67,10 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
     if key in _GRAPH_CACHE:
         return _GRAPH_CACHE[key]
 
-    edges = np.array(labeled_tree_edges(n))  # (N, n-1, 2), u < v
-    num = edges.shape[0]
+    pids = labeled_tree_pids(n)
+    num = pids.shape[0]
     rows = np.arange(num)
-    eu, ev = edges[..., 0], edges[..., 1]
-    pids = _pair_index(n, eu, ev)
+    eu, ev = (a[pids] for a in _pairs(n))  # u < v
     bits = np.int64(1) << pids
     tree_masks = bits.sum(axis=1)
     order = np.argsort(tree_masks)
@@ -137,15 +137,33 @@ def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, fg: FlipGraph):
     is charged the same cost[b], so a sweep takes min_a max(dist[a], cost[b])
     as max(min_a dist[a], cost[b]): min and max only select among their
     arguments and max(., c) is monotone, so the two are the same float.
+
+    A sweep visits only the unsettled trees, those with dist > cost. Every
+    candidate for b is max(., cost[b]) and dist never rises, so a tree with
+    dist <= cost cannot drop, and once settled it stays settled: a sweep
+    over all trees leaves each settled one unchanged. Every new value is
+    read from the previous sweep's dist before any is assigned (Jacobi, not
+    Gauss-Seidel), so each sweep yields the same array as a full sweep, and
+    the loop stops at the same sweep, the first in which no tree drops (or
+    when none is left unsettled, where a full sweep would drop none). Only
+    in-edges are read, so the flip graph need not be symmetric; no segment
+    is empty, since `flip_graph` rejects an isolated tree.
     """
     dist = start_vals.copy()
-    starts = fg.indptr[:-1]
-    while True:
-        group_min = np.maximum(np.minimum.reduceat(dist[fg.src], starts), cost)
-        new_dist = np.minimum(dist, group_min)
-        if not np.any(new_dist < dist):
-            return new_dist
-        dist = new_dist
+    active = np.flatnonzero(dist > cost)
+    while active.size:
+        lo = fg.indptr[active]
+        cnt = fg.indptr[active + 1] - lo
+        offs = np.cumsum(cnt) - cnt  # each active tree's segment in `moves`
+        moves = np.repeat(lo - offs, cnt) + np.arange(offs[-1] + cnt[-1])
+        old, own_cost = dist[active], cost[active]
+        group_min = np.maximum(np.minimum.reduceat(dist[fg.src[moves]], offs), own_cost)
+        new = np.minimum(old, group_min)
+        if not np.any(new < old):
+            break
+        dist[active] = new
+        active = active[new > own_cost]
+    return dist
 
 
 @dataclass
@@ -177,8 +195,8 @@ def minimax_flip_oracle(
     fg = flip_graph(n, mode or sc.morph_mode)
     ts = np.linspace(0.0, sc.horizon, time_steps + 1)
     costs = []
-    for t in ts:
-        lengths = fg.tree_lengths(sc.positions(float(t)))
+    for pos in sc.positions_many(ts):
+        lengths = fg.tree_lengths(pos)
         opt = lengths.min()
         if opt <= 0:
             costs.append(np.where(lengths <= 0, 1.0, np.inf))

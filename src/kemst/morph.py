@@ -615,12 +615,14 @@ def _grid_minimax(cost: np.ndarray) -> np.ndarray:
 def random_swap_instance(
     rng: np.random.Generator, n: int, longest_removed: bool = False
 ):
-    """Random configuration, tree, and weight-sane swap for planner audits."""
+    """Random configuration, tree, and weight-sane swap for planner audits
+    (n >= 3: a tree on two vertices has no edge to swap in)."""
+    if n < 3:
+        raise ParameterError("a swap needs n >= 3")
     while True:
         pos = rng.uniform(0.0, 1.0, size=(n, 2))
         cfg = PointConfig(pos)
-        seq = [int(x) for x in rng.integers(0, n, size=max(n - 2, 0))]
-        tree = tree_from_prufer(seq, n) if n > 2 else SpanningTree(2, [(0, 1)])
+        tree = tree_from_prufer(rng.integers(0, n, size=n - 2), n)
         candidates = [
             (u, v)
             for u in range(n)

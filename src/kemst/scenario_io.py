@@ -7,8 +7,11 @@ Schema (format_version 1):
       "label": str, "n": int, "d": int, "T": float,
       "k": float|null, "K": float|null, "morph_mode": "slide"|"rotation",
       "generator": {"name": ..., <params>}          # one of these two
-      "points": [ {"kind": ...}, ... ]
+      "points": [ {"kind": ..., "clamp_unit": bool}, ... ]
     }
+
+A field of the wrong JSON type raises ParameterError naming it: numbers
+must be JSON numbers (a bool is not one) and "n", "d" JSON integers.
 """
 
 from __future__ import annotations
@@ -32,11 +35,29 @@ def _plain(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _floats(value):
+def _number(value, field: str) -> float:
+    """A JSON number as binary64; anything else, bool included, or an
+    integer beyond the float range raises ParameterError naming the field."""
+    if type(value) not in (int, float):
+        raise ParameterError(f"field {field!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"field {field!r} is too large for a float") from None
+
+
+def _floats(value, field: str):
     """The inverse for numeric fields: a binary64 number or tuple of them."""
     if isinstance(value, (list, tuple)):
-        return tuple(float(x) for x in value)
-    return float(value)
+        return tuple(_number(x, field) for x in value)
+    return _number(value, field)
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; a bool or a float raises ParameterError naming the field."""
+    if type(value) is not int:
+        raise ParameterError(f"field {field!r} must be an integer, got {value!r}")
+    return value
 
 
 def _traj_to_dict(traj: Trajectory) -> dict:
@@ -60,13 +81,15 @@ def _traj_to_dict(traj: Trajectory) -> dict:
 
 def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
     kind = d["kind"]
-    clamp = bool(d.get("clamp_unit", False))
+    clamp = d.get("clamp_unit", False)
+    if type(clamp) is not bool:
+        raise ParameterError(f"field 'clamp_unit' must be true or false, got {clamp!r}")
     if kind == "polynomial":
         return Trajectory(
             kind="polynomial",
             dim=dim,
             horizon=horizon,
-            coeffs=tuple(_floats(c) for c in d["coeffs"]),
+            coeffs=tuple(_floats(c, "coeffs") for c in d["coeffs"]),
             clamp_unit=clamp,
         )
     if kind == "rational":
@@ -75,7 +98,7 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
             dim=dim,
             horizon=horizon,
             terms=tuple(
-                tuple((_floats(num), _floats(den)) for num, den in coord)
+                tuple((_floats(num, "terms"), _floats(den, "terms")) for num, den in coord)
                 for coord in d["terms"]
             ),
             clamp_unit=clamp,
@@ -86,7 +109,8 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
             cls = _SEGMENT_TYPES.get(seg["type"])
             if cls is None:
                 raise ParameterError(f"unknown segment type {seg['type']!r}")
-            segs.append(cls(**{f.name: _floats(seg[f.name]) for f in dataclasses.fields(cls)}))
+            fields = dataclasses.fields(cls)
+            segs.append(cls(**{f.name: _floats(seg[f.name], f.name) for f in fields}))
         return Trajectory(
             kind="scripted", dim=dim, horizon=horizon, segments=tuple(segs),
             clamp_unit=clamp,
@@ -140,24 +164,21 @@ def scenario_from_dict(d: dict) -> KineticScenario:
         name = gen.pop("name")
         sc = build_generator(name, **gen)
     elif "points" in d:
-        dim = int(d["d"])
-        horizon = float(d["T"])
+        dim = _integer(d["d"], "d")
+        horizon = _number(d["T"], "T")
         points = tuple(_traj_from_dict(p, dim, horizon) for p in d["points"])
         sc = KineticScenario(points=points)
-        if d.get("n") is not None and int(d["n"]) != sc.n:
+        if d.get("n") is not None and _integer(d["n"], "n") != sc.n:
             raise ParameterError("point count does not match field n")
     else:
         raise ParameterError("scenario needs either 'generator' or 'points'")
     label, k, K = d.get("label", sc.label), d.get("k"), d.get("K")
     if not isinstance(label, str):
         raise ParameterError(f"field 'label' must be a string, got {label!r}")
-    for key, value in (("k", k), ("K", K)):
-        if value is not None and type(value) not in (int, float):
-            raise ParameterError(f"field {key!r} must be a number or null, got {value!r}")
     return dataclasses.replace(
         sc,
-        k=None if k is None else float(k),
-        K=None if K is None else float(K),
+        k=None if k is None else _number(k, "k"),
+        K=None if K is None else _number(K, "K"),
         morph_mode=d.get("morph_mode", sc.morph_mode),
         label=label,
     )

@@ -14,10 +14,9 @@ are summed from the floats that chose the EMST, not from a second norm.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -321,37 +320,58 @@ def two_coloring(tree: SpanningTree) -> np.ndarray:
     return colors
 
 
-def _prufer_edges(seq, n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted normalized edges of the labeled tree with Prüfer sequence seq."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(_norm_edge((leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append(_norm_edge((u, v)))
-    return tuple(sorted(edges))
+def _prufer_pair_ids(seqs: np.ndarray, n: int) -> np.ndarray:
+    """Sorted `_pairs(n)` ids of the edges of each labeled tree whose Prüfer
+    sequence is a row of `seqs` (shape (N, n-2), entries in 0..n-1); shape
+    (N, n-1).
+
+    One decode runs on every row at once. degree[v] is one plus the count
+    of v in the rest of the sequence, so the leaves are the columns with
+    degree 1. Step j joins the smallest leaf, the first such column, to
+    seqs[:, j] and decrements both; the leaf drops to 0 and never returns.
+    The last two degree-1 columns form the final edge. Pair ids order
+    edges as (u, v) does, so a sorted row lists the edges lexicographically.
+    """
+    num = seqs.shape[0]
+    rows = np.arange(num)
+    degree = np.ones((num, n), dtype=np.intp)
+    np.add.at(degree, (rows[:, None], seqs), 1)
+    ends = np.empty((num, n - 1, 2), dtype=np.intp)
+    for j in range(n - 2):
+        leaf = np.argmax(degree == 1, axis=1)
+        ends[:, j, 0], ends[:, j, 1] = leaf, seqs[:, j]
+        degree[rows, leaf] -= 1
+        degree[rows, seqs[:, j]] -= 1
+    ends[:, -1] = np.nonzero(degree == 1)[1].reshape(num, 2)
+    lo, hi = ends.min(axis=2), ends.max(axis=2)
+    return np.sort(_pair_index(n, lo, hi), axis=1)
+
+
+def labeled_tree_pids(n: int) -> np.ndarray:
+    """`_prufer_pair_ids` of all n^(n-2) labeled trees on n >= 2 vertices,
+    in the lexicographic order of their Prüfer sequences."""
+    return _prufer_pair_ids(np.indices((n,) * (n - 2)).reshape(n - 2, n ** (n - 2)).T, n)
 
 
 def tree_from_prufer(seq, n: int) -> SpanningTree:
     """Labeled tree for a Prüfer sequence over vertices 0..n-1."""
-    return SpanningTree(n, _prufer_edges(seq, n))
+    arr = np.asarray(seq)
+    if n < 2 or arr.shape != (n - 2,):
+        raise ParameterError(f"Prüfer sequence on {n} vertices needs {n - 2} entries")
+    if arr.size and not (
+        np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() < n
+    ):
+        raise ParameterError(f"Prüfer sequence entries must be integers in 0..{n - 1}")
+    pids = _prufer_pair_ids(arr.astype(np.intp).reshape(1, n - 2), n)[0]
+    iu, ju = (a[pids].tolist() for a in _pairs(n))
+    return SpanningTree(n, zip(iu, ju))
 
 
 def labeled_tree_edges(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Sorted edge tuples of all n^(n-2) labeled trees on n >= 2 vertices,
     in the lexicographic order of their Prüfer sequences."""
-    if n == 2:
-        return [((0, 1),)]
-    return [_prufer_edges(seq, n) for seq in product(range(n), repeat=n - 2)]
+    iu, ju = (a[labeled_tree_pids(n)].tolist() for a in _pairs(n))
+    return [tuple(zip(u, v)) for u, v in zip(iu, ju)]
 
 
 def enumerate_spanning_trees(n: int):

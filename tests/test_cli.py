@@ -333,20 +333,29 @@ def _still(**fields):
     return json.dumps(_STILL | fields)
 
 
-@pytest.mark.parametrize("text", [
-    _still(k="0.1"),
-    _still(label=5),
-    _still(T="abc"),
-    _still(points=[{"kind": "polynomial", "coeffs": [["a"], [0.2]]}, _STILL["points"][1]]),
-    _still(points=[{"coeffs": [[0.2], [0.2]]}, _STILL["points"][1]]),
-    json.dumps({"format_version": 1, "generator": {"name": "split", "n": "abc"}}),
-    json.dumps([_STILL]),
-    '{"format_version": 1,',
+@pytest.mark.parametrize("text,field", [
+    (_still(k="0.1"), "k"),
+    (_still(label=5), "label"),
+    (_still(T="abc"), "T"),
+    (_still(points=[{"kind": "polynomial", "coeffs": [["a"], [0.2]]}, _STILL["points"][1]]),
+     "coeffs"),
+    (_still(points=[{"coeffs": [[0.2], [0.2]]}, _STILL["points"][1]]), None),
+    (_still(T="1.0"), "T"),
+    (_still(T=10**400), "T"),
+    (_still(points=[_STILL["points"][0] | {"clamp_unit": "no"}, _STILL["points"][1]]),
+     "clamp_unit"),
+    (_still(d=2.5), "d"),
+    (_still(n=True), "n"),
+    (json.dumps({"format_version": 1, "generator": {"name": "split", "n": "abc"}}), None),
+    (json.dumps([_STILL]), None),
+    ('{"format_version": 1,', None),
 ], ids=["k-string", "label-int", "T-string", "coeff-string", "no-kind",
+        "T-numeric-string", "T-huge-int", "clamp-string", "d-float", "n-bool",
         "generator-n-string", "top-level-array", "truncated"])
-def test_malformed_scenario_file_exits_two(tmp_path, capsys, text):
+def test_malformed_scenario_file_exits_two(tmp_path, capsys, text, field):
     # Exit 1 means AUDIT FAIL, so a file that cannot be read as a scenario
-    # must be an argument error, not a traceback.
+    # must be an argument error, not a traceback. A field of the wrong type
+    # is named in the message.
     path = tmp_path / "bad.json"
     path.write_text(text)
     before = sorted(tmp_path.rglob("*"))
@@ -355,5 +364,6 @@ def test_malformed_scenario_file_exits_two(tmp_path, capsys, text):
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert field is None or f"field {field!r}" in captured.err
         assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -197,7 +198,7 @@ def _reference_closure(start_vals, cost, fg):
 
 
 @pytest.mark.parametrize("mode", ["slide", "rotation"])
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [5, 6, 7])
 def test_bottleneck_closure_matches_reference(n, mode):
     fg = flip_graph(n, mode)
     size = fg.edge_pids.shape[0]
@@ -211,6 +212,31 @@ def test_bottleneck_closure_matches_reference(n, mode):
         cost[rng.integers(0, size, size // 10)] = rng.uniform(1.0, 2.0, size // 10)
         got = bottleneck_closure(start, cost, fg)
         assert np.array_equal(got, _reference_closure(start, cost, fg))
+    # The two shapes the oracle's closures take: nearly every tree above
+    # its cost (start = max(previous values, cost)), and a handful of them.
+    cost = 1.0 + rng.uniform(0.0, 0.5, size) ** 2
+    nearly_all = np.maximum(cost * rng.uniform(1.0, 1.3, size), cost)
+    nearly_all[rng.integers(0, size, 5)] = 1.0
+    few = cost.copy()
+    few[rng.choice(size, int(rng.integers(1, 21)), replace=False)] += 0.5
+    for start in (nearly_all, few):
+        got = bottleneck_closure(start, cost, fg)
+        assert np.array_equal(got, _reference_closure(start, cost, fg))
+
+
+@pytest.mark.parametrize("mode,digest", [
+    ("slide", "5f0668735ca106f4a4ed81f72b5f12da8223cd8cea767d9ec7c407d612e477f8"),
+    ("rotation", "e713a7e9e69296ac29a85d837aa24a3111ec0a37928e365bbddd5ed0fb330ab8"),
+], ids=["slide", "rotation"])
+def test_oracle_circle_n7_bits(pinned, mode, digest):
+    # sha256 of every grid value's float.hex and every held tree's id.
+    settings = pinned["settings"]
+    sc = gen_circle(7, e_len=settings["oracle_e_len"])
+    res = minimax_flip_oracle(sc, mode, time_steps=settings["oracle_time_steps"])
+    fg = flip_graph(7, mode)
+    text = " ".join(float(v).hex() for v in res.per_step_value)
+    text += "|" + " ".join(str(tree_id(fg, tree)) for tree in res.schedule)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_oracle_rejects_negative_time_steps():

@@ -161,6 +161,13 @@ def test_plan_serialization_format():
     assert lines[-1].startswith("max_intermediate ")
 
 
+def test_random_swap_instance_needs_three_points():
+    with pytest.raises(ParameterError, match="n >= 3"):
+        random_swap_instance(np.random.default_rng(0), 2)
+    cfg, ev = random_swap_instance(np.random.default_rng(0), 3)
+    assert cfg.n == 3 and not ev.old_tree.has_edge(ev.inserted)
+
+
 def test_slide_bound_random_audit():
     rng = np.random.default_rng(1)
     for _ in range(120):

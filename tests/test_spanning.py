@@ -1,3 +1,6 @@
+import heapq
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from kemst.spanning import (
     emst,
     enumerate_spanning_trees,
     fundamental_cycle,
+    labeled_tree_edges,
     min_tree_by_enumeration,
     tree_from_prufer,
     tree_length,
@@ -435,6 +439,56 @@ def test_two_coloring_proper_on_random_trees(seq):
     colors = two_coloring(tree)
     assert all(colors[u] != colors[v] for u, v in tree.edges)
     assert colors[0] == 0
+
+
+def _heap_prufer_edges(seq, n):
+    """Reference decoder: pop the smallest leaf from a heap, join it to the
+    next entry; the last two leaves form the final edge."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_labeled_tree_edges_match_heap_decoder(n):
+    want = [_heap_prufer_edges(seq, n) for seq in product(range(n), repeat=n - 2)]
+    assert labeled_tree_edges(n) == want
+
+
+def test_tree_from_prufer_matches_heap_decoder():
+    rng = np.random.default_rng(19)
+    for i in range(200):
+        n = 8 + i % 13
+        seq = [int(x) for x in rng.integers(0, n, n - 2)]
+        want = _heap_prufer_edges(seq, n)
+        tree = tree_from_prufer(seq, n)
+        assert tuple(tree.sorted_edges()) == want
+        # same insertion order, so the edge set iterates the same way
+        assert list(tree.edges) == list(SpanningTree(n, want).edges)
+
+
+def test_tree_from_prufer_n2_is_one_edge():
+    assert tree_from_prufer([], 2).edges == {(0, 1)}
+
+
+@pytest.mark.parametrize("seq,n", [
+    ([4, 0], 4), ([-1, 0], 4), ([0.5, 1], 4), (["a", 1], 4),
+    ([0, 0, 0], 4), ([0], 4), ([0], 2), ([], 1),
+])
+def test_tree_from_prufer_rejects_bad_sequences(seq, n):
+    with pytest.raises(ParameterError, match="Prüfer"):
+        tree_from_prufer(seq, n)
 
 
 @pytest.mark.parametrize("n,count", [(3, 3), (4, 16)])
