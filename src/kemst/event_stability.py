@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError
 from .flip_oracle import N_LIMIT, slide_distance
-from .scenarios import KineticScenario, input_distance, next_displacement_event
+from .scenarios import KineticScenario, _budget_square, input_distance, next_displacement_event
 from .spanning import (
     PointConfig,
     SpanningTree,
@@ -81,6 +81,7 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     """
     if sc.k is None or not math.isfinite(sc.k) or sc.k <= 0:
         raise ParameterError("scenario needs a positive, finite displacement budget k")
+    _budget_square(sc.k)  # before any scan: a k past the float range raises
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     if not sc.is_unit_normalized():
@@ -189,18 +190,17 @@ def estimate_stability_ratio(
     sc: KineticScenario,
     pair_samples: int = 200,
     seed: int = 0,
-    flip_limit: int = N_LIMIT,
 ) -> float:
     """Sampled lower estimate of sup d_S(A(t), A(t')) / d_I(t, t').
 
-    For n <= min(flip_limit, flip_oracle.N_LIMIT) the solution metric is
-    the slide distance in the flip graph, which is not built past N_LIMIT;
-    beyond that, the edge-set symmetric difference size.
+    For n <= flip_oracle.N_LIMIT the solution metric is the slide distance
+    in the flip graph, which is not built past N_LIMIT; beyond that, the
+    edge-set symmetric difference size.
     A zero input distance with differing trees reports an infinite ratio.
     """
 
     def d_s(a, b):
-        if sc.n <= min(flip_limit, N_LIMIT):
+        if sc.n <= N_LIMIT:
             return float(slide_distance(a, b))
         return float(len(a.edges ^ b.edges))
 

@@ -13,9 +13,11 @@ over every sequence in lexicographic order; each row holds the tree's sorted
 `_pairs(n)` edge ids. Its edges are also held as an int64 bitmask
 over the n(n-1)/2 vertex pairs (21 bits at n = 7); a flip clears one bit
 and sets another, so the tree it reaches is found by searching the sorted
-masks. The moves are held as CSR over targets: `src`/`dst` ordered by
-(dst, src), each pair once. Tables are cached per (n, mode); n is capped
-because the tree count is n^(n-2).
+masks. The moves are held as CSR over targets: src[indptr[x]:indptr[x+1]]
+are the trees that flip into x, ascending, each once with no repeat filter
+(a target t - e + f fixes the removed edge e and the added edge f, and the
+build emits each (e, f) of a tree once). Tables are cached per (n, mode);
+n is capped because the tree count is n^(n-2).
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ N_LIMIT = 7  # the tree count n^(n-2) is 16,807 at n = 7
 @dataclass
 class FlipGraph:
     n: int
-    mode: str
     edge_pids: np.ndarray  # (N, n-1) int32 `_pairs(n)` indices of each tree's sorted edges
     masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending
     mask_ids: np.ndarray  # tree id of each entry of `masks`
-    src: np.ndarray  # directed flip edges, ordered by (dst, src)
-    dst: np.ndarray
-    indptr: np.ndarray  # CSR over dst-sorted edges: src[indptr[x]:indptr[x+1]] flip into x
+    src: np.ndarray  # source tree of each move, moves ordered by (target, source)
+    indptr: np.ndarray  # CSR over targets: src[indptr[x]:indptr[x+1]] flip into x
 
     def tree_lengths(self, positions: np.ndarray) -> np.ndarray:
         """Every tree's length, summed from `PointConfig.pair_lengths`: the
@@ -102,62 +102,56 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
                 order[np.searchsorted(sorted_masks, kept[tid] + (np.int64(1) << new_pid))]
             )
 
-    # Sort and drop repeats: np.unique takes a hash path for integers that
-    # is about 80x slower than this sort on the 504,210 rotation moves at
-    # n = 7 (numpy 2.4).
     moves = np.sort(np.concatenate(dst_parts) * num + np.concatenate(src_parts))
-    moves = moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
     src = (moves % num).astype(np.int32)
-    dst = (moves // num).astype(np.int32)
-    counts = np.bincount(dst, minlength=num)
+    counts = np.bincount(moves // num, minlength=num)
     if np.any(counts == 0):
         raise ParameterError("flip graph has an isolated tree")
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
     fg = FlipGraph(
         n=n,
-        mode=mode,
         edge_pids=pids.astype(np.int32),
         masks=sorted_masks,
         mask_ids=order,
         src=src,
-        dst=dst,
         indptr=indptr,
     )
     _GRAPH_CACHE[key] = fg
     return fg
 
 
-def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, fg: FlipGraph):
-    """Minimax closure over the flip graph.
+def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, indptr, src):
+    """Minimax closure over a move graph held as CSR over targets (`indptr`, `src`).
 
-    dist[b] = min over trees a and flip paths a->b of
+    dist[b] = min over states a and move paths a->b of
               max(start_vals[a], cost of every path vertex after a).
     Computed by Jacobi relaxation sweeps until fixpoint. Every move into b
     is charged the same cost[b], so a sweep takes min_a max(dist[a], cost[b])
     as max(min_a dist[a], cost[b]): min and max only select among their
     arguments and max(., c) is monotone, so the two are the same float.
 
-    A sweep visits only the unsettled trees, those with dist > cost. Every
-    candidate for b is max(., cost[b]) and dist never rises, so a tree with
+    A sweep visits only the unsettled states, those with dist > cost. Every
+    candidate for b is max(., cost[b]) and dist never rises, so a state with
     dist <= cost cannot drop, and once settled it stays settled: a sweep
-    over all trees leaves each settled one unchanged. Every new value is
+    over all states leaves each settled one unchanged. Every new value is
     read from the previous sweep's dist before any is assigned (Jacobi, not
     Gauss-Seidel), so each sweep yields the same array as a full sweep, and
-    the loop stops at the same sweep, the first in which no tree drops (or
+    the loop stops at the same sweep, the first in which no state drops (or
     when none is left unsettled, where a full sweep would drop none). Only
-    in-edges are read, so the flip graph need not be symmetric; no segment
-    is empty, since `flip_graph` rejects an isolated tree.
+    in-moves are read, so the graph need not be symmetric. No unsettled state
+    has an empty segment: `flip_graph` rejects an isolated tree, an r x c grid
+    state of `morph._grid_minimax` has r + c - 2 in-moves; a 1 x 1 grid is all settled.
     """
     dist = start_vals.copy()
     active = np.flatnonzero(dist > cost)
     while active.size:
-        lo = fg.indptr[active]
-        cnt = fg.indptr[active + 1] - lo
-        offs = np.cumsum(cnt) - cnt  # each active tree's segment in `moves`
+        lo = indptr[active]
+        cnt = indptr[active + 1] - lo
+        offs = np.cumsum(cnt) - cnt  # each active state's segment in `moves`
         moves = np.repeat(lo - offs, cnt) + np.arange(offs[-1] + cnt[-1])
         old, own_cost = dist[active], cost[active]
-        group_min = np.maximum(np.minimum.reduceat(dist[fg.src[moves]], offs), own_cost)
+        group_min = np.maximum(np.minimum.reduceat(dist[src[moves]], offs), own_cost)
         new = np.minimum(old, group_min)
         if not np.any(new < old):
             break
@@ -205,7 +199,7 @@ def minimax_flip_oracle(
     values = [costs[0].copy()]
     for i in range(1, len(ts)):
         held = np.maximum(values[-1], costs[i])
-        values.append(bottleneck_closure(held, costs[i], fg))
+        values.append(bottleneck_closure(held, costs[i], fg.indptr, fg.src))
 
     final = values[-1]
     b = int(np.argmin(final))
@@ -253,7 +247,9 @@ def tree_id(fg: FlipGraph, tree: SpanningTree) -> int:
 
 
 def slide_distance(a: SpanningTree, b: SpanningTree) -> int:
-    """Fewest single slides turning tree a into tree b (exact BFS)."""
+    """Fewest single slides turning tree a into tree b: an exact BFS from a,
+    cached, each level adding the trees with an in-move from the last. Undoing
+    a slide is again one, so in-moves and out-moves give the same hop counts."""
     if a.n != b.n:
         raise ParameterError("trees must share a vertex count")
     if a.edges == b.edges:
@@ -262,20 +258,13 @@ def slide_distance(a: SpanningTree, b: SpanningTree) -> int:
     sid = tree_id(fg, a)
     key = (a.n, sid)
     if key not in _BFS_CACHE:
-        dist = np.full(fg.edge_pids.shape[0], -1, dtype=np.int32)
-        dist[sid] = 0
-        frontier = [sid]
+        starts = fg.indptr[:-1]
+        dist = np.full(starts.size, -1, dtype=np.int32)
+        frontier = np.arange(starts.size) == sid
         d = 0
-        while frontier:
+        while frontier.any():
+            dist[frontier] = d
             d += 1
-            nxt = []
-            for x in frontier:
-                lo, hi = fg.indptr[x], fg.indptr[x + 1]
-                for y in fg.src[lo:hi]:
-                    y = int(y)
-                    if dist[y] < 0:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
+            frontier = np.logical_or.reduceat(frontier[fg.src], starts) & (dist < 0)
         _BFS_CACHE[key] = dist
     return int(_BFS_CACHE[key][tree_id(fg, b)])

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AuditFailure, ParameterError
+from .flip_oracle import bottleneck_closure
 from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
@@ -562,8 +563,8 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
     a rotation moves one connector endpoint along its chain side, to any
     (a2, b) or (a, b2). The certificate reports the smallest possible maximum
     tree length over any rotation path from the starting top-connector tree
-    (0, 0) to a bottom-connector tree, from `_grid_minimax` over the m x m
-    grid of tree lengths.
+    (0, 0) to a bottom-connector tree: `_grid_minimax` runs the flip
+    oracle's `bottleneck_closure` over the m x m grid of tree lengths.
     """
     meta = sc.meta
     if meta.get("generator") != "diamond":
@@ -594,17 +595,17 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
 
 def _grid_minimax(cost: np.ndarray) -> np.ndarray:
     """dist[a, b] = min over paths from (0, 0) to (a, b) that change one index
-    per step of the largest cost on the path, endpoints included. Jacobi
-    sweeps as in `flip_oracle.bottleneck_closure`: a state is reached at the
-    larger of its own cost and the least dist in its row or column."""
-    dist = np.full_like(cost, np.inf)
-    dist[0, 0] = cost[0, 0]
-    while True:
-        reach = np.minimum(dist.min(axis=0), dist.min(axis=1)[:, None])
-        new_dist = np.minimum(dist, np.maximum(reach, cost))
-        if not np.any(new_dist < dist):
-            return new_dist
-        dist = new_dist
+    per step of the largest cost on the path, endpoints included: the flip
+    oracle's `bottleneck_closure` over the row-major grid's move CSR, which
+    enters (a, b) from its column, then its row, less (a, b): r + c - 2 moves."""
+    r, c = cost.shape
+    ids = np.arange(cost.size)
+    a, b = np.divmod(ids, c)
+    moves = np.hstack([np.arange(r) * c + b[:, None], a[:, None] * c + np.arange(c)])
+    src = moves[moves != ids[:, None]]
+    indptr = np.arange(cost.size + 1) * (r + c - 2)
+    start = np.where(ids == 0, cost.flat[0], np.inf)
+    return bottleneck_closure(start, cost.ravel(), indptr, src).reshape(cost.shape)
 
 
 # ---------------------------------------------------------------------------

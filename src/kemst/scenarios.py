@@ -286,6 +286,17 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
     return bound
 
 
+def _budget_square(k: float) -> float:
+    """k * k for a positive, finite budget k whose square is finite and whose
+    touch tolerance 1e-9 * k * k is nonzero (k in about [5e-158, 1.34e154])."""
+    if not math.isfinite(k) or k <= 0:
+        raise ParameterError("displacement budget k must be positive and finite")
+    k_sq = k * k
+    if math.isinf(k_sq) or 1e-9 * k_sq == 0.0:
+        raise ParameterError(f"displacement budget k={k!r} is out of range for k * k")
+    return k_sq
+
+
 def next_displacement_event(
     sc: KineticScenario, t_ref: float, k: float
 ) -> float | None:
@@ -311,15 +322,13 @@ def next_displacement_event(
     bounds are recomputed each time the earliest hit shrinks the window.
     Rational, scripted and clamped points are always scanned.
     """
-    if not math.isfinite(k) or k <= 0:
-        raise ParameterError("displacement budget k must be positive and finite")
+    k_sq = _budget_square(k)
     if not -1e-12 <= t_ref <= sc.horizon + 1e-12:
         raise DomainError(f"t_ref={t_ref} outside [0, {sc.horizon}]")
     hi = sc.horizon
     if hi - t_ref <= EVENT_TIME_TOL:
         return None
     best = None
-    k_sq = k * k
     tangent_tol = 1e-9 * k_sq
     refine_cutoff = -0.5 * k_sq
     window_bound = _window_bound_fn(sc, t_ref)

@@ -312,6 +312,18 @@ def test_non_finite_budget_exits_two(tmp_path, capsys, cmd, flags, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("k", ["1e200", "1e-200"])
+@pytest.mark.parametrize("cmd", ["run-event", "audit"])
+def test_budget_past_float_range_exits_two(tmp_path, capsys, monkeypatch, cmd, k):
+    # Such a k kept the displacement scan running for over 60 s.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([cmd, "chebyshev", "--s", "3", "--n", "5", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: displacement budget k={float(k)!r} is out of range")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_gen_non_finite_horizon_exits_two(tmp_path, capsys, horizon):
     out = tmp_path / "cheb.json"

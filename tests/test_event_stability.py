@@ -62,6 +62,25 @@ def test_non_finite_budgets_rejected(k):
         run_lipschitz_regime(gen_split(8), K=k)
 
 
+@pytest.mark.parametrize("k", [1e200, 1.4e154, 4.9e-158, 1e-200])
+def test_budget_past_float_range_rejected(k):
+    # k * k is inf, or the touch tolerance 1e-9 * k * k is 0: the scan then
+    # reported events for points that never move (t = 2.4e-7 at k = 1e200,
+    # t = 1.1e-16 at k = 1e-200).
+    still = gen_stationary([[0.1, 0.1], [0.5, 0.5]], k=k)
+    with pytest.raises(ParameterError, match="out of range"):
+        next_displacement_event(still, 0.0, k)
+    with pytest.raises(ParameterError, match="out of range"):
+        run_event_regime(still, samples=4)
+
+
+@pytest.mark.parametrize("k", [1e154, 1e-157])
+def test_budget_inside_float_range_runs(k):
+    still = gen_stationary([[0.1, 0.1], [0.5, 0.5]], k=k)
+    assert next_displacement_event(still, 0.0, k) is None
+    assert run_event_regime(still, samples=4).event_count == 0
+
+
 def test_chebyshev_event_count_bound_and_pin(pinned):
     sc = gen_chebyshev(3, 11, k=0.1)
     result = run_event_regime(sc, samples=0)
@@ -285,13 +304,12 @@ def test_estimator_infinite_on_zero_input_distance():
 
 
 def test_estimator_flip_limit_past_flip_graph_cap():
-    # n = 8 is past the flip graph's cap of 7: a flip_limit of 8 must fall
-    # back to the symmetric difference instead of raising SizeError.
+    # n = 8 is past the flip graph's cap of 7: the estimate must fall back
+    # to the symmetric difference instead of raising SizeError.
     sc = gen_chebyshev(3, 8, k=0.1)
     schedule = recompute_always_schedule(sc, samples=16)
-    est = estimate_stability_ratio(schedule, sc, pair_samples=50, flip_limit=8)
+    est = estimate_stability_ratio(schedule, sc, pair_samples=50)
     assert 0.0 < est < math.inf
-    assert est == estimate_stability_ratio(schedule, sc, pair_samples=50, flip_limit=0)
 
 
 def test_spread_mindist_nondecreasing_in_rank():
@@ -358,9 +376,9 @@ def test_estimator_tree_lookup_at_event_times():
     a, b, _c = _three_trees()
 
     def est(schedule):
-        return estimate_stability_ratio(schedule, sc, pair_samples=1, flip_limit=0)
+        return estimate_stability_ratio(schedule, sc, pair_samples=1)
 
-    want = 2.0 / (hi - lo)  # a and b differ in two edges
+    want = 1.0 / (hi - lo)  # a and b are one slide apart
     assert est([(lo, a), (hi, b)]) == pytest.approx(want, rel=1e-12)
     assert est([(lo, a), (hi + 1e-13, b)]) == pytest.approx(want, rel=1e-12)
     assert est([(lo, a), (hi + 1e-11, b)]) == 0.0

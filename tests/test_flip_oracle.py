@@ -6,6 +6,7 @@ import pytest
 
 from kemst.errors import ParameterError, SizeError
 from kemst.flip_oracle import (
+    _BFS_CACHE,
     bottleneck_closure,
     flip_graph,
     minimax_flip_oracle,
@@ -17,12 +18,21 @@ from kemst.spanning import SpanningTree, labeled_tree_edges, tree_from_prufer
 from kemst.trajectories import linear
 
 
+def _targets(fg):
+    """The target tree of each move, which the CSR holds as `indptr`."""
+    size = fg.edge_pids.shape[0]
+    return np.repeat(np.arange(size, dtype=np.int32), np.diff(fg.indptr))
+
+
 def test_flip_graph_counts_small():
-    fg = flip_graph(4, "slide")
-    assert fg.edge_pids.shape[0] == 16
-    # moves are symmetric
-    pairs = set(zip(fg.src.tolist(), fg.dst.tolist()))
-    assert all((b, a) in pairs for a, b in pairs)
+    assert flip_graph(4, "slide").edge_pids.shape[0] == 16
+    # moves are symmetric: undoing a slide or a rotation is again one
+    for n in range(3, 8):
+        for mode in ("slide", "rotation"):
+            fg = flip_graph(n, mode)
+            src, dst = fg.src.astype(np.int64), _targets(fg).astype(np.int64)
+            size = fg.edge_pids.shape[0]
+            assert np.array_equal(np.sort(src * size + dst), np.sort(dst * size + src))
 
 
 def _reference_flip_graph(n, mode):
@@ -85,8 +95,11 @@ def _reference_flip_graph(n, mode):
 def test_flip_graph_matches_reference_builder(n, mode):
     fg = flip_graph(n, mode)
     want = _reference_flip_graph(n, mode)
-    for name, ref in zip(("edge_pids", "src", "dst", "indptr"), want):
-        got = getattr(fg, name)
+    # The reference drops repeated moves (`seen_moves`), so equal targets
+    # also show that the builder emits none.
+    for got, ref, name in zip(
+        (fg.edge_pids, fg.src, _targets(fg), fg.indptr), want, ("edge_pids", "src", "dst", "indptr")
+    ):
         assert got.dtype == ref.dtype, name
         assert np.array_equal(got, ref), name
 
@@ -106,8 +119,8 @@ def test_tree_id_round_trip_every_tree():
 def test_rotation_graph_contains_slide_graph():
     fs = flip_graph(5, "slide")
     fr = flip_graph(5, "rotation")
-    slide_moves = set(zip(fs.src.tolist(), fs.dst.tolist()))
-    rot_moves = set(zip(fr.src.tolist(), fr.dst.tolist()))
+    slide_moves = set(zip(fs.src.tolist(), _targets(fs).tolist()))
+    rot_moves = set(zip(fr.src.tolist(), _targets(fr).tolist()))
     assert slide_moves <= rot_moves
 
 
@@ -178,7 +191,7 @@ def test_bottleneck_closure_small_chain():
     cost = np.full(fg.edge_pids.shape[0], 5.0)
     start = np.full(fg.edge_pids.shape[0], 9.0)
     start[0] = 1.0
-    dist = bottleneck_closure(start, cost, fg)
+    dist = bottleneck_closure(start, cost, fg.indptr, fg.src)
     # everything reachable from tree 0 pays max(1, 5) = 5
     assert dist[0] == 1.0
     assert np.all(dist[1:] == 5.0)
@@ -187,7 +200,7 @@ def test_bottleneck_closure_small_chain():
 def _reference_closure(start_vals, cost, fg):
     """Closure sweep charging cost[dst] on every move before the group min."""
     dist = start_vals.copy()
-    cost_dst = cost[fg.dst]
+    cost_dst = cost[_targets(fg)]
     while True:
         cand = np.maximum(dist[fg.src], cost_dst)
         group_min = np.minimum.reduceat(cand, fg.indptr[:-1])
@@ -210,7 +223,7 @@ def test_bottleneck_closure_matches_reference(n, mode):
         cost = levels[rng.integers(0, len(levels), size)]
         start[rng.integers(0, size, 3)] = 1.0
         cost[rng.integers(0, size, size // 10)] = rng.uniform(1.0, 2.0, size // 10)
-        got = bottleneck_closure(start, cost, fg)
+        got = bottleneck_closure(start, cost, fg.indptr, fg.src)
         assert np.array_equal(got, _reference_closure(start, cost, fg))
     # The two shapes the oracle's closures take: nearly every tree above
     # its cost (start = max(previous values, cost)), and a handful of them.
@@ -220,7 +233,7 @@ def test_bottleneck_closure_matches_reference(n, mode):
     few = cost.copy()
     few[rng.choice(size, int(rng.integers(1, 21)), replace=False)] += 0.5
     for start in (nearly_all, few):
-        got = bottleneck_closure(start, cost, fg)
+        got = bottleneck_closure(start, cost, fg.indptr, fg.src)
         assert np.array_equal(got, _reference_closure(start, cost, fg))
 
 
@@ -264,6 +277,42 @@ def test_slide_distance_basics():
     assert slide_distance(a, a) == 0
     assert slide_distance(a, b) == 1
     assert slide_distance(b, a) == 1
+
+
+def _reference_slide_bfs(fg, sid):
+    """Hop counts to tree sid, by a Python BFS over each tree's in-moves."""
+    dist = np.full(fg.edge_pids.shape[0], -1, dtype=np.int32)
+    dist[sid] = 0
+    frontier = [sid]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            lo, hi = fg.indptr[x], fg.indptr[x + 1]
+            for y in fg.src[lo:hi]:
+                y = int(y)
+                if dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_slide_distance_matches_reference_bfs(n):
+    fg = flip_graph(n, "slide")
+    size = fg.edge_pids.shape[0]
+    rng = np.random.default_rng(100 + n)
+    picks = rng.integers(0, size, 2 if n == 7 else 4).tolist()
+    for sid in sorted({0, size - 1, *picks}):
+        a = fg.as_spanning_tree(sid)
+        b = fg.as_spanning_tree((sid + 1) % size)
+        assert slide_distance(a, b) == slide_distance(b, a) >= 1
+        got = _BFS_CACHE[(n, sid)]
+        want = _reference_slide_bfs(fg, sid)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.min() == 0 and np.flatnonzero(got == 0).tolist() == [sid]
 
 
 def test_slide_distance_lower_bounded_by_symmetric_difference():
