@@ -10,13 +10,10 @@ from .errors import (
 from .event_stability import (
     EventRunResult,
     EventTrace,
-    SpreadReport,
     approximation_audit,
     estimate_stability_ratio,
     recompute_always_schedule,
     run_event_regime,
-    spread,
-    thinned_subset,
 )
 from .flip_oracle import (
     OracleResult,
@@ -68,7 +65,6 @@ from .spanning import (
     emst,
     enumerate_spanning_trees,
     fundamental_cycle,
-    min_tree_by_enumeration,
     tree_length,
     two_coloring,
 )

@@ -21,8 +21,6 @@ from .scenarios import KineticScenario, _budget_square, input_distance, next_dis
 from .spanning import (
     PointConfig,
     SpanningTree,
-    _length_grid,
-    _pair_index,
     _ratio,
     emst,
     tree_length,
@@ -49,13 +47,6 @@ class EventTrace:
 
     def max_ratio(self) -> float:
         return max((r.ratio for r in self.records), default=1.0)
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    l: int
-    mindist_l: float
-    delta_l: float
 
 
 @dataclass
@@ -125,31 +116,6 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
             TraceRecord(t, kind, t_len, o_len, _ratio(t_len, o_len), disp)
         )
     return EventRunResult(trace, len(events), schedule, k)
-
-
-def spread(cfg: PointConfig, l: int) -> SpreadReport:
-    """Smallest distance from any point to its l-th nearest neighbor."""
-    n = cfg.n
-    if not 1 <= l <= n - 1:
-        raise ParameterError("neighbor rank out of range")
-    d = _length_grid(cfg, range(n), range(n))
-    np.fill_diagonal(d, np.inf)
-    kth = np.sort(d, axis=1)[:, l - 1]
-    mindist = float(kth.min())
-    delta = math.inf if mindist == 0.0 else 1.0 / mindist
-    return SpreadReport(l=l, mindist_l=mindist, delta_l=delta)
-
-
-def thinned_subset(cfg: PointConfig, radius: float) -> list[int]:
-    """Greedy thinning: keep the lowest-index remaining point, drop everything
-    strictly within `radius` of it, repeat. Distances are `pair_lengths`."""
-    n = cfg.n
-    alive = np.ones(n, dtype=bool)
-    for p in range(n):
-        if alive[p]:  # pairs (p, q > p) are one contiguous run of pair_lengths
-            start = _pair_index(n, p, p + 1)
-            alive[p + 1 :] &= cfg.pair_lengths[start : start + n - p - 1] > radius - 1e-12
-    return np.flatnonzero(alive).tolist()
 
 
 @dataclass

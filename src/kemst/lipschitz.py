@@ -115,14 +115,6 @@ class SlideSchedule:
     t0: float
     t_end: float | None = None  # completion, None if never within horizon
 
-    def carrier_length(self, t: float) -> float:
-        return math.hypot(self.x_span, self.drift * t)
-
-    def rate(self, t: float) -> float:
-        if t < self.t0 or (self.t_end is not None and t > self.t_end):
-            return 0.0
-        return self.K / self.carrier_length(t)
-
     def progress(self, t: float) -> float:
         if t <= self.t0:
             return 0.0
@@ -133,21 +125,6 @@ class SlideSchedule:
         else:
             p = stretch_budget(self.x_span, self.K, self.t0, t)
         return min(p, 1.0)
-
-    def cost(self, t: float, length_fn=None) -> float:
-        """Slide-metric distance accumulated by time t.
-
-        With the schedule's own carrier the rate dp/dt * L(t) is exactly K;
-        a different length function exposes how the cost scales.
-        """
-        upper = min(t, self.t_end) if self.t_end is not None else t
-        if upper <= self.t0:
-            return 0.0
-        if length_fn is None:
-            length_fn = self.carrier_length
-        return adaptive_simpson(
-            lambda s: self.rate(s) * length_fn(s), self.t0, upper
-        )
 
 
 def schedule_completion(sched: SlideSchedule, horizon: float) -> float | None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError
 from .flip_oracle import bottleneck_closure
-from .scenarios import KineticScenario
+from .scenarios import KineticScenario, _window_bound_fn
 from .spanning import (
     PointConfig,
     SpanningTree,
@@ -33,6 +33,7 @@ from .spanning import (
     _length_grid,
     _norm_edge,
     _pair_lengths,
+    _pairs,
     _ratio,
     emst,
     fundamental_cycle,
@@ -42,12 +43,16 @@ from .spanning import (
 
 _EDGE_TOL = 1e-6
 _SWAP_TIME_TOL = 1e-9
-# `detect_swaps` adds cells to a round while their certificates sum to fewer
-# than `_WINDOW_ENTRIES` entries (about 1 MB of temporaries at any n); a tree
-# with over `_CERT_ENTRIES` gets a Kruskal per midpoint instead (an entry costs
-# ~30 ns, a Kruskal ~40 us + 0.2 us a pair, n = 12 to 96).
+# `detect_swaps` adds cells to a round while their open (uncertified) entries
+# sum to fewer than `_WINDOW_ENTRIES`; `_cuts_hold` then forms at most about
+# 72 bytes of temporaries an entry at d = 2 (1.1 MB for a full round, at any
+# n). A tree with over `_CERT_ENTRIES` gets a Kruskal per midpoint instead
+# (an entry costs ~30 ns, a Kruskal ~40 us + 0.2 us a pair, n = 12 to 96).
 _WINDOW_ENTRIES = 1 << 14
 _CERT_ENTRIES = 1 << 12
+# Relative and absolute slack of the cell enclosure (`_pair_length_bounds`).
+_CELL_SLACK = 2.0**-40
+_CELL_FLOOR = 2.0**-500
 
 
 def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
@@ -353,15 +358,25 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     leaves, which holds iff it is the midpoint's Kruskal tree. Times and
     trees are a Kruskal per midpoint's; a certified swap runs one Kruskal.
 
+    Before a cell is bisected, its enclosure (`_pair_length_bounds`) rules
+    out the certificate entries (P, E) whose order no float instant of the
+    cell can flip: the lowest length P can take stays above the highest E
+    can. Midpoints check only the other entries. Entries that touch a
+    rational, scripted or clamped point are never ruled out, and neither are
+    near ties: pairs whose lengths come within the enclosure's width of
+    each other somewhere in the cell. A tree whose certificate would have
+    over `_CERT_ENTRIES` entries gets a Kruskal per midpoint instead.
+
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
     """
     if grid < 2:
         raise ParameterError("grid must be >= 2")
     ts = np.linspace(0.0, sc.horizon, grid)
-    trees = [emst(PointConfig(pos)) for pos in sc.positions_many(ts)]
-    cells = zip(ts.tolist(), ts[1:].tolist(), trees, trees[1:])
-    found, window = [], []  # window: (bisection, its (midpoint, certificate))
+    grid_pos = sc.positions_many(ts)
+    trees = [emst(PointConfig(pos)) for pos in grid_pos]
+    cells = zip(ts.tolist(), ts[1:].tolist(), grid_pos, trees, trees[1:])
+    found, window = [], []  # window: (bisection, its (midpoint, entries))
     while True:
         entries = sum(len(cert[0]) for _b, (_m, cert) in window)
         while entries < _WINDOW_ENTRIES and (cell := next(cells, None)):
@@ -375,20 +390,91 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
         pos = sc._compiled_positions(np.array([m for _b, (m, _cert) in window]))
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
-        holds = _cuts_hold(_pair_lengths(pos), [cert for _b, (_m, cert) in window])
+        holds = _cuts_hold(pos, [cert for _b, (_m, cert) in window])
         advancing, window = window, []
         for (bisection, _step), keep in zip(advancing, holds.tolist()):
             with contextlib.suppress(StopIteration):
                 window.append((bisection, bisection.send(keep)))
 
 
-def _bisect_cell(sc, a_t: float, t: float, a_tree, cur_tree, events: list):
-    """Append the swaps of grid cell [a_t, t], in order, to `events`. Yields
-    (midpoint, certificate of the tree the swap leaves) and is sent whether
-    it holds there; a tree without a certificate is checked by Kruskal."""
+def _cell_radii(sc: KineticScenario, a_t: float, t: float) -> np.ndarray:
+    """Per point, a radius rho_i = sqrt(b_i) (1 + g) + f bounding how far its
+    computed position moves from a_t over the cell [a_t, t],
+    0 <= a_t <= t <= horizon, where b = `_window_bound_fn(sc, a_t)(t)`:
+    +inf for every point that is not an unclamped polynomial. g is
+    `_CELL_SLACK` and f `_CELL_FLOOR`; `_pair_length_bounds` says why they
+    suffice."""
+    return np.sqrt(_window_bound_fn(sc, a_t)(t)) * (1.0 + _CELL_SLACK) + _CELL_FLOOR
+
+
+def _pair_length_bounds(a_pos: np.ndarray, rho: np.ndarray):
+    """(lower, upper): bounds, in `_pairs(n)` order, on every pair length
+    `_pair_lengths` computes from `_compiled_positions(s)` at any float s of
+    a cell, given the positions a_pos at its start a_t and its
+    `_cell_radii`. A pair (u, v) of length L at a_t gets L (1 - g) - r and
+    L (1 + g) + r, r = rho_u + rho_v; one whose length overflowed at a_t
+    gets no lower bound.
+
+    Proof. Let x_i(s) be the computed position, l(s) = |x_u(s) - x_v(s)| the
+    exact distance of the computed positions and L(s) its computed length,
+    u = 2^-53. b_i bounds the sum of squares `_window_bound_fn` describes,
+    formed from the same floats x_i(s) and x_i(a_t) (the compiled Horner
+    rows equal `polyval`'s) by a rounded difference, square and sum per
+    coordinate, so |x_i(s) - x_i(a_t)| <= sqrt(b_i) (1 + 2 d u) + e with
+    e = 2^-537 sqrt(d) for squares that underflow. By the triangle
+    inequality |l(s) - l(a_t)| <= |x_u(s) - x_u(a_t)| + |x_v(s) - x_v(a_t)|.
+    `_lengths` rounds a difference, d squares, their sum and a root, so
+    |L(s) - l(s)| <= (d + 3) u l(s) + e. Forming rho, r and the bounds adds
+    4 more relative roundings. g = 2^-40 = 8192 u covers all of them, twice
+    over, for any d below 1000, and f = 2^-500 every e; so
+    lower <= L(s) <= upper. An entry (P, E) with lower[P] > upper[E] has
+    L_P(s) > L_E(s), so it holds at s whatever the pair indices are.
+    """
+    iu, ju = _pairs(len(a_pos))
+    r = rho[iu] + rho[ju]
+    lengths = _pair_lengths(a_pos)
+    lower = np.where(lengths < np.inf, lengths * (1.0 - _CELL_SLACK) - r, -np.inf)
+    return lower, lengths * (1.0 + _CELL_SLACK) + r
+
+
+def _open_entries(cert, a_pos: np.ndarray, rho: np.ndarray):
+    """The entries (P, E) of a certificate that the cell enclosure leaves
+    open: every one but those with lower[P] > upper[E], a NaN bound included.
+    A function of its own so that the whole certificate and the bounds are
+    freed before `_bisect_cell` yields: a round keeps every open cell's
+    generator alive."""
+    lower, upper = _pair_length_bounds(a_pos, rho)
+    p, e = cert
+    unsure = ~(lower[p] > upper[e])
+    return p[unsure], e[unsure]
+
+
+def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list):
+    """Append the swaps of grid cell [a_t, t], in order, to `events`; a_pos
+    is the positions at a_t. Yields (midpoint, open entries of the
+    certificate of the tree the swap leaves) and is sent whether they hold
+    there; a tree without a certificate is checked by Kruskal.
+
+    Every open entry is checked at every midpoint, and every other entry
+    holds at every float instant of the grid cell (`_pair_length_bounds`),
+    so `holds(m)` is the whole certificate's boolean at m: times and trees
+    are bit for bit those of checking every entry. A tree with no open
+    entry is the EMST at every instant of the cell, t included, so it
+    cannot differ from the tree at t; such a cell raises AuditFailure.
+    """
+    if a_tree.edges == cur_tree.edges:
+        return
+    start, rho = a_t, _cell_radii(sc, a_t, t)
     while a_tree.edges != cur_tree.edges:
         lo, hi, hi_edges = a_t, t, None
         cert = _cut_certificate(a_tree, _CERT_ENTRIES)
+        if cert is not None:
+            cert = _open_entries(cert, a_pos, rho)
+            if not len(cert[0]):
+                raise AuditFailure(
+                    f"a tree certified over [{start}, {t}] differs from the tree at {t}",
+                    record=(start, t),
+                )
         while hi - lo > _SWAP_TIME_TOL:
             m = 0.5 * (lo + hi)
             if cert is None:

@@ -194,14 +194,14 @@ def _first_crossing(
 
     best = None
     if tangent_tol > 0.0 and stop > 2:
-        inner = vals[1:stop]
+        inner = vals[:stop]  # fn(lo) is a neighbour, so vals[1] is a candidate
         cand = (
             np.flatnonzero(
                 (inner[1:-1] >= inner[:-2])
                 & (inner[1:-1] >= inner[2:])
                 & (inner[1:-1] >= refine_cutoff)
             )
-            + 2
+            + 1
         )
         for j in cand:
             t_max, v_max = _refine_max(fn, ts[j - 1], ts[j + 1])
@@ -226,11 +226,16 @@ def _first_crossing(
 
 
 def _window_bound_fn(sc: KineticScenario, t_ref: float):
-    """Certified bounds for the displacement scan. Returns bound(upper), an
-    array with one entry per point: at least the sum of squared coordinate
+    """Certified reach bounds, for the displacement scan and for the swap
+    bisection's cells (`morph._cell_radii`). Returns bound(upper), an array
+    with one entry per point: at least the sum of squared coordinate
     displacements that `_displacement_sq_fn`'s fn computes in binary64,
-    before subtracting k^2, at every t in [t_ref, upper]. Unclamped
-    polynomial points get a finite bound, every other point +inf.
+    before subtracting k^2, at every float t in [t_ref, upper]; those
+    displacements are differences of the floats `_compiled_positions` gives.
+    Unclamped polynomial points get a finite bound, every other point +inf.
+    Precondition: -1e-12 <= t_ref <= upper <= H for the horizon H >= 2e-12.
+    The scan calls it with t_ref within 1e-12 of [0, H - 1e-9] and
+    upper <= H, a swap cell with grid instants 0 <= t_ref < upper <= H.
 
     Coordinate c moves by sum_{j>=1} b_j u^j at t = t_ref + u, where b_j
     are the coefficients of its Taylor shift to t_ref, so over a window of
@@ -241,8 +246,8 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
 
     margin_c covers rounding. Let u = 2^-53, gamma_m = m u / (1 - m u),
     D the tensor's padded degree, d the dimension, H the horizon and
-    P_c = sum_j |c_j| (2H)^j. The scan only runs when H - t_ref > 1e-9 and
-    t_ref >= -1e-12, so |t|, |t_ref| and |t_ref| + w are at most 2H.
+    P_c = sum_j |c_j| (2H)^j. By the precondition |t|, |t_ref| and
+    |t_ref| + w are at most 2H.
     - fn's Horner at t and at t_ref: 2D roundings each, each value off by
       at most gamma_2D P_c (Higham, Accuracy and Stability, 5.1).
     - The synthetic division takes each term of b_j through at most 3D

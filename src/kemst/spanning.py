@@ -130,10 +130,23 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_lengths(pos: np.ndarray) -> np.ndarray:
-    """Every pair's length in `_pairs(n)` order, of positions (..., n, d):
-    the one length rule, so a batch row equals its configuration's."""
+    """Every pair's length in `_pairs(n)` order, of positions (..., n, d), by
+    `_lengths`, so a batch row equals its configuration's."""
     iu, ju = _pairs(pos.shape[-2])
-    return np.linalg.norm(pos.take(iu, axis=-2) - pos.take(ju, axis=-2), axis=-1)
+    return _lengths(pos.take(iu, axis=-2) - pos.take(ju, axis=-2))
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """The one length rule: the Euclidean norm of coordinate differences
+    along the last axis, their squares summed in coordinate order and then
+    rooted, element by element, so a length does not depend on the batch it
+    is computed in. Up to d = 7 these are `np.linalg.norm`'s bits (numpy
+    2.4.6 sums a short last axis in order, and pairwise from 8 terms), at
+    about a fifth of its time on (pairs, 2) arrays."""
+    acc = diff[..., 0] * diff[..., 0]
+    for c in range(1, diff.shape[-1]):
+        acc += diff[..., c] * diff[..., c]
+    return np.sqrt(acc, out=acc)
 
 
 def _pair_index(n: int, u, v):
@@ -267,16 +280,29 @@ def _cut_certificate(tree: SpanningTree, limit: int):
     return p[keep].astype(np.int32), e[keep].astype(np.int32)
 
 
-def _cuts_hold(lengths: np.ndarray, certs) -> np.ndarray:
-    """Per row r of `lengths` (rows, pairs), whether `_cut_certificate`
-    certs[r] holds there, i.e. whether its tree is that row's EMST."""
-    npairs = lengths.shape[1]
-    rows = np.arange(0, lengths.size, npairs, dtype=np.int32)
+def _entry_lengths(pos: np.ndarray, row: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """`_pair_lengths(pos)[row, pair]` of positions (rows, n, d), formed for
+    those entries only: `_lengths` on the same coordinates, so bit for bit."""
+    n = pos.shape[1]
+    flat = pos.reshape(-1, pos.shape[2])
+    iu, ju = _pairs(n)
+    at = row * n
+    return _lengths(flat.take(at + iu[pair], axis=0) - flat.take(at + ju[pair], axis=0))
+
+
+def _cuts_hold(pos: np.ndarray, certs) -> np.ndarray:
+    """Per row r of positions `pos` (rows, n, d), whether every entry (P, E)
+    of certs[r] has (L[P], P) > (L[E], E), L being the row's `_pair_lengths`;
+    for a whole `_cut_certificate`, whether its tree is that row's EMST.
+
+    Only the entries' lengths are formed (`_entry_lengths`), none of the
+    other pairs', so the work follows the entries left open by a cell
+    enclosure.
+    """
+    row = np.repeat(np.arange(len(certs)), [len(p) for p, _e in certs])
     p, e = (np.concatenate(c) for c in zip(*certs))
-    for flat in (p, e):  # pair index -> index into the flattened lengths
-        flat += np.repeat(rows, [len(c) for c, _e in certs])
-    lp, le = lengths.take(p), lengths.take(e)
-    broken = p[(lp < le) | ((lp == le) & (p < e))] // npairs
+    lp, le = _entry_lengths(pos, row, p), _entry_lengths(pos, row, e)
+    broken = row[(lp < le) | ((lp == le) & (p < e))]
     return np.bincount(broken, minlength=len(certs)) == 0
 
 
@@ -381,9 +407,3 @@ def enumerate_spanning_trees(n: int):
     if n < 2:
         raise ParameterError("need at least 2 vertices")
     return [SpanningTree(n, edges) for edges in labeled_tree_edges(n)]
-
-
-def min_tree_by_enumeration(cfg: PointConfig) -> tuple[float, SpanningTree]:
-    """Brute-force EMST oracle: scan every labeled tree (n <= 8)."""
-    best = min(enumerate_spanning_trees(cfg.n), key=lambda tree: tree_length(cfg, tree))
-    return tree_length(cfg, best), best  # `min` keeps the first shortest tree

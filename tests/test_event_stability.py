@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from kemst.event_stability import (
     estimate_stability_ratio,
     recompute_always_schedule,
     run_event_regime,
-    spread,
-    thinned_subset,
 )
 from kemst.lipschitz import run_lipschitz_regime
 from kemst.scenarios import (
@@ -22,8 +21,40 @@ from kemst.scenarios import (
     gen_stationary,
     next_displacement_event,
 )
-from kemst.spanning import PointConfig, emst, tree_length
+from kemst.spanning import PointConfig, _length_grid, _pair_index, emst, tree_length
 from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range
+
+
+@dataclass(frozen=True)
+class SpreadReport:
+    l: int
+    mindist_l: float
+    delta_l: float
+
+
+def spread(cfg: PointConfig, l: int) -> SpreadReport:
+    """Reference spread: smallest distance from any point to its l-th
+    nearest neighbor, from `pair_lengths`."""
+    n = cfg.n
+    if not 1 <= l <= n - 1:
+        raise ParameterError("neighbor rank out of range")
+    d = _length_grid(cfg, range(n), range(n))
+    np.fill_diagonal(d, np.inf)
+    mindist = float(np.sort(d, axis=1)[:, l - 1].min())
+    return SpreadReport(l=l, mindist_l=mindist, delta_l=math.inf if mindist == 0.0 else 1.0 / mindist)
+
+
+def thinned_subset(cfg: PointConfig, radius: float) -> list[int]:
+    """Reference greedy thinning: keep the lowest-index remaining point, drop
+    everything strictly within `radius` of it, repeat; distances are
+    `pair_lengths`."""
+    n = cfg.n
+    alive = np.ones(n, dtype=bool)
+    for p in range(n):
+        if alive[p]:  # pairs (p, q > p) are one contiguous run of pair_lengths
+            start = _pair_index(n, p, p + 1)
+            alive[p + 1 :] &= cfg.pair_lengths[start : start + n - p - 1] > radius - 1e-12
+    return np.flatnonzero(alive).tolist()
 
 
 def test_stationary_run_has_no_events():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import heapq
 import math
@@ -30,7 +31,16 @@ from kemst.scenarios import (
     gen_split,
     gen_stationary,
 )
-from kemst.spanning import PointConfig, SpanningTree, emst, tree_from_prufer, tree_length
+from kemst.spanning import (
+    PointConfig,
+    SpanningTree,
+    _cut_certificate,
+    _pair_lengths,
+    _pairs,
+    emst,
+    tree_from_prufer,
+    tree_length,
+)
 from kemst.trajectories import (
     ArcSegment,
     LinearSegment,
@@ -376,10 +386,11 @@ def test_detect_swaps_square():
     assert all(abs(t - 0.5) < 1e-3 for t, _a, _b in events)
 
 
-def reference_detect_swaps(sc, grid=257, moved=None, midpoints=None):
+def reference_detect_swaps(sc, grid=257, moved=None, midpoints=None, checks=None):
     """Swap bisection that builds a validated EMST at every midpoint; appends
     to `moved`, if given, whether the bisection moved each swap's upper end,
-    and to `midpoints` each midpoint."""
+    to `midpoints` each midpoint, and to `checks` (grid cell start, grid
+    cell end, tree checked, midpoint) per midpoint."""
     ts = np.linspace(0.0, sc.horizon, grid)
     events = []
     prev_t = float(ts[0])
@@ -395,6 +406,8 @@ def reference_detect_swaps(sc, grid=257, moved=None, midpoints=None):
                 m = 0.5 * (lo + hi)
                 if midpoints is not None:
                     midpoints.append(m)
+                if checks is not None:
+                    checks.append((prev_t, t, a_tree, m))
                 m_tree = emst(sc.config(m))
                 if m_tree.edges == a_tree.edges:
                     lo = m
@@ -481,11 +494,19 @@ def assert_same_swaps(got, want):
         assert list(b.edges) == list(rb.edges)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_swaps(case):
+    """`reference_detect_swaps` of a `SWAP_CASES` case and its `checks`."""
+    sc, grid = SWAP_CASES[case]
+    checks = []
+    return reference_detect_swaps(sc, grid, checks=checks), checks
+
+
 @pytest.mark.parametrize("case", SWAP_CASES)
 def test_detect_swaps_matches_reference_bisection(case):
     sc, grid = SWAP_CASES[case]
     got = detect_swaps(sc, grid)
-    assert_same_swaps(got, reference_detect_swaps(sc, grid))
+    assert_same_swaps(got, reference_swaps(case)[0])
     if case == "fast_sweep":
         cells = [math.floor(t * (grid - 1) / sc.horizon) for t, _a, _b in got]
         assert max(cells.count(c) for c in cells) >= 3
@@ -540,28 +561,118 @@ def test_detect_swaps_over_large_certificates(case, entries, monkeypatch):
 
 @pytest.mark.parametrize("budget", [1, 600, None])
 def test_detect_swaps_round_entry_budget(budget, monkeypatch):
-    # Cells join a round while their certificates sum to under
-    # `_WINDOW_ENTRIES`: a budget of 1 bisects one cell at a time, 600 at
-    # most three (each certificate here has 245 to 275 entries). Any budget
-    # gives the reference's swaps.
+    # Cells join a round while their open (uncertified) entries sum to under
+    # `_WINDOW_ENTRIES`. Here each open set has 215 to 260 entries (the
+    # movers are rational, so only entries among the fixed points close):
+    # a budget of 1 bisects one cell at a time, and 600 at most three, since
+    # two sum to at most 520 < 600 and three to at least 645. A round holds
+    # under the budget plus the largest open set. Any budget gives the
+    # reference's swaps.
     sc, grid = SWAP_CASES["rational_bumps"]
     rounds = []
     real = morph._cuts_hold
 
-    def recording(lengths, certs):
+    def recording(pos, certs):
+        assert pos.shape == (len(certs), sc.n, sc.dim)
         rounds.append([len(p) for p, _e in certs])
-        return real(lengths, certs)
+        return real(pos, certs)
 
     monkeypatch.setattr(morph, "_cuts_hold", recording)
     if budget is not None:
         monkeypatch.setattr(morph, "_WINDOW_ENTRIES", budget)
-    assert_same_swaps(detect_swaps(sc, grid), reference_detect_swaps(sc, grid))
+    assert_same_swaps(detect_swaps(sc, grid), reference_swaps("rational_bumps")[0])
+    sizes = [size for r in rounds for size in r]
+    assert (min(sizes), max(sizes)) == (215, 260)
     cells = max(len(r) for r in rounds)
     if budget is None:
         assert 16 < cells < len(rounds)
-        assert max(sum(r) for r in rounds) < morph._WINDOW_ENTRIES + morph._CERT_ENTRIES
+        assert max(sum(r) for r in rounds) < morph._WINDOW_ENTRIES + max(sizes)
     else:
         assert cells == {1: 1, 600: 3}[budget]
+
+
+def _unclamped_polynomial(sc):
+    return np.array([p.kind == "polynomial" and not p.clamp_unit for p in sc.points])
+
+
+@pytest.mark.parametrize("case", SWAP_CASES)
+def test_cell_enclosure_is_sound(case):
+    # At every midpoint the reference bisection visits, every pair length
+    # lies inside its grid cell's enclosure, and every entry the enclosure
+    # certifies holds under the full certificate check. Entries touching a
+    # rational, scripted or clamped point are never certified.
+    sc, grid = SWAP_CASES[case]
+    checks = {}
+    for a_t, t, tree, m in reference_swaps(case)[1]:
+        checks.setdefault((a_t, t, tree), []).append(m)
+    iu, ju = _pairs(sc.n)
+    fixed = _unclamped_polynomial(sc)
+    certified = touching = 0
+    for (a_t, t, tree), ms in checks.items():
+        rho = morph._cell_radii(sc, a_t, t)
+        assert np.array_equal(np.isinf(rho), ~fixed)
+        lower, upper = morph._pair_length_bounds(sc.positions(a_t), rho)
+        pos = sc.positions_many(ms)
+        lengths = _pair_lengths(pos)
+        assert np.all(lower <= lengths) and np.all(lengths <= upper)
+        p, e = _cut_certificate(tree, 1 << 30)
+        done = lower[p] > upper[e]
+        lp, le = lengths[:, p[done]], lengths[:, e[done]]
+        assert np.all((lp > le) | ((lp == le) & (p[done] > e[done])))
+        touch = ~(fixed[iu[p]] & fixed[ju[p]] & fixed[iu[e]] & fixed[ju[e]])
+        assert not (done & touch).any()
+        certified += int(done.sum())
+        touching += int(touch.sum())
+    assert certified > 0
+    if case in ("mixed_scripted", "rational_bumps"):
+        assert touching > 0
+
+
+def test_cell_enclosure_leaves_near_ties_open():
+    # Two fixed pairs 2^-50 (about 9e-16) apart in length, and a mover that
+    # crosses the bisector of two fixed points at the middle of a grid cell,
+    # so its two distances there agree to about 1e-16: neither order of
+    # either pair is certified over that cell, and the swap the crossing
+    # makes is the reference's.
+    h = 0.5 / 256  # half a cell of the 257-instant grid
+    mover = Trajectory("polynomial", 2, 1.0, coeffs=((0.25 - 0.3 * (0.5 + h), 0.3), (0.6,)))
+    sc = KineticScenario(
+        points=(
+            constant([0.0, 0.0], 1.0),
+            constant([0.5, 0.0], 1.0),
+            constant([0.0, -(0.5 + 2.0**-50)], 1.0),
+            mover,
+        )
+    )
+    a_t, t = 0.5, 0.5 + 2 * h
+    rho = morph._cell_radii(sc, a_t, t)
+    lower, upper = morph._pair_length_bounds(sc.positions(a_t), rho)
+    pair = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 3): 4}
+    mid = PointConfig(sc.positions(0.5 + h)).pair_lengths
+    assert 0 < mid[pair[0, 2]] - mid[pair[0, 1]] < 1e-15
+    assert abs(mid[pair[0, 3]] - mid[pair[1, 3]]) < 1e-15
+    for p, e in [((0, 2), (0, 1)), ((0, 3), (1, 3))]:
+        for a, b in [(p, e), (e, p)]:
+            assert not lower[pair[a]] > upper[pair[b]]
+    swaps = detect_swaps(sc, 257)
+    assert_same_swaps(swaps, reference_detect_swaps(sc, 257))
+    assert [abs(t_s - (0.5 + h)) < 1e-8 for t_s, _a, _b in swaps] == [True]
+
+
+def test_detect_swaps_raises_on_a_certified_changing_cell(monkeypatch):
+    # With zero radii every entry of a tree far from a tie is "certified",
+    # which contradicts the swap its cell holds: the bisection raises
+    # instead of reporting no swap.
+    sc = square_swap_scenario()
+    monkeypatch.setattr(morph, "_cell_radii", lambda sc, a_t, t: np.zeros(sc.n))
+    with pytest.raises(AuditFailure, match="certified"):
+        detect_swaps(sc, grid=4)
+
+
+@pytest.mark.parametrize("seed", range(31, 39))
+def test_detect_swaps_matches_reference_on_random_cubics(seed):
+    sc = random_cubic_scenario(seed, 20)
+    assert_same_swaps(detect_swaps(sc, 257), reference_detect_swaps(sc, 257))
 
 
 def test_detect_swaps_rejects_non_finite_midpoints(monkeypatch):

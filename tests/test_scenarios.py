@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kemst.errors import DomainError, ParameterError
 from kemst.scenarios import (
+    EVENT_GRID,
     EVENT_TIME_TOL,
     GENERATORS,
     KineticScenario,
@@ -398,6 +399,53 @@ def test_window_bound_covers_computed_displacement(deg):
             for traj, b in zip(points, bound):
                 assert b >= np.max(_displacement_sq_fn(traj, t_ref, 0.0)(ts))
     assert np.all(np.isinf(_window_bound_fn(gen_circle(5), 0.0)(1.0)))
+
+
+def touch_after_t_ref_scenario(cells, k=0.1, w=None):
+    """A rational bump x(t) = 0.3 + A / (((t - c) / w)^4 + 1), c = cells grid
+    cells of the event scan after t_ref = 0 and w = c / 10 unless given,
+    whose displacement from t = 0 peaks at k (1 - 1e-11): inside the touch
+    tolerance 1e-9 k^2 and below k, so only a refined local maximum finds
+    it. A fixed ratio c / w keeps the expanded denominator's rounding (about
+    1e-11 of the peak) inside that tolerance. A stationary point sits at 0.9."""
+    c = cells / EVENT_GRID
+    w = c / 10.0 if w is None else w
+    den = np.polynomial.polynomial.polypow([-c, 1.0], 4) / w**4
+    den[0] += 1.0
+    amp = k * (1.0 - 1e-11) / (1.0 - 1.0 / ((c / w) ** 4 + 1.0))
+    bump = Trajectory("rational", 1, 1.0, terms=((((0.3,), (1.0,)), ((amp,), tuple(den))),))
+    return KineticScenario(points=(bump, constant([0.9], 1.0))), c, w
+
+
+@pytest.mark.parametrize(
+    "cells, w",
+    [
+        (1.0, None),
+        (2.0, None),
+        (3.0, None),
+        (10.0, None),
+        *(
+            pytest.param(c, w, marks=pytest.mark.xfail(strict=True, reason=reason))
+            for c, w, reason in [
+                (0.5, None, "the peak lies inside the first scan cell: no sample is a local maximum"),
+                (1.5, None, "no scan sample reaches refine_cutoff = -k^2 / 2 near the narrow peak"),
+                (
+                    10.0,
+                    5e-5,
+                    "c / w is about 98, so the expanded denominator rounds by about 1.6e-7 of "
+                    "the peak, more than the touch tolerance 1e-9 k^2",
+                ),
+            ]
+        ),
+    ],
+)
+def test_touch_right_after_t_ref(cells, w):
+    # The displacement grazes the budget sphere `cells` scan cells after
+    # t_ref. At 1.0 cell the peak is the scan's first sample after t_ref,
+    # which the local-maximum search must take as a candidate.
+    sc, c, w = touch_after_t_ref_scenario(cells, w=w)
+    got = next_displacement_event(sc, 0.0, 0.1)
+    assert got is not None and abs(got - c) < w / 100
 
 
 # --- generators -----------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kemst import spanning
 from kemst.errors import ParameterError, SizeError
-from kemst.event_stability import spread
 from kemst.flip_oracle import flip_graph
 from kemst.scenarios import gen_split
 from kemst.spanning import (
@@ -16,6 +15,7 @@ from kemst.spanning import (
     SpanningTree,
     _cut_certificate,
     _cuts_hold,
+    _entry_lengths,
     _kruskal,
     _length_grid,
     _pair_index,
@@ -25,7 +25,6 @@ from kemst.spanning import (
     enumerate_spanning_trees,
     fundamental_cycle,
     labeled_tree_edges,
-    min_tree_by_enumeration,
     tree_from_prufer,
     tree_length,
     two_coloring,
@@ -64,6 +63,13 @@ def test_emst_unit_square_tie_break():
 def test_emst_needs_two_points():
     with pytest.raises(ParameterError):
         emst(PointConfig([[0.0, 0.0]]))
+
+
+def min_tree_by_enumeration(cfg: PointConfig) -> tuple[float, SpanningTree]:
+    """Brute-force EMST reference: scan every labeled tree (n <= 8); `min`
+    keeps the first shortest tree."""
+    best = min(enumerate_spanning_trees(cfg.n), key=lambda tree: tree_length(cfg, tree))
+    return tree_length(cfg, best), best
 
 
 def test_emst_matches_enumeration_on_random_configs():
@@ -168,11 +174,6 @@ def test_emst_matches_lexsort_kruskal_reference(n):
         assert tree_length(cfg, got) == sum(by_pair[e] for e in got.edges)
         dmat = _length_grid(cfg, range(n), range(n))
         assert np.array_equal(dmat[iu, ju], ref) and np.array_equal(dmat[ju, iu], ref)
-        full = np.full((n, n), np.inf)
-        full[iu, ju] = full[ju, iu] = ref
-        kth = np.sort(full, axis=1)
-        for l in range(1, n):
-            assert spread(cfg, l).mindist_l == kth[:, l - 1].min()
         if fg is not None:
             want_lengths = [sum(ref[p].tolist()) for p in fg.edge_pids]
             assert fg.tree_lengths(pos).tolist() == want_lengths
@@ -183,6 +184,50 @@ def test_emst_matches_lexsort_kruskal_reference(n):
         for lengths in (_pair_lengths(batch), _pair_lengths(batch[None])[0]):
             for row, got_row in zip(rows, lengths):
                 assert got_row.tobytes() == PointConfig(row).pair_lengths.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_entry_lengths_match_pair_lengths_rows(d):
+    # The per-entry lengths of the cut check are the batch's `_pair_lengths`
+    # entries bit for bit, ties, coincident points and a 1e150 scale
+    # included, and up to d = 7 both are numpy's norm bit for bit.
+    rng = np.random.default_rng(40 + d)
+    n, rows = 11, 6
+    pos = rng.uniform(0, 1, size=(rows, n, d))
+    pos[1] = rng.integers(0, 3, size=(n, d))
+    pos[2, 4:] = pos[2, 0]
+    pos[3] *= 1e150
+    row = rng.integers(0, rows, 500)
+    pair = rng.integers(0, n * (n - 1) // 2, 500).astype(np.int32)
+    iu, ju = _pairs(n)
+    lengths = _pair_lengths(pos)
+    assert lengths.tobytes() == np.linalg.norm(pos[:, iu] - pos[:, ju], axis=-1).tobytes()
+    want = lengths[row, pair]
+    assert _entry_lengths(pos, row, pair).tobytes() == want.tobytes()
+
+
+def test_cuts_hold_sparse_and_dense_rounds():
+    # `_cuts_hold` decides each row by (L[P], P) > (L[E], E), zero-length
+    # ties included, whether a round holds one entry a row or three times
+    # the row's pairs.
+    rng = np.random.default_rng(8)
+    n, rows = 12, 40
+    npairs = n * (n - 1) // 2
+    pos = rng.uniform(0, 1, size=(rows, n, 2))
+    pos[::3, 5] = pos[::3, 2]
+    lengths = _pair_lengths(pos)
+    for size in (1, 4, npairs, 3 * npairs):
+        certs = [
+            tuple(rng.integers(0, npairs, size).astype(np.int32) for _ in "pe")
+            for _ in range(rows)
+        ]
+        want = [
+            bool(np.all((lengths[r, p] > lengths[r, e]) | ((lengths[r, p] == lengths[r, e]) & (p > e))))
+            for r, (p, e) in enumerate(certs)
+        ]
+        assert _cuts_hold(pos, certs).tolist() == want
+        if size == 1:
+            assert 0 < sum(want) < rows
 
 
 ANY_SIZE = 1 << 30  # a certificate size limit no test tree reaches
@@ -221,13 +266,13 @@ def test_cut_certificate_holds_iff_kruskal_tree():
         for tree in [mst, *_one_swap_neighbours(mst)]:
             p, e = cert = _cut_certificate(tree, ANY_SIZE)
             assert p.dtype == e.dtype == np.int32
-            holds = _cuts_hold(cfg.pair_lengths[None], [cert])
+            holds = _cuts_hold(cfg.positions[None], [cert])
             assert holds.tolist() == [tree.edges == want]
-            cases.append((cfg.pair_lengths, cert, tree.edges == want))
+            cases.append((cfg.positions, cert, tree.edges == want))
     # Batched: rows of different configurations, certificates of different
     # sizes, in one call.
     for n in (2, 3, 8, 9, 10, 16, 20):
-        same_n = [c for c in cases if len(c[0]) == n * (n - 1) // 2]
+        same_n = [c for c in cases if len(c[0]) == n]
         for i in range(0, len(same_n), 16):
             chunk = same_n[i : i + 16]
             holds = _cuts_hold(np.stack([c[0] for c in chunk]), [c[1] for c in chunk])
@@ -242,7 +287,7 @@ def test_cut_certificate_over_every_labeled_tree(n):
         cfg = PointConfig(pos)
         want = frozenset(_kruskal(cfg))
         certs = [_cut_certificate(t, ANY_SIZE) for t in trees]
-        holds = _cuts_hold(np.tile(cfg.pair_lengths, (len(trees), 1)), certs)
+        holds = _cuts_hold(np.tile(cfg.positions, (len(trees), 1, 1)), certs)
         assert holds.tolist() == [t.edges == want for t in trees]
         assert sum(holds.tolist()) == 1
 
