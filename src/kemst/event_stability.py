@@ -78,8 +78,8 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
-    # The records below reuse each event's tree and its length: the rows of
-    # `positions_many` equal `positions` bit for bit and `emst` is
+    # The records below reuse each event's tree and its length: `positions`
+    # gives the same bits on an array as on a float and `emst` is
     # deterministic, so recomputing either would give the same floats. Only
     # the length is kept, not the configuration, whose pair lengths would
     # hold n(n - 1)/2 floats per event until the records are built. The
@@ -102,7 +102,7 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     merged = [(float(t), "sample", None) for t in sample_times]
     merged += [(t, "recompute", event) for t, event in events]
     merged.sort(key=lambda item: (item[0], item[1] != "recompute"))
-    all_pos = sc.positions_many([t for t, _kind, _event in merged])
+    all_pos = sc.positions([t for t, _kind, _event in merged])
     for (t, kind, event), pos in zip(merged, all_pos):
         ref_time, tree = _active(schedule, t)
         if kind == "sample":
@@ -148,7 +148,7 @@ def recompute_always_schedule(
 ) -> list[tuple[float, SpanningTree]]:
     """Schedule of the plain EMST re-evaluated on a uniform grid."""
     ts = np.linspace(0.0, sc.horizon, samples)
-    return [(float(t), emst(PointConfig(pos))) for t, pos in zip(ts, sc.positions_many(ts))]
+    return [(float(t), emst(PointConfig(pos))) for t, pos in zip(ts, sc.positions(ts))]
 
 
 def estimate_stability_ratio(

@@ -189,7 +189,7 @@ def minimax_flip_oracle(
     fg = flip_graph(n, mode or sc.morph_mode)
     ts = np.linspace(0.0, sc.horizon, time_steps + 1)
     costs = []
-    for pos in sc.positions_many(ts):
+    for pos in sc.positions(ts):
         lengths = fg.tree_lengths(pos)
         opt = lengths.min()
         if opt <= 0:

@@ -185,16 +185,20 @@ def run_lipschitz_regime(
         raise ParameterError("needs a positive, finite speed budget K")
     if trace_samples < 0:
         raise ParameterError("trace_samples must be >= 0")
-    tree = emst(sc.config(0.0))
+    pos_start = sc.positions(0.0)
+    tree = emst(PointConfig(pos_start))
     colors = two_coloring(tree).tolist()
     if tuple(colors) != sc.meta["colors"]:
         sc = sc.with_colors(colors)
-    heights = sc.positions(0.0)[:, 1]
+    # A recoloured split starts where the old one did: every point i is at
+    # x = +0.0, y = i/n at t = 0, whatever its colour. The positions are
+    # kept, not the configuration with its n(n - 1)/2 pair lengths.
+    heights = pos_start[:, 1]
 
     t_now = 0.0
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []
-    cfg_end = PointConfig(sc.positions(sc.horizon))
+    cfg_end = sc.config(sc.horizon)
 
     def final_len_of(edges) -> float:
         # Summed as `tree_length` sums, so tied gains stay tied.
@@ -257,7 +261,7 @@ def run_lipschitz_regime(
 
     start_greedy_slides()
     sample_ts = np.linspace(0.0, sc.horizon, trace_samples)
-    sample_pos = sc.positions_many(sample_ts)
+    sample_pos = sc.positions(sample_ts)
     records: list[LipschitzRecord] = []
     sample_idx = 0
 

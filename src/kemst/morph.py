@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AuditFailure, ParameterError
 from .flip_oracle import bottleneck_closure
-from .scenarios import KineticScenario, _window_bound_fn
+from .scenarios import _SQRT2, KineticScenario, _window_bound_fn
 from .spanning import (
     PointConfig,
     SpanningTree,
@@ -351,12 +351,13 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
 def detect_swaps(sc: KineticScenario, grid: int = 257):
     """Combinatorial EMST change times, bisected to 1e-9.
 
-    The EMST is built at `grid` instants from one `positions_many` pass.
-    Cells whose end trees differ are bisected together: a round takes their
-    midpoints in one `_compiled_positions` call (bitwise equal to
-    `positions`) and checks the `_cut_certificate` of the tree each swap
-    leaves, which holds iff it is the midpoint's Kruskal tree. Times and
-    trees are a Kruskal per midpoint's; a certified swap runs one Kruskal.
+    The EMST is built at `grid` instants from one `positions` call on all of
+    them. Cells whose end trees differ are bisected together: a round
+    evaluates their midpoints in one more `positions` call (each row the
+    float answer bit for bit) and checks the `_cut_certificate` of the tree
+    each swap leaves, which holds iff it is the midpoint's Kruskal tree.
+    Times and trees are a Kruskal per midpoint's; a certified swap runs one
+    Kruskal.
 
     Before a cell is bisected, its enclosure (`_pair_length_bounds`) rules
     out the certificate entries (P, E) whose order no float instant of the
@@ -373,7 +374,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     if grid < 2:
         raise ParameterError("grid must be >= 2")
     ts = np.linspace(0.0, sc.horizon, grid)
-    grid_pos = sc.positions_many(ts)
+    grid_pos = sc.positions(ts)
     trees = [emst(PointConfig(pos)) for pos in grid_pos]
     cells = zip(ts.tolist(), ts[1:].tolist(), grid_pos, trees, trees[1:])
     found, window = [], []  # window: (bisection, its (midpoint, entries))
@@ -387,7 +388,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
                 entries += len(step[1][0])
         if not window:
             return [ev for events in found for ev in events]
-        pos = sc._compiled_positions(np.array([m for _b, (m, _cert) in window]))
+        pos = sc.positions([m for _b, (m, _cert) in window])
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
         holds = _cuts_hold(pos, [cert for _b, (_m, cert) in window])
@@ -409,11 +410,11 @@ def _cell_radii(sc: KineticScenario, a_t: float, t: float) -> np.ndarray:
 
 def _pair_length_bounds(a_pos: np.ndarray, rho: np.ndarray):
     """(lower, upper): bounds, in `_pairs(n)` order, on every pair length
-    `_pair_lengths` computes from `_compiled_positions(s)` at any float s of
-    a cell, given the positions a_pos at its start a_t and its
-    `_cell_radii`. A pair (u, v) of length L at a_t gets L (1 - g) - r and
-    L (1 + g) + r, r = rho_u + rho_v; one whose length overflowed at a_t
-    gets no lower bound.
+    `_pair_lengths` computes from `positions(s)` at any float s of a cell,
+    given the positions a_pos at its start a_t and its `_cell_radii`. A
+    pair (u, v) of length L at a_t gets L (1 - g) - r and L (1 + g) + r,
+    r = rho_u + rho_v; one whose length overflowed at a_t gets no lower
+    bound.
 
     Proof. Let x_i(s) be the computed position, l(s) = |x_u(s) - x_v(s)| the
     exact distance of the computed positions and L(s) its computed length,
@@ -453,7 +454,8 @@ def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list
     """Append the swaps of grid cell [a_t, t], in order, to `events`; a_pos
     is the positions at a_t. Yields (midpoint, open entries of the
     certificate of the tree the swap leaves) and is sent whether they hold
-    there; a tree without a certificate is checked by Kruskal.
+    there; a tree without a certificate is checked by a Kruskal on
+    `positions([m])[0]`, the same bits as a round's row for m.
 
     Every open entry is checked at every midpoint, and every other entry
     holds at every float instant of the grid cell (`_pair_length_bounds`),
@@ -478,7 +480,7 @@ def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list
         while hi - lo > _SWAP_TIME_TOL:
             m = 0.5 * (lo + hi)
             if cert is None:
-                m_edges = _kruskal(PointConfig(sc._compiled_positions(m)))
+                m_edges = _kruskal(PointConfig(sc.positions([m])[0]))
                 holds = frozenset(m_edges) == a_tree.edges
             else:
                 holds, m_edges = (yield m, cert), None
@@ -487,7 +489,7 @@ def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list
             else:
                 hi, hi_edges = m, m_edges
         if hi < t:  # the tree reached: a failed midpoint's Kruskal, or one at hi
-            hi_edges = hi_edges or _kruskal(PointConfig(sc._compiled_positions(hi)))
+            hi_edges = hi_edges or _kruskal(PointConfig(sc.positions([hi])[0]))
         hi_tree = cur_tree if hi == t else SpanningTree(sc.n, hi_edges)
         events.append((0.5 * (lo + hi), a_tree, hi_tree))
         a_t, a_tree = hi, hi_tree
@@ -577,7 +579,7 @@ def run_topo_regime(
             for length in plan.lengths:
                 add_record(t_star, length, opt_len)
     sample_ts = np.linspace(0.0, sc.horizon, samples)
-    for t, pos in zip(sample_ts, sc.positions_many(sample_ts)):
+    for t, pos in zip(sample_ts, sc.positions(sample_ts)):
         cfg = PointConfig(pos)
         opt = tree_length(cfg, emst(cfg))
         add_record(float(t), opt, opt)
@@ -590,7 +592,6 @@ def run_topo_regime(
 # diamond connector machinery
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
 _GEOM_TOL = 1e-9
 
 

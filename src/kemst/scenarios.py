@@ -60,20 +60,6 @@ class KineticScenario:
     def horizon(self) -> float:
         return self.points[0].horizon
 
-    def positions(self, t: float) -> np.ndarray:
-        """Positions at a float t, shape (n, d), from one float call of
-        `Trajectory.at` per point; an array of instants goes to
-        `positions_many`. `positions_many`, `input_distance` and the swap
-        bisection read the same bits from the compiled tensor; this stays per
-        point while `perfbench/tracer.py` requires per-point `at` and
-        `polyval` calls on the cubic workloads, which come from here."""
-        return np.array([p.at(t) for p in self.points])
-
-    def positions_many(self, ts) -> np.ndarray:
-        """Positions at a known list of instants, shape (len(ts), n, d), from
-        `_compiled_positions`; entry i equals `positions(ts[i])` bit for bit."""
-        return self._compiled_positions(np.asarray(ts, dtype=float))
-
     @functools.cached_property
     def _tensor(self):
         """Polynomial points compiled once: (rows, coef, clamp, others). coef
@@ -92,23 +78,33 @@ class KineticScenario:
         others = [i for i, p in enumerate(self.points) if p.kind != "polynomial"]
         return np.array(rows, dtype=int), coef, clamp if clamp.any() else None, others
 
-    def _compiled_positions(self, ts) -> np.ndarray:
-        """`positions` at a float t, shape (n, d), or at an array of instants,
-        shape (len(ts), n, d), bit for bit: polynomial points from one
-        `polyval` over the compiled tensor, each other point from one
-        `Trajectory.at` call on the same float or array. An instant outside
-        the horizon raises DomainError."""
-        ts = _clamp_times(ts, self.horizon)
+    def positions(self, t) -> np.ndarray:
+        """Positions at a float (or 0-d) t, shape (n, d), or at a 1-D array or
+        list of instants, shape (len(t), n, d), row i equal to
+        `positions(float(t[i]))` bit for bit. DomainError if an instant lies
+        outside the horizon, NaN included.
+
+        An array is evaluated from the compiled tensor: one `polyval` over
+        `_tensor` for the polynomial points, then the clamp rows, and one
+        `Trajectory.at` call on the whole array for each other point. A float
+        takes one `Trajectory.at` call per point. That branch stays per point
+        because `perfbench/tracer.py` requires per-point `at` and `polyval`
+        calls on the cubic workloads, and they come from here; once the
+        benchmark requires them elsewhere, it can take the compiled body
+        too."""
+        if isinstance(t, float) or np.ndim(t) == 0:
+            return np.array([p.at(t) for p in self.points])
+        ts = _clamp_times(np.asarray(t, dtype=float), self.horizon)
         rows, coef, clamp, others = self._tensor
-        vals = polyval(coef, ts if isinstance(ts, float) else ts[:, None, None])
+        vals = polyval(coef, ts[:, None, None])
         if clamp is not None:
-            vals[..., clamp, :] = np.clip(vals[..., clamp, :], 0.0, 1.0)
+            vals[:, clamp] = np.clip(vals[:, clamp], 0.0, 1.0)
         if not others:
             return vals
-        out = np.empty(vals.shape[:-2] + (self.n, self.dim))
-        out[..., rows, :] = vals
+        out = np.empty((len(ts), self.n, self.dim))
+        out[:, rows] = vals
         for i in others:
-            out[..., i, :] = self.points[i].at(ts)
+            out[:, i] = self.points[i].at(ts)
         return out
 
     def config(self, t: float) -> PointConfig:
@@ -122,14 +118,14 @@ class KineticScenario:
 
     def is_unit_normalized(self) -> bool:
         """Every coordinate within [0, 1], to 1e-9, at 257 instants."""
-        pos = self.positions_many(np.linspace(0.0, self.horizon, 257))
+        pos = self.positions(np.linspace(0.0, self.horizon, 257))
         return pos.size == 0 or not (pos.min() < -1e-9 or pos.max() > 1.0 + 1e-9)
 
 
 def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:
     """Largest single-point displacement between the two instants, from one
-    `positions_many` call; DomainError from `_clamp_times` outside the horizon."""
-    pos, pos_other = sc.positions_many([t, t_other])
+    `positions` call on both; DomainError outside the horizon."""
+    pos, pos_other = sc.positions([t, t_other])
     return float(np.max(np.linalg.norm(pos - pos_other, axis=1)))
 
 
@@ -185,7 +181,8 @@ def _first_crossing(
     ternary-refined and count as events when they reach -tangent_tol, so
     touch events (the displacement grazing the budget sphere at a trajectory
     turn) are not missed. fn takes the grid as one array and the bisection
-    and refinement points as floats; fn(lo) is assumed negative.
+    and refinement points as floats. Preconditions: fn(lo) < 0 and
+    tangent_tol > 0 (`_budget_square` rejects a k whose 1e-9 * k * k is 0).
     """
     ts = np.linspace(lo, hi, EVENT_GRID + 1)
     vals = np.asarray(fn(ts))
@@ -193,7 +190,7 @@ def _first_crossing(
     stop = int(hits[0]) + 1 if len(hits) else len(vals) - 1
 
     best = None
-    if tangent_tol > 0.0 and stop > 2:
+    if stop > 2:
         inner = vals[:stop]  # fn(lo) is a neighbour, so vals[1] is a candidate
         cand = (
             np.flatnonzero(
@@ -220,7 +217,7 @@ def _first_crossing(
         sharp = 0.5 * (a + b)
         if best is None or sharp < best:
             best = sharp
-    if best is None and tangent_tol > 0.0 and vals[-1] >= -tangent_tol:
+    if best is None and vals[-1] >= -tangent_tol:
         best = hi  # crossing lands exactly on the window end
     return best
 
@@ -231,7 +228,7 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
     with one entry per point: at least the sum of squared coordinate
     displacements that `_displacement_sq_fn`'s fn computes in binary64,
     before subtracting k^2, at every float t in [t_ref, upper]; those
-    displacements are differences of the floats `_compiled_positions` gives.
+    displacements are differences of the floats `positions` gives.
     Unclamped polynomial points get a finite bound, every other point +inf.
     Precondition: -1e-12 <= t_ref <= upper <= H for the horizon H >= 2e-12.
     The scan calls it with t_ref within 1e-12 of [0, H - 1e-9] and
@@ -490,34 +487,6 @@ def _two_phase_arc(a0: float, a_mid: float, a1: float) -> Trajectory:
 _SQRT2 = math.sqrt(2.0)
 
 
-def diamond_geometry(points_per_side: int = 6) -> dict:
-    """Fixed geometry of the diamond construction: side length 2, connector
-    chords of length 1 straddling the top and bottom corners."""
-    q = points_per_side
-    if q < 4:
-        raise ParameterError("need at least 4 points per side")
-    corners = {
-        "top": np.array([0.0, _SQRT2]),
-        "right": np.array([_SQRT2, 0.0]),
-        "bottom": np.array([0.0, -_SQRT2]),
-        "left": np.array([-_SQRT2, 0.0]),
-    }
-    e_left = np.array([-0.5, _SQRT2 - 0.5])
-    e_right = np.array([0.5, _SQRT2 - 0.5])
-    f_left = np.array([-0.5, -_SQRT2 + 0.5])
-    f_right = np.array([0.5, -_SQRT2 + 0.5])
-    chain_len = 4.0 - _SQRT2
-    return {
-        "corners": corners,
-        "e_endpoints": (e_left, e_right),
-        "e_prime_endpoints": (f_left, f_right),
-        "chain_len": chain_len,
-        "per_side": q,
-        "chain_count": 2 * q + 1,
-        "spacing": chain_len / (2 * q),
-    }
-
-
 def _polyline_point(vertices, cum, arc):
     arc = min(max(arc, 0.0), cum[-1])
     for i in range(len(cum) - 1):
@@ -558,16 +527,18 @@ def gen_diamond(per_side: int = 6) -> KineticScenario:
     """Points flow from the top connector chord around the left/right corners
     of a diamond to the bottom connector chord, evenly spread at t=1/2.
 
-    Chain discretization keeps the left/right corners exactly on the point
-    grid, so the spread chains realize their full polyline length.
+    The diamond has side length 2 and corners (0, +-sqrt 2) and
+    (+-sqrt 2, 0); the connector chords have length 1 and straddle the top
+    and bottom corners. Chain discretization keeps the left/right corners
+    exactly on the point grid, so the spread chains realize their full
+    polyline length.
     """
-    geo = diamond_geometry(per_side)
-    e_left, e_right = geo["e_endpoints"]
-    f_left, f_right = geo["e_prime_endpoints"]
-    m = geo["chain_count"]
-    chain_len = geo["chain_len"]
-    left_path = [e_left, geo["corners"]["left"], f_left]
-    right_path = [e_right, geo["corners"]["right"], f_right]
+    if per_side < 4:
+        raise ParameterError("need at least 4 points per side")
+    m = 2 * per_side + 1
+    chain_len = 4.0 - _SQRT2
+    left_path = [(-0.5, _SQRT2 - 0.5), (-_SQRT2, 0.0), (-0.5, -_SQRT2 + 0.5)]
+    right_path = [(0.5, _SQRT2 - 0.5), (_SQRT2, 0.0), (0.5, -_SQRT2 + 0.5)]
     trajs = []
     for path in (left_path, right_path):
         for i in range(m):

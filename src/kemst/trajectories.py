@@ -221,10 +221,8 @@ def unit_chebyshev_coeffs(s: int, horizon: float) -> tuple[float, ...]:
         nxt = np.convolve(cur, sub) * 2.0
         nxt[: len(prev)] -= prev
         prev, cur = cur, nxt
-    mapped = cur if s >= 1 else prev
-    mapped = mapped.copy()
-    mapped[0] += 1.0
-    return tuple(mapped / 2.0)
+    cur[0] += 1.0
+    return tuple(cur / 2.0)
 
 
 def max_speed(traj: Trajectory) -> float:

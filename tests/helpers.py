@@ -1,0 +1,26 @@
+"""Scenario builders shared by several test modules."""
+
+import numpy as np
+
+from kemst.scenarios import KineticScenario
+from kemst.trajectories import Trajectory, normalize_unit_range
+
+
+def random_cubic_scenario(seed: int, n: int, k: float | None = None) -> KineticScenario:
+    """n random 2-D cubics on [0, 1], each coordinate rescaled to range [0, 1]
+    (the construction of acceptance criterion 04 at degree 3)."""
+    rng = np.random.default_rng(seed)
+    return KineticScenario(
+        points=tuple(
+            Trajectory(
+                "polynomial",
+                2,
+                1.0,
+                coeffs=tuple(
+                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
+                ),
+            )
+            for _ in range(n)
+        ),
+        k=k,
+    )

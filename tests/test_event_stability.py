@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,40 +20,10 @@ from kemst.scenarios import (
     gen_stationary,
     next_displacement_event,
 )
-from kemst.spanning import PointConfig, _length_grid, _pair_index, emst, tree_length
+from kemst.spanning import PointConfig, _length_grid, emst, tree_length
 from kemst.trajectories import Trajectory, constant, linear, normalize_unit_range
 
-
-@dataclass(frozen=True)
-class SpreadReport:
-    l: int
-    mindist_l: float
-    delta_l: float
-
-
-def spread(cfg: PointConfig, l: int) -> SpreadReport:
-    """Reference spread: smallest distance from any point to its l-th
-    nearest neighbor, from `pair_lengths`."""
-    n = cfg.n
-    if not 1 <= l <= n - 1:
-        raise ParameterError("neighbor rank out of range")
-    d = _length_grid(cfg, range(n), range(n))
-    np.fill_diagonal(d, np.inf)
-    mindist = float(np.sort(d, axis=1)[:, l - 1].min())
-    return SpreadReport(l=l, mindist_l=mindist, delta_l=math.inf if mindist == 0.0 else 1.0 / mindist)
-
-
-def thinned_subset(cfg: PointConfig, radius: float) -> list[int]:
-    """Reference greedy thinning: keep the lowest-index remaining point, drop
-    everything strictly within `radius` of it, repeat; distances are
-    `pair_lengths`."""
-    n = cfg.n
-    alive = np.ones(n, dtype=bool)
-    for p in range(n):
-        if alive[p]:  # pairs (p, q > p) are one contiguous run of pair_lengths
-            start = _pair_index(n, p, p + 1)
-            alive[p + 1 :] &= cfg.pair_lengths[start : start + n - p - 1] > radius - 1e-12
-    return np.flatnonzero(alive).tolist()
+from helpers import random_cubic_scenario
 
 
 def test_stationary_run_has_no_events():
@@ -125,45 +94,6 @@ def test_trace_invariants():
     times = [r.time for r in result.trace.records]
     assert all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
     assert all(r.ratio >= 1.0 - 1e-12 for r in result.trace.records)
-
-
-# --- spread ----------------------------------------------------------------
-
-
-def test_spread_unit_square_first_neighbor():
-    cfg = PointConfig([[0, 0], [1, 0], [1, 1], [0, 1]])
-    rep = spread(cfg, 1)
-    assert rep.mindist_l == pytest.approx(1.0)
-    assert rep.delta_l == pytest.approx(1.0)
-
-
-def test_spread_unit_square_third_neighbor():
-    cfg = PointConfig([[0, 0], [1, 0], [1, 1], [0, 1]])
-    rep = spread(cfg, 3)
-    assert rep.mindist_l == pytest.approx(math.sqrt(2))
-
-
-def test_spread_matches_allpairs_oracle():
-    rng = np.random.default_rng(9)
-    pos = rng.uniform(0, 1, size=(30, 2))
-    cfg = PointConfig(pos)
-    rep = spread(cfg, 2)
-    # independent quadratic scan
-    best = math.inf
-    for i in range(30):
-        dists = sorted(
-            np.linalg.norm(pos[i] - pos[j]) for j in range(30) if j != i
-        )
-        best = min(best, dists[1])
-    assert rep.mindist_l == pytest.approx(best, abs=1e-12)
-
-
-def test_spread_rank_bounds():
-    cfg = PointConfig([[0, 0], [1, 0], [1, 1]])
-    with pytest.raises(ParameterError):
-        spread(cfg, 0)
-    with pytest.raises(ParameterError):
-        spread(cfg, 3)
 
 
 # --- audit -----------------------------------------------------------------
@@ -266,28 +196,26 @@ def test_event_count_halving_growth():
 
 
 def test_thinning_lower_bound():
+    # Greedy thinning at the smallest l-th nearest-neighbour distance d_l
+    # keeps at least n/l - 1 points at least d_l apart, so the EMST is at
+    # least (n/l - 1) d_l long.
     rng = np.random.default_rng(30)
     for _ in range(10):
         n = int(rng.integers(8, 24))
         cfg = PointConfig(rng.uniform(0, 1, size=(n, 2)))
         l = int(rng.integers(1, 4))
-        rep = spread(cfg, l)
-        kept = thinned_subset(cfg, rep.mindist_l)
-        assert len(kept) >= math.ceil(n / l) - 1  # each pick removes <= l-1 others
-        pos = cfg.positions[kept]
-        if len(kept) >= 2:
-            d = np.linalg.norm(pos[:, None] - pos[None, :], axis=2)
-            np.fill_diagonal(d, np.inf)
-            assert d.min() >= rep.mindist_l - 1e-9
-        opt = tree_length(cfg, emst(cfg))
-        assert opt >= (n / l - 1) * rep.mindist_l - 1e-9
+        d = _length_grid(cfg, range(n), range(n))
+        np.fill_diagonal(d, np.inf)
+        mindist_l = float(np.sort(d, axis=1)[:, l - 1].min())
+        assert tree_length(cfg, emst(cfg)) >= (n / l - 1) * mindist_l - 1e-9
 
 
 def test_thinning_threshold_reads_pair_lengths():
-    # A point whose pair length is exactly radius - 1e-12 is thinned and one
-    # a float above it is kept. The pair is picked where the 1-D dot-form
-    # norm rounds above the pair length if this host has such a pair, so a
-    # second length rule would keep the point.
+    # `pair_lengths` gives a pair the same length, to the bit, in a larger
+    # configuration, so a threshold radius - 1e-12 set from one is met by the
+    # other. The pair is picked where the 1-D dot-form norm rounds above the
+    # pair length if this host has such a pair, so a second length rule
+    # would miss the threshold.
     rng = np.random.default_rng(31)
     for _ in range(2000):
         pos = rng.uniform(0, 1, size=(2, 2))
@@ -297,14 +225,9 @@ def test_thinning_threshold_reads_pair_lengths():
     radius = dist + 1e-12
     while radius - 1e-12 != dist:
         radius = np.nextafter(radius, np.inf if radius - 1e-12 < dist else -np.inf)
-    below = radius
-    while below - 1e-12 >= dist:
-        below = np.nextafter(below, -np.inf)
     far = pos[0] + (pos[1] - pos[0]) * 3.0
     cfg = PointConfig(np.vstack([pos, far]))
     assert cfg.pair_lengths[0] == radius - 1e-12
-    assert thinned_subset(cfg, radius) == [0, 2]
-    assert thinned_subset(cfg, below) == [0, 1, 2]
 
 
 # --- stability-ratio estimator ----------------------------------------------
@@ -341,14 +264,6 @@ def test_estimator_flip_limit_past_flip_graph_cap():
     schedule = recompute_always_schedule(sc, samples=16)
     est = estimate_stability_ratio(schedule, sc, pair_samples=50)
     assert 0.0 < est < math.inf
-
-
-def test_spread_mindist_nondecreasing_in_rank():
-    rng = np.random.default_rng(31)
-    pos = rng.uniform(0, 1, size=(12, 2))
-    cfg = PointConfig(pos)
-    vals = [spread(cfg, l).mindist_l for l in range(1, 12)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_estimator_split_pinned(pinned):
@@ -417,24 +332,6 @@ def test_estimator_tree_lookup_at_event_times():
     assert est([(hi + 1e-11, b), (hi + 2e-11, a)]) == 0.0  # both clamp to b
 
 
-def _cubic_scenario(seed: int, n: int, k: float) -> KineticScenario:
-    rng = np.random.default_rng(seed)
-    return KineticScenario(
-        points=tuple(
-            Trajectory(
-                "polynomial",
-                2,
-                1.0,
-                coeffs=tuple(
-                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
-                ),
-            )
-            for _ in range(n)
-        ),
-        k=k,
-    )
-
-
 def _event_run_digest(result) -> str:
     """sha256 over the schedule (start times, sorted tree edges) and every
     trace record, floats written with float.hex."""
@@ -461,5 +358,5 @@ CUBIC_EVENT_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(CUBIC_EVENT_DIGESTS))
 def test_event_regime_cubic_records_pinned(seed):
-    result = run_event_regime(_cubic_scenario(seed, 32, 0.05), samples=64)
+    result = run_event_regime(random_cubic_scenario(seed, 32, 0.05), samples=64)
     assert _event_run_digest(result) == CUBIC_EVENT_DIGESTS[seed]

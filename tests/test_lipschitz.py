@@ -23,23 +23,6 @@ def carrier_length(s: SlideSchedule, t: float) -> float:
     return math.hypot(s.x_span, s.drift * t)
 
 
-def rate(s: SlideSchedule, t: float) -> float:
-    """Reference progress rate K / L(t) inside [t0, t_end], 0 outside."""
-    if t < s.t0 or (s.t_end is not None and t > s.t_end):
-        return 0.0
-    return s.K / carrier_length(s, t)
-
-
-def cost(s: SlideSchedule, t: float, length_fn=None) -> float:
-    """Reference slide-metric distance accumulated by time t: the integral
-    of rate * length; with the schedule's own carrier the integrand is K."""
-    upper = min(t, s.t_end) if s.t_end is not None else t
-    if upper <= s.t0:
-        return 0.0
-    length = length_fn or (lambda u: carrier_length(s, u))
-    return adaptive_simpson(lambda u: rate(s, u) * length(u), s.t0, upper)
-
-
 def test_arcsinh_integral_against_quadrature():
     got = adaptive_simpson(lambda t: 1.0 / math.sqrt(1 + t * t), 0.0, 1.0)
     assert got == pytest.approx(math.log(1 + math.sqrt(2)), abs=1e-10)
@@ -94,16 +77,6 @@ def test_schedule_feasibility_budget_integral():
         if s.t_end is not None:
             spent = adaptive_simpson(lambda t: s.K / carrier_length(s, t), s.t0, s.t_end)
             assert spent == pytest.approx(1.0, abs=1e-6)
-
-
-def test_schedule_cost_scales_with_length():
-    s = SlideSchedule(
-        fixed=0, moving=1, target=2, x_span=0.25, drift=1.0, K=2.0, t0=0.0
-    )
-    s.t_end = completion_time(0.25, 2.0)
-    base = cost(s, 1.0)
-    doubled = cost(s, 1.0, length_fn=lambda t: 2.0 * carrier_length(s, t))
-    assert doubled == pytest.approx(2.0 * base, rel=1e-9)
 
 
 def test_same_color_slide_has_a_fixed_carrier():
@@ -190,25 +163,6 @@ def test_run_trace_monotone_times():
     res = run_lipschitz_regime(gen_split(8), K=80.0, trace_samples=17)
     times = [r.time for r in res.records]
     assert all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
-
-
-def test_input_and_slide_metric_scale_together():
-    # doubling all coordinates doubles the input metric and the slide cost
-    # of a fixed schedule
-    sc = gen_split(8)
-    from kemst.scenarios import input_distance
-
-    d1 = input_distance(sc, 0.0, 1.0)
-    pos0 = sc.positions(0.0) * 2.0
-    pos1 = sc.positions(1.0) * 2.0
-    d2 = float(np.max(np.linalg.norm(pos1 - pos0, axis=1)))
-    assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-
-    s = SlideSchedule(fixed=0, moving=1, target=2, x_span=1 / 8, drift=1.0, K=1.0, t0=0.0)
-    s.t_end = 1.0
-    assert cost(s, 1.0, lambda t: 2 * carrier_length(s, t)) == pytest.approx(
-        2 * cost(s, 1.0), rel=1e-9
-    )
 
 
 def test_any_tree_audit_emst_ratio_one():

@@ -47,8 +47,9 @@ from kemst.trajectories import (
     Trajectory,
     constant,
     linear,
-    normalize_unit_range,
 )
+
+from helpers import random_cubic_scenario
 
 SQRT2 = math.sqrt(2.0)
 
@@ -422,23 +423,6 @@ def reference_detect_swaps(sc, grid=257, moved=None, midpoints=None, checks=None
     return events
 
 
-def random_cubic_scenario(seed, n):
-    rng = np.random.default_rng(seed)
-    return KineticScenario(
-        points=tuple(
-            Trajectory(
-                "polynomial",
-                2,
-                1.0,
-                coeffs=tuple(
-                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
-                ),
-            )
-            for _ in range(n)
-        )
-    )
-
-
 def lattice_scenario():
     """A 4x4 unit lattice whose rows slide at +-1 and 0 lattice steps: equal
     edge lengths and simultaneous swaps throughout."""
@@ -612,7 +596,7 @@ def test_cell_enclosure_is_sound(case):
         rho = morph._cell_radii(sc, a_t, t)
         assert np.array_equal(np.isinf(rho), ~fixed)
         lower, upper = morph._pair_length_bounds(sc.positions(a_t), rho)
-        pos = sc.positions_many(ms)
+        pos = sc.positions(ms)
         lengths = _pair_lengths(pos)
         assert np.all(lower <= lengths) and np.all(lengths <= upper)
         p, e = _cut_certificate(tree, 1 << 30)
@@ -676,18 +660,18 @@ def test_detect_swaps_matches_reference_on_random_cubics(seed):
 
 
 def test_detect_swaps_rejects_non_finite_midpoints(monkeypatch):
-    # Grid instants come through `positions_many`; a midpoint batch that is
-    # not finite raises ParameterError, as a midpoint PointConfig did.
+    # The 257 grid instants are one `positions` call; a midpoint batch that
+    # is not finite raises ParameterError, as a midpoint PointConfig did.
     sc = random_cubic_scenario(21, 8)
-    real = KineticScenario._compiled_positions
+    real = KineticScenario.positions
 
-    def poisoned(self, ts):
-        out = real(self, ts)
-        if np.ndim(ts) and len(ts) != 257:
+    def poisoned(self, t):
+        out = real(self, t)
+        if np.ndim(t) and len(t) != 257:
             out[..., 0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(KineticScenario, "_compiled_positions", poisoned)
+    monkeypatch.setattr(KineticScenario, "positions", poisoned)
     with pytest.raises(ParameterError, match="finite"):
         detect_swaps(sc)
 

@@ -34,6 +34,8 @@ from kemst.trajectories import (
     polyval,
 )
 
+from helpers import random_cubic_scenario
+
 
 def two_point_scenario():
     return KineticScenario(points=(linear([0.0], [1.0], 1.0), constant([0.5], 1.0)))
@@ -61,11 +63,11 @@ def test_input_distance_single_mover():
     "call",
     [
         lambda sc: sc.positions(math.nan),
-        lambda sc: sc.positions_many([0.1, math.nan]),
+        lambda sc: sc.positions([0.1, math.nan]),
         lambda sc: input_distance(sc, math.nan, 0.5),
         lambda sc: next_displacement_event(sc, math.nan, 0.1),
     ],
-    ids=["positions", "positions_many", "input_distance", "next_displacement_event"],
+    ids=["positions", "positions_array", "input_distance", "next_displacement_event"],
 )
 def test_nan_time_is_outside_the_horizon(call):
     with pytest.raises(DomainError):
@@ -89,60 +91,7 @@ def test_input_distance_pseudometric(t1, t2, t3):
     assert d12 <= d13 + d32 + 1e-12
 
 
-# --- batched positions ----------------------------------------------------
-
-
-def random_cubic_scenario(seed: int, n: int) -> KineticScenario:
-    rng = np.random.default_rng(seed)
-    return KineticScenario(
-        points=tuple(
-            Trajectory(
-                "polynomial",
-                2,
-                1.0,
-                coeffs=tuple(
-                    normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2)
-                ),
-            )
-            for _ in range(n)
-        )
-    )
-
-
-@pytest.mark.parametrize(
-    "sc",
-    [
-        GENERATORS["chebyshev"](s=3, n=11),
-        GENERATORS["rational-bumps"](s=8, n=8),
-        GENERATORS["circle"](n=7),
-        GENERATORS["diamond"](per_side=4),
-        GENERATORS["split"](n=16),
-        gen_stationary([[0.1, 0.2], [0.7, 0.4], [0.3, 0.9]]),
-        random_cubic_scenario(11, 20),
-    ],
-    ids=lambda sc: sc.label,
-)
-def test_positions_many_matches_positions(sc):
-    rng = np.random.default_rng(3)
-    ts = np.concatenate([[0.0, sc.horizon], rng.uniform(0.0, sc.horizon, 200)])
-    batched = sc.positions_many(ts)
-    single = np.array([sc.positions(float(t)) for t in ts])
-    assert batched.shape == (len(ts), sc.n, sc.dim)
-    assert np.array_equal(batched.view(np.int64), single.view(np.int64))
-    assert sc.positions_many([]).shape == (0, sc.n, sc.dim)
-    # input_distance reads one positions_many pair: the per-point metric.
-    for i, (t1, t2) in enumerate(zip(ts[:100].tolist(), ts[100:].tolist())):
-        want = float(np.max(np.linalg.norm(single[i] - single[100 + i], axis=1)))
-        assert input_distance(sc, t1, t2).hex() == want.hex()
-    for t in (-1e-6, sc.horizon * (1 + 1e-6)):
-        with pytest.raises(DomainError):
-            sc.positions(t)
-        with pytest.raises(DomainError):
-            sc.positions_many([0.0, t])
-        with pytest.raises(DomainError):
-            input_distance(sc, 0.0, t)
-        with pytest.raises(DomainError):
-            input_distance(sc, t, 0.0)
+# --- positions at a float and at an array ----------------------------------
 
 
 def mixed_kind_scenario():
@@ -171,6 +120,13 @@ def mixed_kind_scenario():
 @pytest.mark.parametrize(
     "sc",
     [
+        pytest.param(GENERATORS["chebyshev"](s=3, n=11), id="chebyshev_s3_n11_T1"),
+        GENERATORS["rational-bumps"](s=8, n=8),
+        GENERATORS["circle"](n=7),
+        GENERATORS["diamond"](per_side=4),
+        GENERATORS["split"](n=16),
+        gen_stationary([[0.1, 0.2], [0.7, 0.4], [0.3, 0.9]]),
+        pytest.param(random_cubic_scenario(11, 20), id="cubic20_seed11"),
         random_cubic_scenario(12, 20),
         gen_split(8),
         gen_chebyshev(3, 11, T=2.5),
@@ -195,23 +151,45 @@ def mixed_kind_scenario():
     ids=lambda sc: sc.label,
 )
 def test_compiled_positions_match_positions(sc):
+    # `positions` of an array runs on the compiled tensor, of a float point
+    # by point; each row equals the float answer bit for bit, and so does
+    # `input_distance`, which reads one array of two instants.
     rng = np.random.default_rng(4)
     H = sc.horizon
     ends = [0.0, H, -1e-12, 1e-12, H - 1e-12, H + 1e-12]
     ts = np.concatenate([ends, rng.uniform(0.0, H, 200)])
     single = np.array([sc.positions(float(t)) for t in ts])
-    compiled = np.array([sc._compiled_positions(float(t)) for t in ts])
-    assert np.array_equal(compiled.view(np.int64), single.view(np.int64))
-    assert np.array_equal(sc.positions_many(ts).view(np.int64), single.view(np.int64))
+    batched = sc.positions(ts)
+    assert batched.shape == (len(ts), sc.n, sc.dim)
+    assert np.array_equal(batched.view(np.int64), single.view(np.int64))
+    assert np.array_equal(sc.positions(np.array(H)).view(np.int64), single[1].view(np.int64))
+    assert sc.positions([]).shape == (0, sc.n, sc.dim)
     rows = [i for i, p in enumerate(sc.points) if p.kind == "polynomial"]
     assert list(sc._tensor[0]) == rows
+    half = len(ts) // 2
+    for i, (t1, t2) in enumerate(zip(ts[:half].tolist(), ts[half:].tolist())):
+        want = float(np.max(np.linalg.norm(single[i] - single[half + i], axis=1)))
+        assert input_distance(sc, t1, t2).hex() == want.hex()
     for t in (math.nan, -1e-6, H * (1 + 1e-6)):
         with pytest.raises(DomainError):
             sc.points[0].at(t)
         with pytest.raises(DomainError):
-            sc._compiled_positions(t)
+            sc.positions(t)
         with pytest.raises(DomainError):
-            sc.positions_many([0.0, t])
+            sc.positions([0.0, t])
+        with pytest.raises(DomainError):
+            input_distance(sc, 0.0, t)
+        with pytest.raises(DomainError):
+            input_distance(sc, t, 0.0)
+
+
+def test_input_distance_scales_with_coordinates():
+    # Doubling every coordinate doubles the input metric.
+    sc = gen_split(8)
+    pos0 = sc.positions(0.0) * 2.0
+    pos1 = sc.positions(1.0) * 2.0
+    d2 = float(np.max(np.linalg.norm(pos1 - pos0, axis=1)))
+    assert d2 == pytest.approx(2.0 * input_distance(sc, 0.0, 1.0), rel=1e-12)
 
 
 def test_displacement_array_matches_float():
