@@ -12,12 +12,13 @@ A tree's id is its row in `labeled_tree_pids`, the batch Prüfer decoder
 over every sequence in lexicographic order; each row holds the tree's sorted
 `_pairs(n)` edge ids. Its edges are also held as an int64 bitmask
 over the n(n-1)/2 vertex pairs (21 bits at n = 7); a flip clears one bit
-and sets another, so the tree it reaches is found by searching the sorted
-masks. The moves are held as CSR over targets: src[indptr[x]:indptr[x+1]]
-are the trees that flip into x, ascending, each once with no repeat filter
-(a target t - e + f fixes the removed edge e and the added edge f, and the
-build emits each (e, f) of a tree once). Tables are cached per (n, mode);
-n is capped because the tree count is n^(n-2).
+and sets another, so the build reads the tree it reaches from a table
+indexed by the mask (2^21 int16 entries, 4 MB at n = 7, freed before the
+moves are sorted). The moves are held as CSR over targets:
+src[indptr[x]:indptr[x+1]] are the trees that flip into x, ascending, each
+once with no repeat filter (a target t - e + f fixes the removed edge e and
+the added edge f, and the build emits each (e, f) of a tree once). Tables
+are cached per (n, mode); n is capped because the tree count is n^(n-2).
 """
 
 from __future__ import annotations
@@ -34,21 +35,31 @@ _GRAPH_CACHE: dict = {}
 _BFS_CACHE: dict = {}
 
 N_LIMIT = 7  # the tree count n^(n-2) is 16,807 at n = 7
+# Tree ids in the build's mask table; the moves' sort keys target * N + source
+# are int32, as N^2 <= 16,807^2 < 2^31.
+_ID_DTYPE = np.int16
 
 
 @dataclass
 class FlipGraph:
     n: int
-    edge_pids: np.ndarray  # (N, n-1) int32 `_pairs(n)` indices of each tree's sorted edges
-    masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending
-    mask_ids: np.ndarray  # tree id of each entry of `masks`
+    edge_pids: np.ndarray  # (N, n-1) int32 sorted `_pairs(n)` edge ids per tree, column-major
+    masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending, for `tree_id`
+    mask_ids: np.ndarray  # tree id of each entry of `masks`, for `tree_id`
     src: np.ndarray  # source tree of each move, moves ordered by (target, source)
     indptr: np.ndarray  # CSR over targets: src[indptr[x]:indptr[x+1]] flip into x
 
     def tree_lengths(self, positions: np.ndarray) -> np.ndarray:
         """Every tree's length, summed from `PointConfig.pair_lengths`: the
-        oracle's ratios read the floats that order the EMST."""
-        return PointConfig(positions).pair_lengths[self.edge_pids].sum(axis=1)
+        oracle's ratios read the floats that order the EMST. Each tree's
+        sorted edges are added left to right, one edge column at a time."""
+        if len(positions) != self.n:
+            raise ParameterError(f"flip graph on {self.n} points, got {len(positions)}")
+        pl = PointConfig(positions).pair_lengths
+        acc = pl[self.edge_pids[:, 0]]
+        for j in range(1, self.n - 1):
+            acc = acc + pl[self.edge_pids[:, j]]
+        return acc
 
     def as_spanning_tree(self, tid: int) -> SpanningTree:
         iu, ju = (a[self.edge_pids[tid]].tolist() for a in _pairs(self.n))
@@ -73,8 +84,8 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
     eu, ev = (a[pids] for a in _pairs(n))  # u < v
     bits = np.int64(1) << pids
     tree_masks = bits.sum(axis=1)
-    order = np.argsort(tree_masks)
-    sorted_masks = tree_masks[order]
+    lut = np.full(1 << (n * (n - 1) // 2), -1, dtype=_ID_DTYPE)
+    lut[tree_masks] = rows
     # hops[t, x, w]: path length from x to w in tree t (Floyd-Warshall)
     hops = np.full((num, n, n), n, dtype=np.int8)
     hops[:, range(n), range(n)] = 0
@@ -97,22 +108,25 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
             tid, w = np.nonzero(on_side & (far > 1))
             f = fixed[tid]
             new_pid = _pair_index(n, np.minimum(f, w), np.maximum(f, w))
-            src_parts.append(tid)
-            dst_parts.append(
-                order[np.searchsorted(sorted_masks, kept[tid] + (np.int64(1) << new_pid))]
-            )
+            src_parts.append(tid.astype(np.int32))
+            dst_parts.append(lut[kept[tid] + (np.int64(1) << new_pid)])
+    del lut
 
-    moves = np.sort(np.concatenate(dst_parts) * num + np.concatenate(src_parts))
-    src = (moves % num).astype(np.int32)
+    dst = np.concatenate(dst_parts).astype(np.int32)
+    if np.any(dst < 0):
+        raise ParameterError("a flip left the labeled trees")
+    moves = np.sort(dst * num + np.concatenate(src_parts))  # int32 keys
+    src = moves % num
     counts = np.bincount(moves // num, minlength=num)
     if np.any(counts == 0):
         raise ParameterError("flip graph has an isolated tree")
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
+    order = np.argsort(tree_masks)
     fg = FlipGraph(
         n=n,
-        edge_pids=pids.astype(np.int32),
-        masks=sorted_masks,
+        edge_pids=np.asfortranarray(pids, dtype=np.int32),
+        masks=tree_masks[order],
         mask_ids=order,
         src=src,
         indptr=indptr,

@@ -22,6 +22,7 @@ from .spanning import (
     PointConfig,
     SpanningTree,
     _edge_lengths,
+    _lr_sum,
     _norm_edge,
     _ratio,
     emst,
@@ -202,7 +203,7 @@ def run_lipschitz_regime(
 
     def final_len_of(edges) -> float:
         # Summed as `tree_length` sums, so tied gains stay tied.
-        return float(sum(_edge_lengths(cfg_end, edges).tolist()))
+        return _lr_sum(_edge_lengths(cfg_end, edges))
 
     def start_greedy_slides():
         reserved = set()
@@ -257,7 +258,7 @@ def run_lipschitz_regime(
             end = pos[s.moving] + s.progress(t) * (pos[s.target] - pos[s.moving])
             slider = where[_norm_edge((s.fixed, s.moving))]
             lengths[slider] = float(np.linalg.norm(pos[s.fixed] - end, axis=-1))
-        return float(sum(lengths))
+        return _lr_sum(lengths)
 
     start_greedy_slides()
     sample_ts = np.linspace(0.0, sc.horizon, trace_samples)

@@ -31,6 +31,7 @@ from .spanning import (
     _cuts_hold,
     _kruskal,
     _length_grid,
+    _lr_sum,
     _norm_edge,
     _pair_lengths,
     _pairs,
@@ -660,7 +661,7 @@ def diamond_rotation_certificate(sc: KineticScenario) -> DiamondCertificate:
     left = list(meta["left_chain"])
     right = list(meta["right_chain"])
     pos = cfg.positions
-    chains_len = sum(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
+    chains_len = _lr_sum([cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:])])
     cost = chains_len + _length_grid(cfg, left, right)
     kinds = np.array([[classify_connector(pos[a], pos[b]) for b in right] for a in left])
     if kinds[0, 0] != "top":

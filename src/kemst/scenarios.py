@@ -82,7 +82,8 @@ class KineticScenario:
         """Positions at a float (or 0-d) t, shape (n, d), or at a 1-D array or
         list of instants, shape (len(t), n, d), row i equal to
         `positions(float(t[i]))` bit for bit. DomainError if an instant lies
-        outside the horizon, NaN included.
+        outside the horizon, NaN included; ParameterError for an array of
+        more than one dimension.
 
         An array is evaluated from the compiled tensor: one `polyval` over
         `_tensor` for the polynomial points, then the clamp rows, and one

@@ -306,12 +306,19 @@ def _cuts_hold(pos: np.ndarray, certs) -> np.ndarray:
     return np.bincount(broken, minlength=len(certs)) == 0
 
 
+def _lr_sum(lengths) -> float:
+    """Lengths (>= 0) added left to right from the first, the order of
+    Python's `sum` up to 3.11; from 3.12 `sum` compensates Python floats,
+    which would move a length's last bits between supported versions."""
+    return float(np.cumsum(lengths)[-1]) if len(lengths) else 0.0
+
+
 def tree_length(cfg: PointConfig, tree: SpanningTree) -> float:
     """Total length of the tree: its edges' `pair_lengths` entries, the
     floats that ordered the EMST, summed in `tree.edges` order."""
     if tree.n != cfg.n:
         raise ParameterError("tree and configuration vertex counts differ")
-    return float(sum(_edge_lengths(cfg, tree.edges).tolist()))
+    return _lr_sum(_edge_lengths(cfg, tree.edges))
 
 
 def _ratio(tree_len: float, opt_len: float) -> float:

@@ -52,11 +52,14 @@ def polyder(coeffs):
 
 def _clamp_times(ts, horizon: float):
     """`Trajectory.at`'s domain check (DomainError, NaN included) and clamp
-    min(max(t, 0.0), horizon) for a float or, entry by entry, an array."""
+    min(max(t, 0.0), horizon) for a float or, entry by entry, a 1-D array;
+    ParameterError for an array of more than one dimension."""
     if isinstance(ts, float):
         if not -1e-12 <= ts <= horizon + 1e-12:
             raise DomainError(f"t={ts} outside [0, {horizon}]")
         return min(max(ts, 0.0), horizon)
+    if ts.ndim != 1:
+        raise ParameterError(f"instants must be a float or a 1-D array, got shape {ts.shape}")
     inside = (-1e-12 <= ts) & (ts <= horizon + 1e-12)
     if not inside.all():
         raise DomainError(f"t={float(ts[np.argmin(inside)])} outside [0, {horizon}]")
@@ -149,12 +152,14 @@ class Trajectory:
     def at(self, t) -> np.ndarray:
         """Position at a float t, shape (dim,), or at a 1-D array of instants,
         shape (len(t), dim), row i equal to `at(float(t[i]))` bit for bit.
-        DomainError if an instant lies outside [0, horizon].
+        DomainError if an instant lies outside [0, horizon], ParameterError
+        for an array of more than one dimension.
 
         Polynomial and rational kinds run the same Horner steps on either
-        input, an array in one pass; rational terms are summed in order from
-        0. Scripted kinds clamp an array once and then evaluate it instant by
-        instant: numpy's vectorised cos/sin need not match `math`'s.
+        input, an array in one pass; rational terms are added left to right
+        from 0.0, not by `sum`, which compensates float sums from Python
+        3.12. Scripted kinds clamp an array once and then evaluate it instant
+        by instant: numpy's vectorised cos/sin need not match `math`'s.
         """
         many = not isinstance(t, float) and np.ndim(t) > 0
         t = _clamp_times(np.asarray(t, dtype=float) if many else float(t), self.horizon)
@@ -168,10 +173,12 @@ class Trajectory:
             if self.kind == "polynomial":
                 cols = [polyval(c, t) for c in self.coeffs]
             else:
-                cols = [
-                    sum(polyval(num, t) / polyval(den, t) for num, den in coord_terms)
-                    for coord_terms in self.terms
-                ]
+                cols = []
+                for coord_terms in self.terms:
+                    acc = 0.0
+                    for num, den in coord_terms:
+                        acc = acc + polyval(num, t) / polyval(den, t)
+                    cols.append(acc)
             out = np.stack(cols, axis=1) if many else np.array(cols, dtype=float)
         return np.clip(out, 0.0, 1.0) if self.clamp_unit else out
 

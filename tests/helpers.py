@@ -1,4 +1,4 @@
-"""Scenario builders shared by several test modules."""
+"""Scenario builders and reference sums shared by several test modules."""
 
 import numpy as np
 
@@ -24,3 +24,13 @@ def random_cubic_scenario(seed: int, n: int, k: float | None = None) -> KineticS
         ),
         k=k,
     )
+
+
+def left_to_right(values) -> float:
+    """values added one at a time from 0.0: the reference order of every
+    float sum in the library, spelled out, as Python's `sum` compensates
+    float sums from 3.12."""
+    acc = 0.0
+    for x in values:
+        acc = acc + x
+    return acc

@@ -7,6 +7,8 @@ import pytest
 from kemst.errors import ParameterError, SizeError
 from kemst.flip_oracle import (
     _BFS_CACHE,
+    _ID_DTYPE,
+    N_LIMIT,
     bottleneck_closure,
     flip_graph,
     minimax_flip_oracle,
@@ -14,8 +16,10 @@ from kemst.flip_oracle import (
     tree_id,
 )
 from kemst.scenarios import KineticScenario, gen_circle, gen_stationary
-from kemst.spanning import SpanningTree, labeled_tree_edges, tree_from_prufer
+from kemst.spanning import PointConfig, SpanningTree, labeled_tree_edges, tree_from_prufer
 from kemst.trajectories import linear
+
+from helpers import left_to_right
 
 
 def _targets(fg):
@@ -102,6 +106,44 @@ def test_flip_graph_matches_reference_builder(n, mode):
     ):
         assert got.dtype == ref.dtype, name
         assert np.array_equal(got, ref), name
+
+
+def test_build_tables_hold_every_tree_id():
+    # The mask table stores tree ids in _ID_DTYPE with -1 for "no tree", and
+    # the moves are sorted by int32 keys target * N + source.
+    size = N_LIMIT ** (N_LIMIT - 2)
+    assert size - 1 <= np.iinfo(_ID_DTYPE).max
+    assert size ** 2 < 2 ** 31
+    fg = flip_graph(N_LIMIT, "rotation")
+    assert fg.edge_pids.shape[0] == size and fg.src.dtype == np.int32
+
+
+def _tree_length_configs(n, rng):
+    yield rng.uniform(0, 1, size=(n, 2))
+    yield np.zeros((n, 2))  # every point coincides
+    yield np.repeat(rng.uniform(0, 1, size=(1, 3)), n, axis=0) + np.eye(n, 3)
+    yield rng.integers(0, 2, size=(n, 2)).astype(float)  # exact ties
+    for scale in (1e-150, 1e150):
+        yield rng.uniform(0, 1, size=(n, 2)) * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_tree_lengths_add_edges_left_to_right(n):
+    fg = flip_graph(n, "slide")
+    rng = np.random.default_rng(70 + n)
+    for pos in _tree_length_configs(n, rng):
+        pl = PointConfig(pos).pair_lengths.tolist()
+        want = [left_to_right(pl[p] for p in row) for row in fg.edge_pids.tolist()]
+        got = fg.tree_lengths(pos)
+        assert got.dtype == np.float64 and got.tolist() == want
+
+
+def test_tree_lengths_rejects_a_wrong_point_count():
+    fg = flip_graph(5, "slide")
+    rng = np.random.default_rng(0)
+    for m in (4, 6):
+        with pytest.raises(ParameterError):
+            fg.tree_lengths(rng.uniform(0, 1, size=(m, 2)))
 
 
 def test_tree_id_round_trip_every_tree():

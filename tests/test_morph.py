@@ -49,7 +49,7 @@ from kemst.trajectories import (
     linear,
 )
 
-from helpers import random_cubic_scenario
+from helpers import left_to_right, random_cubic_scenario
 
 SQRT2 = math.sqrt(2.0)
 
@@ -838,7 +838,7 @@ def test_diamond_certificate_matches_reference_minimax(per_side):
     cert = diamond_rotation_certificate(sc)
     cfg = sc.config(sc.meta["t_mid"])
     left, right = sc.meta["left_chain"], sc.meta["right_chain"]
-    chains = sum(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
+    chains = left_to_right(cfg.distance(a, b) for c in (left, right) for a, b in zip(c, c[1:]))
     cost = np.array([[chains + cfg.distance(a, b) for b in right] for a in left])
     dist = reference_grid_minimax(cost)
     pos = cfg.positions

@@ -74,6 +74,19 @@ def test_nan_time_is_outside_the_horizon(call):
         call(gen_chebyshev(3, 5))
 
 
+@pytest.mark.parametrize(
+    "sc", [gen_chebyshev(3, 5), gen_circle(5)], ids=["polynomial", "scripted"]
+)
+@pytest.mark.parametrize("call", ["positions", "config", "at"])
+def test_instants_of_more_than_one_dimension_are_rejected(sc, call):
+    # One domain check serves `Trajectory.at`, `positions` and so `config`:
+    # a 2-D array of instants is neither one instant nor a row per instant.
+    fn = {"positions": sc.positions, "config": sc.config, "at": sc.points[0].at}[call]
+    for ts in (np.zeros((2, 2)), [[0.5]]):
+        with pytest.raises(ParameterError):
+            fn(ts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.0, 1.0),

@@ -1,3 +1,4 @@
+import builtins
 import heapq
 from itertools import product
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kemst import spanning
+from kemst import lipschitz, morph, spanning, trajectories
 from kemst.errors import ParameterError, SizeError
 from kemst.flip_oracle import flip_graph
-from kemst.scenarios import gen_split
+from kemst.scenarios import gen_diamond, gen_rational_bumps, gen_split
 from kemst.spanning import (
     PointConfig,
     SpanningTree,
@@ -18,6 +19,7 @@ from kemst.spanning import (
     _entry_lengths,
     _kruskal,
     _length_grid,
+    _lr_sum,
     _pair_index,
     _pair_lengths,
     _pairs,
@@ -29,6 +31,9 @@ from kemst.spanning import (
     tree_length,
     two_coloring,
 )
+from kemst.trajectories import polyval
+
+from helpers import left_to_right
 
 
 def test_tree_invariants_enforced():
@@ -171,11 +176,11 @@ def test_emst_matches_lexsort_kruskal_reference(n):
         by_pair = dict(zip(zip(iu.tolist(), ju.tolist()), ref.tolist()))
         for (u, v), d in by_pair.items():
             assert cfg.distance(u, v) == d == cfg.distance(v, u)
-        assert tree_length(cfg, got) == sum(by_pair[e] for e in got.edges)
+        assert tree_length(cfg, got) == left_to_right(by_pair[e] for e in got.edges)
         dmat = _length_grid(cfg, range(n), range(n))
         assert np.array_equal(dmat[iu, ju], ref) and np.array_equal(dmat[ju, iu], ref)
         if fg is not None:
-            want_lengths = [sum(ref[p].tolist()) for p in fg.edge_pids]
+            want_lengths = [left_to_right(ref[p].tolist()) for p in fg.edge_pids]
             assert fg.tree_lengths(pos).tolist() == want_lengths
     # A batch of configurations, as the swap bisection measures its
     # midpoints, gives each row its own configuration's floats bit for bit.
@@ -399,6 +404,61 @@ def test_tree_length_coincident_zero():
 
 def test_tree_length_one_point_tree_zero():
     assert tree_length(PointConfig([[0.3, 0.4]]), SpanningTree(1, [])) == 0.0
+
+
+def _no_float_sum(items, start=0):
+    items = list(items)
+    assert not any(type(x) is float for x in items), "Python floats summed by `sum`"
+    return builtins.sum(items, start)
+
+
+def test_float_sums_run_left_to_right(monkeypatch):
+    # From Python 3.12 `sum` compensates sums of Python floats, so a length
+    # summed by it would move in its last bits between supported versions.
+    # No library module may sum floats with it (shadowed here by a guard),
+    # and each summing site equals the explicit loop.
+    for mod in (spanning, trajectories, lipschitz, morph):
+        monkeypatch.setattr(mod, "sum", _no_float_sum, raising=False)
+    tenths = [0.1] * 10
+    assert _lr_sum(tenths) == left_to_right(tenths) == 0.9999999999999999
+    assert _lr_sum([]) == 0.0
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        vals = rng.uniform(0, 1, int(rng.integers(1, 200))) * 10.0 ** int(rng.integers(-30, 30))
+        assert _lr_sum(vals) == left_to_right(vals.tolist())
+
+    cfg = PointConfig(rng.uniform(0, 1, size=(40, 2)))
+    tree = emst(cfg)
+    assert tree_length(cfg, tree) == left_to_right(cfg.distance(u, v) for u, v in tree.edges)
+
+    tenth_terms = (((0.1,), (1.0,)),) * 10
+    traj = trajectories.Trajectory("rational", 1, 1.0, terms=(tenth_terms,))
+    assert traj.at(0.5).tolist() == traj.at(np.array([0.5]))[0].tolist() == [0.9999999999999999]
+    bumps = gen_rational_bumps(4, 6)
+    for t in (0.0, 13.7, bumps.horizon):
+        for p in bumps.points[:3]:
+            want = [
+                left_to_right(polyval(num, t) / polyval(den, t) for num, den in terms)
+                for terms in p.terms
+            ]
+            assert p.at(t).tolist() == np.clip(want, 0.0, 1.0).tolist()
+        assert bumps.positions(t).tobytes() == bumps.positions([t])[0].tobytes()
+
+    # The chain lengths' loop reference is in
+    # tests/test_morph.py::test_diamond_certificate_matches_reference_minimax.
+    morph.diamond_rotation_certificate(gen_diamond(6))
+
+    split = gen_split(24, K=80.0)
+    run = lipschitz.run_lipschitz_regime(split)
+    assert run.completed == len(run.schedules) > 0
+    cfg0, cfg1 = PointConfig(split.positions(0.0)), split.config(split.horizon)
+    tree0 = emst(cfg0)
+    assert run.records[0].tree_length == left_to_right(
+        cfg0.distance(u, v) for u, v in tree0.edges
+    )
+    assert run.final_length == left_to_right(
+        cfg1.distance(u, v) for u, v in run.final_tree.edges
+    )
 
 
 def test_distance_to_itself_zero():
