@@ -146,7 +146,9 @@ def approximation_audit(result: EventRunResult, sc: KineticScenario) -> AuditRep
 def recompute_always_schedule(
     sc: KineticScenario, samples: int
 ) -> list[tuple[float, SpanningTree]]:
-    """Schedule of the plain EMST re-evaluated on a uniform grid."""
+    """Schedule of the plain EMST re-evaluated at `samples` uniform instants."""
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     ts = np.linspace(0.0, sc.horizon, samples)
     return [(float(t), emst(PointConfig(pos))) for t, pos in zip(ts, sc.positions(ts))]
 
@@ -164,6 +166,10 @@ def estimate_stability_ratio(
     edge-set symmetric difference size.
     A zero input distance with differing trees reports an infinite ratio.
     """
+    if not schedule:
+        raise ParameterError("schedule must not be empty")
+    if pair_samples < 0:
+        raise ParameterError("pair_samples must be >= 0")
 
     def d_s(a, b):
         if sc.n <= N_LIMIT:

@@ -47,8 +47,12 @@ _SWAP_TIME_TOL = 1e-9
 # `detect_swaps` adds cells to a round while their open (uncertified) entries
 # sum to fewer than `_WINDOW_ENTRIES`; `_cuts_hold` then forms at most about
 # 72 bytes of temporaries an entry at d = 2 (1.1 MB for a full round, at any
-# n). A tree with over `_CERT_ENTRIES` gets a Kruskal per midpoint instead
-# (an entry costs ~30 ns, a Kruskal ~40 us + 0.2 us a pair, n = 12 to 96).
+# n). The cap counts a tree's whole certificate, not the entries its cell
+# leaves open: over `_CERT_ENTRIES` a tree gets a Kruskal per midpoint. With
+# against without it (grid 257, 2-core Xeon, numpy 2.4.6), random cubics,
+# where most entries close, took 6.32/13.59/37.2 s against 2.31/6.27/26.1 s
+# at n = 48/64/96; `gen_circle`, all scripted so none close, 0.29/0.58/1.43
+# s against 0.42/3.13/25.4 s at n = 64/128/256 (peak RSS 42 against 313 MB).
 _WINDOW_ENTRIES = 1 << 14
 _CERT_ENTRIES = 1 << 12
 # Relative and absolute slack of the cell enclosure (`_pair_length_bounds`).
@@ -358,15 +362,15 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     float answer bit for bit) and checks the `_cut_certificate` of the tree
     each swap leaves, which holds iff it is the midpoint's Kruskal tree.
     Times and trees are a Kruskal per midpoint's; a certified swap runs one
-    Kruskal.
+    Kruskal, on the round's row of its last failing midpoint.
 
-    Before a cell is bisected, its enclosure (`_pair_length_bounds`) rules
-    out the certificate entries (P, E) whose order no float instant of the
+    A certificate is built with its cell's enclosure (`_pair_length_bounds`)
+    and leaves out the entries (P, E) whose order no float instant of the
     cell can flip: the lowest length P can take stays above the highest E
-    can. Midpoints check only the other entries. Entries that touch a
-    rational, scripted or clamped point are never ruled out, and neither are
-    near ties: pairs whose lengths come within the enclosure's width of
-    each other somewhere in the cell. A tree whose certificate would have
+    can. Midpoints check the other, open entries. Entries that touch a
+    rational, scripted or clamped point are never left out, and neither are
+    near ties: pairs whose lengths come within the enclosure's width of each
+    other somewhere in the cell. A tree whose whole certificate would have
     over `_CERT_ENTRIES` entries gets a Kruskal per midpoint instead.
 
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
@@ -394,9 +398,9 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
             raise ParameterError("positions must be finite")
         holds = _cuts_hold(pos, [cert for _b, (_m, cert) in window])
         advancing, window = window, []
-        for (bisection, _step), keep in zip(advancing, holds.tolist()):
+        for (bisection, _step), keep, row in zip(advancing, holds.tolist(), pos):
             with contextlib.suppress(StopIteration):
-                window.append((bisection, bisection.send(keep)))
+                window.append((bisection, bisection.send((keep, row.copy()))))
 
 
 def _cell_radii(sc: KineticScenario, a_t: float, t: float) -> np.ndarray:
@@ -439,59 +443,47 @@ def _pair_length_bounds(a_pos: np.ndarray, rho: np.ndarray):
     return lower, lengths * (1.0 + _CELL_SLACK) + r
 
 
-def _open_entries(cert, a_pos: np.ndarray, rho: np.ndarray):
-    """The entries (P, E) of a certificate that the cell enclosure leaves
-    open: every one but those with lower[P] > upper[E], a NaN bound included.
-    A function of its own so that the whole certificate and the bounds are
-    freed before `_bisect_cell` yields: a round keeps every open cell's
-    generator alive."""
-    lower, upper = _pair_length_bounds(a_pos, rho)
-    p, e = cert
-    unsure = ~(lower[p] > upper[e])
-    return p[unsure], e[unsure]
-
-
 def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list):
     """Append the swaps of grid cell [a_t, t], in order, to `events`; a_pos
     is the positions at a_t. Yields (midpoint, open entries of the
-    certificate of the tree the swap leaves) and is sent whether they hold
-    there; a tree without a certificate is checked by a Kruskal on
-    `positions([m])[0]`, the same bits as a round's row for m.
+    certificate of the tree the swap leaves) and is sent (whether they hold
+    there, the midpoint's row); a swap reaches the Kruskal tree of its last
+    failing midpoint's row. A tree without a certificate gets a Kruskal per
+    midpoint instead, on `positions([m])[0]`, a round's bits for m.
 
-    Every open entry is checked at every midpoint, and every other entry
-    holds at every float instant of the grid cell (`_pair_length_bounds`),
-    so `holds(m)` is the whole certificate's boolean at m: times and trees
-    are bit for bit those of checking every entry. A tree with no open
-    entry is the EMST at every instant of the cell, t included, so it
-    cannot differ from the tree at t; such a cell raises AuditFailure.
+    `_cut_certificate` forms only the entries the cell enclosure
+    (`_pair_length_bounds`) leaves open. Each is checked at every midpoint
+    and every other entry holds at every float instant of the grid cell, so
+    `holds(m)` is the whole certificate's boolean at m: times and trees are
+    bit for bit those of checking every entry. A tree with no open entry is
+    the EMST at every instant of the cell, t included, so it cannot differ
+    from the tree at t; such a cell raises AuditFailure.
     """
     if a_tree.edges == cur_tree.edges:
         return
     start, rho = a_t, _cell_radii(sc, a_t, t)
     while a_tree.edges != cur_tree.edges:
-        lo, hi, hi_edges = a_t, t, None
-        cert = _cut_certificate(a_tree, _CERT_ENTRIES)
-        if cert is not None:
-            cert = _open_entries(cert, a_pos, rho)
-            if not len(cert[0]):
-                raise AuditFailure(
-                    f"a tree certified over [{start}, {t}] differs from the tree at {t}",
-                    record=(start, t),
-                )
+        lo, hi = a_t, t
+        cert = _cut_certificate(a_tree, _CERT_ENTRIES, *_pair_length_bounds(a_pos, rho))
+        if cert is not None and not len(cert[0]):
+            raise AuditFailure(
+                f"a tree certified over [{start}, {t}] differs from the tree at {t}",
+                record=(start, t),
+            )
         while hi - lo > _SWAP_TIME_TOL:
             m = 0.5 * (lo + hi)
             if cert is None:
-                m_edges = _kruskal(PointConfig(sc.positions([m])[0]))
-                holds = frozenset(m_edges) == a_tree.edges
+                m_seen = _kruskal(PointConfig(sc.positions([m])[0]))  # its edges
+                holds = frozenset(m_seen) == a_tree.edges
             else:
-                holds, m_edges = (yield m, cert), None
+                holds, m_seen = yield m, cert  # its row
             if holds:
                 lo = m
             else:
-                hi, hi_edges = m, m_edges
-        if hi < t:  # the tree reached: a failed midpoint's Kruskal, or one at hi
-            hi_edges = hi_edges or _kruskal(PointConfig(sc.positions([hi])[0]))
-        hi_tree = cur_tree if hi == t else SpanningTree(sc.n, hi_edges)
+                hi, hi_seen = m, m_seen
+        if hi < t and cert is not None:  # the last failing midpoint's row
+            hi_seen = _kruskal(PointConfig(hi_seen))
+        hi_tree = cur_tree if hi == t else SpanningTree(sc.n, hi_seen)
         events.append((0.5 * (lo + hi), a_tree, hi_tree))
         a_t, a_tree = hi, hi_tree
         if len(events) > 4 * sc.n:
@@ -554,10 +546,7 @@ def run_topo_regime(
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     raw = detect_swaps(sc, grid)
-    records = []
-    plans = []
-    fallback = 0
-    swaps = 0
+    records, plans = [], []
 
     def add_record(t, tree_len, opt_len):
         records.append(TopoRecord(t, tree_len, opt_len, _ratio(tree_len, opt_len)))
@@ -566,14 +555,12 @@ def run_topo_regime(
         cfg = sc.config(t_star)
         opt_len = tree_length(cfg, emst(cfg))
         for ev in decompose_swap(old_tree, new_tree, t_star, cfg):
-            swaps += 1
             if mode == "rotation":
                 try:
                     plan = plan_rotation_morph(ev, cfg)
                 except ParameterError:
                     plan = plan_slide_morph(ev, cfg)
                     plan.fallback = True
-                    fallback += 1
             else:
                 plan = plan_slide_morph(ev, cfg)
             plans.append(plan)
@@ -586,7 +573,7 @@ def run_topo_regime(
         add_record(float(t), opt, opt)
     records.sort(key=lambda r: r.time)
     max_ratio = max((r.ratio for r in records), default=1.0)
-    return TopoRunResult(records, max_ratio, swaps, fallback, plans)
+    return TopoRunResult(records, max_ratio, len(plans), sum(p.fallback for p in plans), plans)
 
 
 # ---------------------------------------------------------------------------

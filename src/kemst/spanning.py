@@ -250,18 +250,20 @@ def _kruskal(cfg: PointConfig) -> list[tuple[int, int]]:
         ls = ls[keep]
 
 
-def _cut_certificate(tree: SpanningTree, limit: int):
+def _cut_certificate(tree: SpanningTree, limit: int, lower: np.ndarray, upper: np.ndarray):
     """Flat int32 pair indices (P, E), by edge and then pair: each tree edge
-    E with each non-tree pair P crossing its fundamental cut. None if over
-    `limit` entries, counted before any is built: (n - 1)(n - 2) (a star)
-    to ~n^3 / 6 (a path).
+    E with each non-tree pair P crossing its fundamental cut but those with
+    lower[P] > upper[E] (per-pair bounds; a NaN keeps the entry), formed
+    only for pairs not above every tree edge's upper bound. None if over
+    `limit` entries in all, counted before any is built: (n - 1)(n - 2) (a
+    star) to ~n^3 / 6 (a path).
 
     Rank pairs in `_kruskal`'s strict order (length, pair index): the MST is
     unique and `_kruskal` returns it. T is that tree iff each tree edge e is
     its cut's minimum: the cut property puts every such e in the MST, and a
     crossing p below e would make T - e + p lighter. So, L being
     `cfg.pair_lengths`, `frozenset(_kruskal(cfg)) == tree.edges` iff every
-    entry has (L[P], P) > (L[E], E) (`_cuts_hold`).
+    entry has (L[P], P) > (L[E], E) (`_cuts_hold`), as those left out do.
     """
     n, parent = tree.n, _parents(tree.adjacency())
     kids = list(parent)[1:]
@@ -272,11 +274,13 @@ def _cut_certificate(tree: SpanningTree, limit: int):
     outside = n - np.count_nonzero(below, axis=1)
     if int((n - outside) @ outside) - (n - 1) > limit:
         return None
-    iu, ju = _pairs(n)
-    k, p = np.nonzero(below[:, iu] != below[:, ju])  # pair p crosses edge k's cut
     kv, pv = np.array(kids), np.array([parent[v] for v in kids])
-    e = _pair_index(n, np.minimum(kv, pv), np.maximum(kv, pv))[k]
-    keep = p != e  # an edge does not certify itself
+    edge = _pair_index(n, np.minimum(kv, pv), np.maximum(kv, pv))
+    iu, ju = _pairs(n)
+    cand = np.flatnonzero(~(lower > upper[edge].max()))
+    k, c = np.nonzero(below[:, iu[cand]] != below[:, ju[cand]])  # cand[c] crosses edge k's cut
+    p, e = cand[c], edge[k]
+    keep = (p != e) & ~(lower[p] > upper[e])  # an edge does not certify itself
     return p[keep].astype(np.int32), e[keep].astype(np.int32)
 
 

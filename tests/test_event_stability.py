@@ -266,6 +266,30 @@ def test_estimator_flip_limit_past_flip_graph_cap():
     assert 0.0 < est < math.inf
 
 
+@pytest.mark.parametrize("samples", [-1, 0])
+def test_recompute_schedule_rejects_fewer_than_one_sample(samples):
+    # -1 raised numpy's ValueError, and 0 gave an empty schedule that the
+    # estimator then failed on with IndexError.
+    sc = gen_stationary([[0.1, 0.1], [0.9, 0.9], [0.1, 0.9]], k=0.1)
+    with pytest.raises(ParameterError, match="samples must be >= 1"):
+        recompute_always_schedule(sc, samples=samples)
+
+
+def test_estimator_rejects_an_empty_schedule():
+    sc = gen_stationary([[0.1, 0.1], [0.9, 0.9], [0.1, 0.9]], k=0.1)
+    with pytest.raises(ParameterError, match="schedule must not be empty"):
+        estimate_stability_ratio([], sc)
+
+
+def test_estimator_rejects_negative_pair_samples():
+    # A negative count used to report 0.0, as if no pair had moved.
+    sc = gen_chebyshev(2, 4, k=0.2)
+    schedule = recompute_always_schedule(sc, samples=8)
+    with pytest.raises(ParameterError, match="pair_samples must be >= 0"):
+        estimate_stability_ratio(schedule, sc, pair_samples=-5)
+    assert estimate_stability_ratio(schedule, sc, pair_samples=0) == 0.0
+
+
 def test_estimator_split_pinned(pinned):
     want = pinned["split_n6_stability_estimate"]
     sc = gen_split(6)

@@ -49,7 +49,7 @@ from kemst.trajectories import (
     linear,
 )
 
-from helpers import left_to_right, random_cubic_scenario
+from helpers import full_certificate, left_to_right, random_cubic_scenario
 
 SQRT2 = math.sqrt(2.0)
 
@@ -575,6 +575,54 @@ def test_detect_swaps_round_entry_budget(budget, monkeypatch):
         assert cells == {1: 1, 600: 3}[budget]
 
 
+def test_detect_swaps_evaluates_each_instant_once(monkeypatch):
+    # topo-cubic's four 20-point cubics (seed 2300) keep every certificate
+    # under `_CERT_ENTRIES`, so each swap reaches the Kruskal tree of its last
+    # failing midpoint's row from a round. After the grid, every `positions`
+    # call is one round's midpoints, and no instant is evaluated twice.
+    rng = np.random.default_rng(2300)
+    real_positions, real_cuts_hold = KineticScenario.positions, morph._cuts_hold
+    calls, rounds = [], []
+
+    def positions(self, t):
+        calls.append(np.atleast_1d(t).tolist())
+        return real_positions(self, t)
+
+    def cuts_hold(pos, certs):
+        rounds.append(len(certs))
+        return real_cuts_hold(pos, certs)
+
+    monkeypatch.setattr(KineticScenario, "positions", positions)
+    monkeypatch.setattr(morph, "_cuts_hold", cuts_hold)
+    for _ in range(4):
+        sc = random_cubic_scenario(rng, 20)
+        calls.clear()
+        rounds.clear()
+        assert detect_swaps(sc, 257)
+        assert [len(c) for c in calls] == [257, *rounds]
+        instants = [m for c in calls for m in c]
+        assert len(set(instants)) == len(instants)
+
+
+def test_detect_swaps_certificate_and_kruskal_paths_on_a_circle():
+    # `gen_circle(32)` is all scripted, so no entry closes. Its first swap's
+    # certificate has 1,155 entries and is checked in rounds; the next four
+    # have 5,425, over `_CERT_ENTRIES`, and take a Kruskal per midpoint.
+    sc = gen_circle(32)
+    want = reference_detect_swaps(sc, 257)
+    assert [len(full_certificate(a)[0]) for _t, a, _b in want] == [1155] + [5425] * 4
+    assert 1155 <= morph._CERT_ENTRIES < 5425
+    assert_same_swaps(detect_swaps(sc, 257), want)
+
+
+def assert_open_entries(tree, lower, upper, p, e):
+    """`_cut_certificate` with bounds is the whole certificate (p, e) less
+    each entry with lower[p] > upper[e], entry for entry and in order."""
+    got = _cut_certificate(tree, 1 << 30, lower, upper)
+    keep = ~(lower[p] > upper[e])
+    assert got[0].tobytes() == p[keep].tobytes() and got[1].tobytes() == e[keep].tobytes()
+
+
 def _unclamped_polynomial(sc):
     return np.array([p.kind == "polynomial" and not p.clamp_unit for p in sc.points])
 
@@ -584,7 +632,10 @@ def test_cell_enclosure_is_sound(case):
     # At every midpoint the reference bisection visits, every pair length
     # lies inside its grid cell's enclosure, and every entry the enclosure
     # certifies holds under the full certificate check. Entries touching a
-    # rational, scripted or clamped point are never certified.
+    # rational, scripted or clamped point are never certified. The
+    # certificate built with the cell's bounds is the full one less the
+    # certified entries, in order, also with a NaN bound on a pair and on a
+    # tree edge, which leave their entries open.
     sc, grid = SWAP_CASES[case]
     checks = {}
     for a_t, t, tree, m in reference_swaps(case)[1]:
@@ -599,14 +650,17 @@ def test_cell_enclosure_is_sound(case):
         pos = sc.positions(ms)
         lengths = _pair_lengths(pos)
         assert np.all(lower <= lengths) and np.all(lengths <= upper)
-        p, e = _cut_certificate(tree, 1 << 30)
+        p, e = full_certificate(tree)
         done = lower[p] > upper[e]
+        assert_open_entries(tree, lower, upper, p, e)
         lp, le = lengths[:, p[done]], lengths[:, e[done]]
         assert np.all((lp > le) | ((lp == le) & (p[done] > e[done])))
         touch = ~(fixed[iu[p]] & fixed[ju[p]] & fixed[iu[e]] & fixed[ju[e]])
         assert not (done & touch).any()
         certified += int(done.sum())
         touching += int(touch.sum())
+        lower[p[0]], upper[e[-1]] = np.nan, np.nan
+        assert_open_entries(tree, lower, upper, p, e)
     assert certified > 0
     if case in ("mixed_scripted", "rational_bumps"):
         assert touching > 0

@@ -33,7 +33,7 @@ from kemst.spanning import (
 )
 from kemst.trajectories import polyval
 
-from helpers import left_to_right
+from helpers import full_certificate, left_to_right
 
 
 def test_tree_invariants_enforced():
@@ -269,7 +269,7 @@ def test_cut_certificate_holds_iff_kruskal_tree():
         want = frozenset(_kruskal(cfg))
         assert mst.edges == want
         for tree in [mst, *_one_swap_neighbours(mst)]:
-            p, e = cert = _cut_certificate(tree, ANY_SIZE)
+            p, e = cert = full_certificate(tree)
             assert p.dtype == e.dtype == np.int32
             holds = _cuts_hold(cfg.positions[None], [cert])
             assert holds.tolist() == [tree.edges == want]
@@ -291,7 +291,7 @@ def test_cut_certificate_over_every_labeled_tree(n):
     for pos in _tie_heavy_configs(n, rng):
         cfg = PointConfig(pos)
         want = frozenset(_kruskal(cfg))
-        certs = [_cut_certificate(t, ANY_SIZE) for t in trees]
+        certs = [full_certificate(t) for t in trees]
         holds = _cuts_hold(np.tile(cfg.positions, (len(trees), 1, 1)), certs)
         assert holds.tolist() == [t.edges == want for t in trees]
         assert sum(holds.tolist()) == 1
@@ -301,7 +301,7 @@ def test_cut_certificate_entries_cross_the_cut():
     rng = np.random.default_rng(5)
     tree = emst(PointConfig(rng.uniform(0, 1, size=(12, 2))))
     iu, ju = _pairs(12)
-    p, e = _cut_certificate(tree, ANY_SIZE)
+    p, e = full_certificate(tree)
     got = set(zip(p.tolist(), e.tolist()))
     want = set()
     for f in range(len(iu)):
@@ -322,13 +322,47 @@ def test_cut_certificate_size_limit():
     random_tree = emst(PointConfig(rng.uniform(0, 1, size=(30, 2))))
     for tree, size in ((star, 2 * (435 - 29)), (path, sum(s * (30 - s) for s in range(30)) - 29),
                        (random_tree, None)):
-        p, e = _cut_certificate(tree, ANY_SIZE)
+        p, e = full_certificate(tree)
         assert size is None or len(p) == size
-        assert _cut_certificate(tree, len(p) - 1) is None
-        got = _cut_certificate(tree, len(p))
+        assert full_certificate(tree, len(p) - 1) is None
+        got = full_certificate(tree, len(p))
         assert got[0].tobytes() == p.tobytes() and got[1].tobytes() == e.tobytes()
     # A path at n = 2,000 would have about 1.3e9 entries; none is built.
-    assert _cut_certificate(SpanningTree(2000, [(v, v + 1) for v in range(1999)]), 4096) is None
+    assert full_certificate(SpanningTree(2000, [(v, v + 1) for v in range(1999)]), 4096) is None
+
+
+@pytest.mark.parametrize("nan", [None, "lower", "upper"])
+def test_cut_certificate_leaves_out_entries_the_bounds_order(nan):
+    # With bounds, the certificate is the whole one less each entry with
+    # lower[P] > upper[E], entry for entry and in order. A NaN bound leaves
+    # its entries open; one on a tree edge's upper bound keeps every pair a
+    # candidate. The size limit still counts the whole certificate.
+    rng = np.random.default_rng(14)
+    kept = left_out = 0
+    for pos in _certificate_configs():
+        cfg = PointConfig(pos)
+        mst = emst(cfg)
+        for tree in [mst, *list(_one_swap_neighbours(mst))[:4]]:
+            p, e = full_certificate(tree)
+            lengths = cfg.pair_lengths
+            for width in (0.0, 0.02, 0.2):
+                r = rng.uniform(0, width, len(lengths))
+                lower, upper = lengths - r, lengths + r
+                if nan == "lower":
+                    lower[rng.random(len(lower)) < 0.2] = np.nan
+                elif nan == "upper" and len(e):
+                    upper[e[rng.integers(len(e))]] = np.nan
+                    upper[rng.random(len(upper)) < 0.2] = np.nan
+                keep = ~(lower[p] > upper[e])
+                got = _cut_certificate(tree, ANY_SIZE, lower, upper)
+                assert got[0].dtype == got[1].dtype == np.int32
+                assert got[0].tobytes() == p[keep].tobytes()
+                assert got[1].tobytes() == e[keep].tobytes()
+                kept += int(keep.sum())
+                left_out += int((~keep).sum())
+                if len(p):
+                    assert _cut_certificate(tree, len(p) - 1, lower, upper) is None
+    assert kept > 0 and left_out > 0
 
 
 def _block_sweep_configs():
