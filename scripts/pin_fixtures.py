@@ -3,13 +3,15 @@
 
 Freezes the oracle and simulation values that the test suite asserts
 exactly: circle minimax ratios, Chebyshev event counts, split-run
-outcomes, the sampled stability estimate, and the diamond certificate.
+outcomes, the sampled stability estimate, the diamond certificate, and
+a fingerprint of the swaps `detect_swaps` finds on eight scenarios.
 Run from the repository root after any change that is supposed to move
 these numbers, and review the diff.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -25,11 +27,34 @@ from kemst.event_stability import (
 )
 from kemst.flip_oracle import minimax_flip_oracle
 from kemst.lipschitz import run_lipschitz_regime
-from kemst.morph import diamond_rotation_certificate
-from kemst.scenarios import gen_chebyshev, gen_circle, gen_diamond, gen_split
+from kemst.morph import detect_swaps, diamond_rotation_certificate
+from kemst.scenarios import (
+    gen_chebyshev,
+    gen_circle,
+    gen_diamond,
+    gen_rational_bumps,
+    gen_split,
+)
 
 ORACLE_TIME_STEPS = 64
 ORACLE_E_LEN = 0.05
+SWAP_SCENARIOS = {
+    "circle_n7": lambda: gen_circle(7),
+    "circle_n16": lambda: gen_circle(16),
+    "circle_n32": lambda: gen_circle(32),
+    "diamond_q6": lambda: gen_diamond(6),
+    "diamond_q9": lambda: gen_diamond(9),
+    "split_n64": lambda: gen_split(64),
+    "rational_bumps_s8_n12": lambda: gen_rational_bumps(8, 12),
+    "chebyshev_s5_n9": lambda: gen_chebyshev(5, 9),
+}
+
+
+def swap_fingerprint(swaps) -> dict:
+    """Swap count and the sha256 of every swap's time (`float.hex`) and the
+    sorted edges of its two trees, so any change of a bit shows."""
+    text = json.dumps([[t.hex(), sorted(a.edges), sorted(b.edges)] for t, a, b in swaps])
+    return {"swaps": len(swaps), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def main() -> None:
@@ -105,6 +130,12 @@ def main() -> None:
         "ratio": cert.ratio,
     }
     print("diamond certificate:", pinned["diamond_certificate_q6"])
+
+    swaps = {}
+    for key, build in SWAP_SCENARIOS.items():
+        swaps[key] = swap_fingerprint(detect_swaps(build(), grid=257))
+        print(f"swaps {key}: {swaps[key]['swaps']}")
+    pinned["detect_swaps_grid257"] = swaps
 
     out = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "pinned.json"
     out.parent.mkdir(parents=True, exist_ok=True)

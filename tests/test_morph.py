@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import heapq
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from kemst.morph import (
 )
 from kemst.scenarios import (
     KineticScenario,
+    gen_chebyshev,
     gen_circle,
     gen_diamond,
     gen_rational_bumps,
@@ -613,6 +615,29 @@ def test_detect_swaps_certificate_and_kruskal_paths_on_a_circle():
     assert [len(full_certificate(a)[0]) for _t, a, _b in want] == [1155] + [5425] * 4
     assert 1155 <= morph._CERT_ENTRIES < 5425
     assert_same_swaps(detect_swaps(sc, 257), want)
+
+
+PINNED_SWAP_SCENARIOS = {
+    "circle_n7": lambda: gen_circle(7),
+    "circle_n16": lambda: gen_circle(16),
+    "circle_n32": lambda: gen_circle(32),
+    "diamond_q6": lambda: gen_diamond(6),
+    "diamond_q9": lambda: gen_diamond(9),
+    "split_n64": lambda: gen_split(64),
+    "rational_bumps_s8_n12": lambda: gen_rational_bumps(8, 12),
+    "chebyshev_s5_n9": lambda: gen_chebyshev(5, 9),
+}
+
+
+@pytest.mark.parametrize("key", PINNED_SWAP_SCENARIOS)
+def test_detect_swaps_pinned_fingerprints(key, pinned):
+    # Swap count and sha256 of every time's `float.hex` and both trees'
+    # sorted edges at grid 257, as `scripts/pin_fixtures.py` writes them:
+    # any moved bit of a swap time or tree fails.
+    swaps = detect_swaps(PINNED_SWAP_SCENARIOS[key](), 257)
+    text = json.dumps([[t.hex(), sorted(a.edges), sorted(b.edges)] for t, a, b in swaps])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert {"swaps": len(swaps), "sha256": digest} == pinned["detect_swaps_grid257"][key]
 
 
 def assert_open_entries(tree, lower, upper, p, e):
