@@ -45,16 +45,18 @@ from .spanning import (
 _EDGE_TOL = 1e-6
 _SWAP_TIME_TOL = 1e-9
 # `detect_swaps` adds cells to a round while their open (uncertified) entries
-# sum to fewer than `_WINDOW_ENTRIES`; `_cuts_hold` then forms at most about
-# 72 bytes of temporaries an entry at d = 2 (1.1 MB for a full round, at any
-# n). The cap counts a tree's whole certificate, not the entries its cell
-# leaves open: over `_CERT_ENTRIES` a tree gets a Kruskal per midpoint. With
-# against without it (grid 257, 2-core Xeon, numpy 2.4.6), random cubics,
-# where most entries close, took 6.32/13.59/37.2 s against 2.31/6.27/26.1 s
-# at n = 48/64/96; `gen_circle`, all scripted so none close, 0.29/0.58/1.43
-# s against 0.42/3.13/25.4 s at n = 64/128/256 (peak RSS 42 against 313 MB).
+# sum to fewer than `_WINDOW_ENTRIES`; a cell without a certificate adds none.
+# `_cuts_hold` then forms at most about 72 bytes of temporaries an entry at
+# d = 2 (1.1 MB for a full round, at any n). The cap counts a tree's whole
+# certificate, not the entries its cell leaves open: over `_CERT_ENTRIES` a
+# tree has none and gets a Kruskal per midpoint's row. With against without
+# it (grid 257, 2-core Xeon, numpy 2.4.6), random cubics, where most entries
+# close, took 6.32/13.59/37.2 s against 2.31/6.27/26.1 s at n = 48/64/96;
+# `gen_circle`, all scripted so none close, 0.29/0.58/1.43 s against
+# 0.42/3.13/25.4 s at n = 64/128/256 (peak RSS 42 against 313 MB).
 _WINDOW_ENTRIES = 1 << 14
 _CERT_ENTRIES = 1 << 12
+_NO_ENTRIES = (np.empty(0, np.int32), np.empty(0, np.int32))  # a Kruskal cell's round check
 # Relative and absolute slack of the cell enclosure (`_pair_length_bounds`).
 _CELL_SLACK = 2.0**-40
 _CELL_FLOOR = 2.0**-500
@@ -358,7 +360,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
 
     The EMST is built at `grid` instants from one `positions` call on all of
     them. Cells whose end trees differ are bisected together: a round
-    evaluates their midpoints in one more `positions` call (each row the
+    evaluates all their midpoints in one more `positions` call (each row the
     float answer bit for bit) and checks the `_cut_certificate` of the tree
     each swap leaves, which holds iff it is the midpoint's Kruskal tree.
     Times and trees are a Kruskal per midpoint's; a certified swap runs one
@@ -371,7 +373,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     rational, scripted or clamped point are never left out, and neither are
     near ties: pairs whose lengths come within the enclosure's width of each
     other somewhere in the cell. A tree whose whole certificate would have
-    over `_CERT_ENTRIES` entries gets a Kruskal per midpoint instead.
+    over `_CERT_ENTRIES` entries has none; its midpoints' Kruskal trees decide.
 
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
@@ -382,21 +384,22 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     grid_pos = sc.positions(ts)
     trees = [emst(PointConfig(pos)) for pos in grid_pos]
     cells = zip(ts.tolist(), ts[1:].tolist(), grid_pos, trees, trees[1:])
-    found, window = [], []  # window: (bisection, its (midpoint, entries))
+    cells = (cell for cell in cells if cell[3].edges != cell[4].edges)  # changed
+    found, window = [], []  # window: (bisection, its (midpoint, entries or None))
     while True:
-        entries = sum(len(cert[0]) for _b, (_m, cert) in window)
+        entries = sum(len((cert or _NO_ENTRIES)[0]) for _b, (_m, cert) in window)
         while entries < _WINDOW_ENTRIES and (cell := next(cells, None)):
             found.append([])
-            bisection = _bisect_cell(sc, *cell, found[-1])
+            bisection = _bisect_cell(*cell, _cell_radii(sc, *cell[:2]), found[-1])
             if step := next(bisection, None):
                 window.append((bisection, step))
-                entries += len(step[1][0])
+                entries += len((step[1] or _NO_ENTRIES)[0])
         if not window:
             return [ev for events in found for ev in events]
         pos = sc.positions([m for _b, (m, _cert) in window])
         if not np.all(np.isfinite(pos)):
             raise ParameterError("positions must be finite")
-        holds = _cuts_hold(pos, [cert for _b, (_m, cert) in window])
+        holds = _cuts_hold(pos, [cert or _NO_ENTRIES for _b, (_m, cert) in window])
         advancing, window = window, []
         for (bisection, _step), keep, row in zip(advancing, holds.tolist(), pos):
             with contextlib.suppress(StopIteration):
@@ -443,13 +446,13 @@ def _pair_length_bounds(a_pos: np.ndarray, rho: np.ndarray):
     return lower, lengths * (1.0 + _CELL_SLACK) + r
 
 
-def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list):
-    """Append the swaps of grid cell [a_t, t], in order, to `events`; a_pos
-    is the positions at a_t. Yields (midpoint, open entries of the
-    certificate of the tree the swap leaves) and is sent (whether they hold
-    there, the midpoint's row); a swap reaches the Kruskal tree of its last
-    failing midpoint's row. A tree without a certificate gets a Kruskal per
-    midpoint instead, on `positions([m])[0]`, a round's bits for m.
+def _bisect_cell(a_t: float, t: float, a_pos, a_tree, cur_tree, rho, events: list):
+    """Append the swaps of grid cell [a_t, t], whose end trees differ, in
+    order, to `events`; a_pos is the positions at a_t, rho its `_cell_radii`.
+    Yields (midpoint, open entries of the certificate of the tree the swap
+    leaves, or None if over `_CERT_ENTRIES`) and is sent (whether they hold,
+    the midpoint's row in its round); without a certificate the row's Kruskal
+    tree decides. A swap reaches the Kruskal tree of its last failing row.
 
     `_cut_certificate` forms only the entries the cell enclosure
     (`_pair_length_bounds`) leaves open. Each is checked at every midpoint
@@ -459,9 +462,7 @@ def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list
     the EMST at every instant of the cell, t included, so it cannot differ
     from the tree at t; such a cell raises AuditFailure.
     """
-    if a_tree.edges == cur_tree.edges:
-        return
-    start, rho = a_t, _cell_radii(sc, a_t, t)
+    n, start = a_tree.n, a_t
     while a_tree.edges != cur_tree.edges:
         lo, hi = a_t, t
         cert = _cut_certificate(a_tree, _CERT_ENTRIES, *_pair_length_bounds(a_pos, rho))
@@ -472,21 +473,20 @@ def _bisect_cell(sc, a_t: float, t: float, a_pos, a_tree, cur_tree, events: list
             )
         while hi - lo > _SWAP_TIME_TOL:
             m = 0.5 * (lo + hi)
+            holds, m_seen = yield m, cert  # its row
             if cert is None:
-                m_seen = _kruskal(PointConfig(sc.positions([m])[0]))  # its edges
+                m_seen = _kruskal(PointConfig(m_seen))  # its edges
                 holds = frozenset(m_seen) == a_tree.edges
-            else:
-                holds, m_seen = yield m, cert  # its row
             if holds:
                 lo = m
             else:
                 hi, hi_seen = m, m_seen
         if hi < t and cert is not None:  # the last failing midpoint's row
             hi_seen = _kruskal(PointConfig(hi_seen))
-        hi_tree = cur_tree if hi == t else SpanningTree(sc.n, hi_seen)
+        hi_tree = cur_tree if hi == t else SpanningTree(n, hi_seen)
         events.append((0.5 * (lo + hi), a_tree, hi_tree))
         a_t, a_tree = hi, hi_tree
-        if len(events) > 4 * sc.n:
+        if len(events) > 4 * n:
             raise ParameterError("EMST combinatorics churn too fast for the grid")
 
 
