@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the count check that raises one."""
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -7,6 +9,15 @@ class DomainError(ValueError):
 
 class ParameterError(ValueError):
     """Argument outside an operation's documented precondition."""
+
+
+def check_count(value, name: str, least: int) -> None:
+    """Raise ParameterError naming `name` unless value is an int or a numpy
+    integer (a bool is neither) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}")
 
 
 class UnsupportedKindError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AuditFailure, ParameterError
+from .errors import AuditFailure, ParameterError, check_count
 from .flip_oracle import N_LIMIT, slide_distance
 from .scenarios import KineticScenario, _budget_square, input_distance, next_displacement_event
 from .spanning import (
@@ -73,8 +73,7 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     if sc.k is None or not math.isfinite(sc.k) or sc.k <= 0:
         raise ParameterError("scenario needs a positive, finite displacement budget k")
     _budget_square(sc.k)  # before any scan: a k past the float range raises
-    if samples < 0:
-        raise ParameterError("samples must be >= 0")
+    check_count(samples, "samples", 0)
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
@@ -147,8 +146,7 @@ def recompute_always_schedule(
     sc: KineticScenario, samples: int
 ) -> list[tuple[float, SpanningTree]]:
     """Schedule of the plain EMST re-evaluated at `samples` uniform instants."""
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    check_count(samples, "samples", 1)
     ts = np.linspace(0.0, sc.horizon, samples)
     return [(float(t), emst(PointConfig(pos))) for t, pos in zip(ts, sc.positions(ts))]
 
@@ -168,8 +166,7 @@ def estimate_stability_ratio(
     """
     if not schedule:
         raise ParameterError("schedule must not be empty")
-    if pair_samples < 0:
-        raise ParameterError("pair_samples must be >= 0")
+    check_count(pair_samples, "pair_samples", 0)
 
     def d_s(a, b):
         if sc.n <= N_LIMIT:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError
+from .errors import ParameterError, SizeError, check_count
 from .scenarios import KineticScenario
 from .spanning import PointConfig, SpanningTree, _pair_index, _pairs, labeled_tree_pids
 
@@ -198,8 +198,7 @@ def minimax_flip_oracle(
     n = sc.n
     if n > N_LIMIT:
         raise SizeError(f"oracle capped at n={N_LIMIT}")
-    if time_steps < 0:
-        raise ParameterError("time_steps must be >= 0")
+    check_count(time_steps, "time_steps", 0)
     fg = flip_graph(n, mode or sc.morph_mode)
     ts = np.linspace(0.0, sc.horizon, time_steps + 1)
     costs = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AuditFailure, ParameterError, UnsupportedKindError
+from .errors import AuditFailure, ParameterError, UnsupportedKindError, check_count
 from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
@@ -184,8 +184,7 @@ def run_lipschitz_regime(
     K = K if K is not None else sc.K
     if K is None or not math.isfinite(K) or K <= 0:
         raise ParameterError("needs a positive, finite speed budget K")
-    if trace_samples < 0:
-        raise ParameterError("trace_samples must be >= 0")
+    check_count(trace_samples, "trace_samples", 0)
     pos_start = sc.positions(0.0)
     tree = emst(PointConfig(pos_start))
     colors = two_coloring(tree).tolist()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AuditFailure, ParameterError
+from .errors import AuditFailure, ParameterError, check_count
 from .flip_oracle import bottleneck_closure
 from .scenarios import _SQRT2, KineticScenario, _window_bound_fn
 from .spanning import (
@@ -378,8 +378,7 @@ def detect_swaps(sc: KineticScenario, grid: int = 257):
     Returns a list of (time, old_tree, new_tree); simultaneous multi-edge
     changes are reported as one entry and decomposed by the regime runner.
     """
-    if grid < 2:
-        raise ParameterError("grid must be >= 2")
+    check_count(grid, "grid", 2)
     ts = np.linspace(0.0, sc.horizon, grid)
     grid_pos = sc.positions(ts)
     trees = [emst(PointConfig(pos)) for pos in grid_pos]
@@ -543,8 +542,7 @@ def run_topo_regime(
     mode = mode or sc.morph_mode
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
-    if samples < 0:
-        raise ParameterError("samples must be >= 0")
+    check_count(samples, "samples", 0)
     raw = detect_swaps(sc, grid)
     records, plans = [], []
 

@@ -12,10 +12,13 @@ from kemst.event_stability import (
     recompute_always_schedule,
     run_event_regime,
 )
+from kemst.flip_oracle import minimax_flip_oracle
 from kemst.lipschitz import run_lipschitz_regime
+from kemst.morph import detect_swaps, run_topo_regime
 from kemst.scenarios import (
     KineticScenario,
     gen_chebyshev,
+    gen_circle,
     gen_split,
     gen_stationary,
     next_displacement_event,
@@ -288,6 +291,38 @@ def test_estimator_rejects_negative_pair_samples():
     with pytest.raises(ParameterError, match="pair_samples must be >= 0"):
         estimate_stability_ratio(schedule, sc, pair_samples=-5)
     assert estimate_stability_ratio(schedule, sc, pair_samples=0) == 0.0
+
+
+COUNT_ENTRY_POINTS = {  # entry point: (count argument, call with it)
+    "run_event_regime": ("samples", lambda v: run_event_regime(gen_chebyshev(2, 4, k=0.2), v)),
+    "run_topo_regime": ("samples", lambda v: run_topo_regime(gen_split(6), samples=v)),
+    "detect_swaps": ("grid", lambda v: detect_swaps(gen_split(6), grid=v)),
+    "run_lipschitz_regime": (
+        "trace_samples", lambda v: run_lipschitz_regime(gen_split(6), K=80.0, trace_samples=v)
+    ),
+    "recompute_always_schedule": ("samples", lambda v: recompute_always_schedule(gen_split(6), v)),
+    "estimate_stability_ratio": ("pair_samples", lambda v: estimate_stability_ratio(
+        recompute_always_schedule(gen_split(6), 4), gen_split(6), pair_samples=v
+    )),
+    "minimax_flip_oracle": (
+        "time_steps", lambda v: minimax_flip_oracle(gen_circle(5), "slide", time_steps=v)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_counts_must_be_integers(entry, value):
+    # 2.5 raised numpy's or range's TypeError, and True ran as a count of 1.
+    name, call = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+
+
+def test_counts_accept_numpy_integers():
+    sc = gen_split(6)
+    assert len(recompute_always_schedule(sc, np.int64(4))) == 4
+    assert detect_swaps(sc, grid=np.int32(65)) == detect_swaps(sc, grid=65)
 
 
 def test_estimator_split_pinned(pinned):
