@@ -11,7 +11,11 @@ Schema (format_version 1):
     }
 
 A field of the wrong JSON type raises ParameterError naming it: numbers
-must be JSON numbers (a bool is not one) and "n", "d" JSON integers.
+must be JSON numbers (a bool is not one) and "n", "d" JSON integers. A
+generator parameter must be of the type its generator declares: a JSON
+integer for an int, a JSON number for a float, and for split's "colors" a
+list of the integers 0 and 1. A key the generator does not declare raises
+ParameterError naming it and the generator.
 """
 
 from __future__ import annotations
@@ -58,6 +62,27 @@ def _integer(value, field: str) -> int:
     if type(value) is not int:
         raise ParameterError(f"field {field!r} must be an integer, got {value!r}")
     return value
+
+
+def _colors(value, field: str) -> None:
+    """Raise ParameterError naming the field unless value is a JSON list of
+    the integers 0 and 1."""
+    if type(value) is not list or any(type(c) is not int or c not in (0, 1) for c in value):
+        raise ParameterError(f"field {field!r} must be a list of 0s and 1s, got {value!r}")
+
+
+_PARAM_CHECKS = {int: _integer, float: _number, list: _colors}
+
+
+def _check_generator_params(name: str, params: dict) -> None:
+    """Raise ParameterError unless each of a generator-form file's parameters
+    is one its generator declares, of the declared type or None (default)."""
+    spec = GENERATORS[name].params
+    for key, value in params.items():
+        if key not in spec:
+            raise ParameterError(f"field {key!r} is not a parameter of generator {name!r}")
+        if value is not None:
+            _PARAM_CHECKS[spec[key][0]](value, key)
 
 
 def _traj_to_dict(traj: Trajectory) -> dict:
@@ -162,6 +187,8 @@ def scenario_from_dict(d: dict) -> KineticScenario:
     if "generator" in d:
         gen = dict(d["generator"])
         name = gen.pop("name")
+        if name in GENERATORS:  # else build_generator names it as unknown
+            _check_generator_params(name, gen)
         sc = build_generator(name, **gen)
     elif "points" in d:
         dim = _integer(d["d"], "d")

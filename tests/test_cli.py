@@ -345,6 +345,10 @@ def _still(**fields):
     return json.dumps(_STILL | fields)
 
 
+def _generator(**params):
+    return json.dumps({"format_version": 1, "generator": params})
+
+
 @pytest.mark.parametrize("text,field", [
     (_still(k="0.1"), "k"),
     (_still(label=5), "label"),
@@ -358,12 +362,20 @@ def _still(**fields):
      "clamp_unit"),
     (_still(d=2.5), "d"),
     (_still(n=True), "n"),
-    (json.dumps({"format_version": 1, "generator": {"name": "split", "n": "abc"}}), None),
+    (_generator(name="split", n="abc"), "n"),
+    (_generator(name="diamond", per_sid=9), "per_sid"),
+    (_generator(name="chebyshev", s="3", n=11.9), "s"),
+    (_generator(name="chebyshev", s=3, n=11.9), "n"),
+    (_generator(name="circle", n=7, e_len="0.05"), "e_len"),
+    (_generator(name="circle", n=7, s=3), "s"),
+    (_generator(name="split", n=8, colors="01010101"), "colors"),
     (json.dumps([_STILL]), None),
     ('{"format_version": 1,', None),
 ], ids=["k-string", "label-int", "T-string", "coeff-string", "no-kind",
         "T-numeric-string", "T-huge-int", "clamp-string", "d-float", "n-bool",
-        "generator-n-string", "top-level-array", "truncated"])
+        "generator-n-string", "generator-unknown-key", "generator-s-string",
+        "generator-n-float", "generator-e_len-string", "generator-foreign-key",
+        "generator-colors-string", "top-level-array", "truncated"])
 def test_malformed_scenario_file_exits_two(tmp_path, capsys, text, field):
     # Exit 1 means AUDIT FAIL, so a file that cannot be read as a scenario
     # must be an argument error, not a traceback. A field of the wrong type

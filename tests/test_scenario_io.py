@@ -47,6 +47,35 @@ def test_generator_scenarios_round_trip(tmp_path, sc):
     assert back.meta.get("generator") == sc.meta.get("generator")
 
 
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"name": "diamond", "per_sid": 9}, "per_sid"),
+        ({"name": "chebyshev", "s": "3", "n": 11}, "s"),
+        ({"name": "chebyshev", "s": 3, "n": 11.9}, "n"),
+        ({"name": "chebyshev", "s": 3, "n": 11, "T": "1"}, "T"),
+        ({"name": "circle", "n": 7, "e_len": "0.05"}, "e_len"),
+        ({"name": "circle", "n": True}, "n"),
+        ({"name": "circle", "n": 7, "s": 3}, "s"),
+        ({"name": "split", "n": 8, "colors": "01010101"}, "colors"),
+        ({"name": "split", "n": 4, "colors": [0, 1, 2, 1]}, "colors"),
+        ({"name": "split", "n": 4, "colors": [0, 1, True, 1]}, "colors"),
+        ({"name": "split", "n": 4, "colors": [0, 1, 0.0, 1]}, "colors"),
+    ],
+)
+def test_generator_parameters_are_typed(params, field):
+    # A generator-form file's parameters used to be cast with int(), float()
+    # or list(), and a key the generator does not know was dropped.
+    with pytest.raises(ParameterError, match=f"field {field!r}"):
+        scenario_from_dict({"format_version": 1, "generator": params})
+
+
+def test_generator_parameters_may_be_null():
+    params = {"name": "circle", "n": 7, "e_len": None}
+    sc = scenario_from_dict({"format_version": 1, "generator": params})
+    assert sc.positions(0.3).tobytes() == gen_circle(7).positions(0.3).tobytes()
+
+
 def test_explicit_points_round_trip(tmp_path):
     sc = KineticScenario(
         points=(linear([0.0, 0.0], [1.0, 0.5], 2.0), linear([1.0, 1.0], [0.0, 1.0], 2.0)),
