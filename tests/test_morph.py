@@ -577,26 +577,17 @@ def test_detect_swaps_round_entry_budget(budget, monkeypatch):
         assert cells == {1: 1, 600: 3}[budget]
 
 
-def topo_cubic_scenarios():
-    rng = np.random.default_rng(2300)
-    return [random_cubic_scenario(rng, 20) for _ in range(4)]
-
-
-@pytest.mark.parametrize(
-    "case, entries", [("topo_cubic", None), ("circle32", None), ("cubic20", -1)]
-)
-def test_detect_swaps_evaluates_each_instant_once(case, entries, monkeypatch):
+def test_detect_swaps_evaluates_each_instant_once(monkeypatch):
     # topo-cubic's four 20-point cubics (seed 2300) keep every certificate
     # under `_CERT_ENTRIES`. `gen_circle(32)` certifies its first swap, and
     # its next four trees have no certificate; at `_CERT_ENTRIES = -1` no
-    # tree has one. Either way every midpoint is a row of its round: after
-    # the grid, every `positions` call is one round's midpoints, one row per
-    # certificate `_cuts_hold` checks, and no instant is evaluated twice.
-    scenarios = {
-        "topo_cubic": topo_cubic_scenarios,
-        "circle32": lambda: [gen_circle(32)],
-        "cubic20": lambda: [SWAP_CASES["cubic20"][0]],
-    }[case]()
+    # tree of `cubic20` has one. Either way every midpoint is a row of its
+    # round: after the grid, every `positions` call is one round's
+    # midpoints, one row per certificate `_cuts_hold` checks, and no instant
+    # is evaluated twice.
+    rng = np.random.default_rng(2300)
+    cases = [(random_cubic_scenario(rng, 20), None) for _ in range(4)]
+    cases += [(gen_circle(32), None), (SWAP_CASES["cubic20"][0], -1)]
     real_positions, real_cuts_hold = KineticScenario.positions, morph._cuts_hold
     calls, rounds = [], []
 
@@ -610,9 +601,9 @@ def test_detect_swaps_evaluates_each_instant_once(case, entries, monkeypatch):
 
     monkeypatch.setattr(KineticScenario, "positions", positions)
     monkeypatch.setattr(morph, "_cuts_hold", cuts_hold)
-    if entries is not None:
-        monkeypatch.setattr(morph, "_CERT_ENTRIES", entries)
-    for sc in scenarios:
+    for sc, entries in cases:
+        if entries is not None:
+            monkeypatch.setattr(morph, "_CERT_ENTRIES", entries)
         calls.clear()
         rounds.clear()
         assert detect_swaps(sc, 257)
@@ -753,15 +744,12 @@ def test_detect_swaps_matches_reference_on_random_cubics(seed):
     assert_same_swaps(detect_swaps(sc, 257), reference_detect_swaps(sc, 257))
 
 
-@pytest.mark.parametrize("entries", [None, -1])
-def test_detect_swaps_rejects_non_finite_midpoints(entries, monkeypatch):
+def test_detect_swaps_rejects_non_finite_midpoints(monkeypatch):
     # The 257 grid instants are one `positions` call; a midpoint batch that
     # is not finite raises ParameterError, as a midpoint PointConfig did.
     # At `_CERT_ENTRIES = -1` no tree has a certificate, and the round's
     # check covers those midpoints too.
     sc = random_cubic_scenario(21, 8)
-    if entries is not None:
-        monkeypatch.setattr(morph, "_CERT_ENTRIES", entries)
     real = KineticScenario.positions
 
     def poisoned(self, t):
@@ -771,6 +759,9 @@ def test_detect_swaps_rejects_non_finite_midpoints(entries, monkeypatch):
         return out
 
     monkeypatch.setattr(KineticScenario, "positions", poisoned)
+    with pytest.raises(ParameterError, match="finite"):
+        detect_swaps(sc)
+    monkeypatch.setattr(morph, "_CERT_ENTRIES", -1)
     with pytest.raises(ParameterError, match="finite"):
         detect_swaps(sc)
 
