@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -126,6 +125,9 @@ def _run_many(args) -> int:
     the largest exit code."""
     scenarios = [_load(s, args) for s in args.scenario]
     if args.jobs > 1 and len(scenarios) > 1:
+        # Imported here: multiprocessing would add to every cold CLI start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_job, scenarios, [args] * len(scenarios)))
     else:

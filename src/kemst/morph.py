@@ -137,13 +137,11 @@ class MorphPlan:
 
 
 def _materialize(ev: SwapEvent, cfg: PointConfig, steps) -> MorphPlan:
-    """Map cycle-index steps (op, (fixed, moving), target) onto `ev.cycle`,
-    dropping no-ops, and apply them, validating every intermediate tree. The
-    cycle is a tree path, so its vertices are distinct and a step is a no-op
-    exactly when moving == target. No slide step is; the third step of a
-    rotation detour through an endpoint of e' is."""
+    """Map cycle-index steps (op, (fixed, moving), target) onto `ev.cycle` as
+    given and apply them, validating every intermediate tree. No slide step
+    is a no-op (moving == target), and the rotation planner drops its own."""
     c = ev.cycle
-    steps = [MorphStep(op, (c[f], c[m]), c[t]) for op, (f, m), t in steps if m != t]
+    steps = [MorphStep(op, (c[f], c[m]), c[t]) for op, (f, m), t in steps]
     trees = [ev.old_tree]
     for step in steps:
         fn = apply_slide if step.op == "slide" else apply_rotation
@@ -292,10 +290,15 @@ def _midpoint_edge(dmat, idxs):
 def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     """Rotation-based morph from the old tree to old - e + e'.
 
-    Requires e to be the longest edge on the cycle. Candidate cycle-index
-    plans for `_materialize` follow the two-step detours through an endpoint
-    of e' and the four three-step detours through the midpoint edges of the
-    two cycle parts; the first with the smallest maximum intermediate wins.
+    Requires e to be the longest edge on the cycle. The candidates are the
+    two detours through an endpoint of e' and the four three-step detours
+    through the midpoint edges of the two cycle parts, in cycle indices with
+    e at (i, i + 1) and e' at (0, L). Their no-op steps (moving == target)
+    and repeated plans go first, `_materialize` builds each once, and the
+    first smallest maximum intermediate wins. None can fail: each step
+    removes e or the edge the step before inserted, so it is valid iff its
+    new edge crosses the cut 0..i | i+1..L of old - e; `via_u(w)` needs w in
+    i+1..L, `via_v(w)` needs w in 0..i, and all six choices of w meet that.
 
     Guarantee: max intermediate <= (4/3) * old tree length; a violation
     raises AuditFailure, a failed precondition ParameterError.
@@ -329,19 +332,10 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
         rg, rh = _midpoint_edge(dmat, list(range(i + 1, L + 1)))  # v .. v'
         u_r, v_r = min(rg, rh), max(rg, rh)  # u_R nearest e
         candidates += [via_u(v_r), via_v(v_l), via_u(u_r), via_v(u_l)]
-
-    base = tree_length(cfg, ev.old_tree)
-    best_plan = None
-    for cand in candidates:
-        try:
-            plan = _materialize(ev, cfg, cand)
-        except ParameterError:
-            continue
-        if best_plan is None or plan.max_intermediate < best_plan.max_intermediate:
-            best_plan = plan
-    if best_plan is None:
-        raise ParameterError("no valid rotation plan found")
-    limit = (4.0 / 3.0) * base
+    distinct = dict.fromkeys(tuple((op, e, w) for op, e, w in c if e[1] != w) for c in candidates)
+    plans = [_materialize(ev, cfg, steps) for steps in distinct]
+    best_plan = min(plans, key=lambda plan: plan.max_intermediate)
+    limit = (4.0 / 3.0) * tree_length(cfg, ev.old_tree)
     if best_plan.max_intermediate > limit + 1e-9:
         raise AuditFailure(
             f"rotation morph exceeded 4/3 bound: {best_plan.max_intermediate} > {limit}",

@@ -15,7 +15,8 @@ must be JSON numbers (a bool is not one) and "n", "d" JSON integers. A
 generator parameter must be of the type its generator declares: a JSON
 integer for an int, a JSON number for a float, and for split's "colors" a
 list of the integers 0 and 1. A key the generator does not declare raises
-ParameterError naming it and the generator.
+ParameterError naming it and the generator. A given top-level "n", "d" or
+"T" must also equal the built scenario's, in either form.
 """
 
 from __future__ import annotations
@@ -195,10 +196,12 @@ def scenario_from_dict(d: dict) -> KineticScenario:
         horizon = _number(d["T"], "T")
         points = tuple(_traj_from_dict(p, dim, horizon) for p in d["points"])
         sc = KineticScenario(points=points)
-        if d.get("n") is not None and _integer(d["n"], "n") != sc.n:
-            raise ParameterError("point count does not match field n")
     else:
         raise ParameterError("scenario needs either 'generator' or 'points'")
+    for key, check, built in (("n", _integer, sc.n), ("d", _integer, sc.dim),
+                              ("T", _number, sc.horizon)):
+        if d.get(key) is not None and check(d[key], key) != built:
+            raise ParameterError(f"field {key!r} is {d[key]!r} but the scenario has {built!r}")
     label, k, K = d.get("label", sc.label), d.get("k"), d.get("K")
     if not isinstance(label, str):
         raise ParameterError(f"field 'label' must be a string, got {label!r}")

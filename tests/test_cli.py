@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
+import kemst
 from kemst.cli import main
 from kemst.errors import AuditFailure, DomainError
 from kemst.event_stability import approximation_audit
@@ -207,6 +212,15 @@ def test_jobs_parallel_runs(tmp_path, capsys):
     assert "chebyshev_s2_n5" in out and "chebyshev_s3_n5" in out
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # Only --jobs > 1 needs the pool; a cold CLI start should not load it.
+    code = "import sys, kemst.cli; print('concurrent.futures.process' in sys.modules)"
+    env = os.environ | {"PYTHONPATH": str(Path(kemst.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_every_generator_reachable_via_gen(tmp_path):
     flags = {
         "chebyshev": ["--s", "3", "--n", "5"],
@@ -345,8 +359,8 @@ def _still(**fields):
     return json.dumps(_STILL | fields)
 
 
-def _generator(**params):
-    return json.dumps({"format_version": 1, "generator": params})
+def _generator(header=None, **params):
+    return json.dumps({"format_version": 1, **(header or {}), "generator": params})
 
 
 @pytest.mark.parametrize("text,field", [
@@ -369,13 +383,18 @@ def _generator(**params):
     (_generator(name="circle", n=7, e_len="0.05"), "e_len"),
     (_generator(name="circle", n=7, s=3), "s"),
     (_generator(name="split", n=8, colors="01010101"), "colors"),
+    (_generator({"n": 5, "d": 3, "T": "abc"}, name="circle", n=7), "n"),
+    (_generator({"T": 2.0}, name="chebyshev", s=3, n=11), "T"),
+    (_generator({"n": 7, "T": "abc"}, name="circle", n=7), "T"),
+    (_generator({"d": 3}, name="circle", n=7), "d"),
     (json.dumps([_STILL]), None),
     ('{"format_version": 1,', None),
 ], ids=["k-string", "label-int", "T-string", "coeff-string", "no-kind",
         "T-numeric-string", "T-huge-int", "clamp-string", "d-float", "n-bool",
         "generator-n-string", "generator-unknown-key", "generator-s-string",
         "generator-n-float", "generator-e_len-string", "generator-foreign-key",
-        "generator-colors-string", "top-level-array", "truncated"])
+        "generator-colors-string", "generator-header-n", "generator-header-T",
+        "generator-header-T-string", "generator-header-d", "top-level-array", "truncated"])
 def test_malformed_scenario_file_exits_two(tmp_path, capsys, text, field):
     # Exit 1 means AUDIT FAIL, so a file that cannot be read as a scenario
     # must be an argument error, not a traceback. A field of the wrong type

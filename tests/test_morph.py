@@ -202,7 +202,8 @@ def test_rotation_small_side_two_steps():
     assert [_line(s) for s in plan.steps] == ["rotate 2 3 -> 4", "rotate 4 2 -> 0"]
 
 
-def test_rotation_symmetric_three_step_detour():
+def rotation_detour_swap():
+    """A 12-cycle swap with all six rotation candidates distinct."""
     pos = [
         (0.0, 4.0), (-0.8, 3.4), (-0.8, 2.4), (-0.8, 1.4), (-0.8, 0.6),
         (0.0, 0.0), (1.0, 0.0), (1.8, 0.6), (1.8, 1.4), (1.8, 2.4),
@@ -210,7 +211,12 @@ def test_rotation_symmetric_three_step_detour():
     ]
     cfg = PointConfig(pos)
     tree = SpanningTree(12, [(i, i + 1) for i in range(11)])
-    ev = make_swap_event(tree, (5, 6), (0, 11), 0.0, cfg)
+    return cfg, make_swap_event(tree, (5, 6), (0, 11), 0.0, cfg)
+
+
+def test_rotation_symmetric_three_step_detour():
+    cfg, ev = rotation_detour_swap()
+    tree = ev.old_tree
     plan = plan_rotation_morph(ev, cfg)
     # detour through the far endpoint of the right part's midpoint edge
     assert [_line(s) for s in plan.steps] == [
@@ -230,6 +236,59 @@ def test_rotation_requires_longest_edge():
     ev = make_swap_event(tree, (0, 1), (0, 3), 0.0, cfg)
     with pytest.raises(ParameterError):
         plan_rotation_morph(ev, cfg)
+
+
+def _counted_materialize(monkeypatch, fail_first=False):
+    """Wrap `morph._materialize`; return the list of step lists it gets.
+    With `fail_first`, its first call raises ParameterError."""
+    seen = []
+    real = morph._materialize
+
+    def counted(ev, cfg, steps):
+        seen.append(steps)
+        if fail_first and len(seen) == 1:
+            raise ParameterError("first candidate refused")
+        return real(ev, cfg, steps)
+
+    monkeypatch.setattr(morph, "_materialize", counted)
+    return seen
+
+
+def test_rotation_builds_each_distinct_candidate_once(monkeypatch):
+    # e = (0, 1) touches u' = 0 (cycle index i = 0): both endpoint detours
+    # reduce to the one rotation (0, 1) -> (0, 3) once no-ops are dropped.
+    cfg = PointConfig([[0, 0], [1, 0], [0.9, 0.8], [0, 0.9]])
+    tree = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
+    ev = make_swap_event(tree, (0, 1), (0, 3), 0.0, cfg)
+    assert ev.cycle == (0, 1, 2, 3)
+    seen = _counted_materialize(monkeypatch)
+    plan = plan_rotation_morph(ev, cfg)
+    assert seen == [(("rotate", (0, 1), 3),)]
+    assert [_line(s) for s in plan.steps] == ["rotate 0 1 -> 3"]
+
+
+def test_rotation_candidate_failure_raises(monkeypatch):
+    # A candidate that fails to build is a planner defect, so it surfaces
+    # instead of leaving the comparison to the other candidates.
+    cfg, ev = rotation_detour_swap()
+    seen = _counted_materialize(monkeypatch, fail_first=True)
+    with pytest.raises(ParameterError, match="first candidate refused"):
+        plan_rotation_morph(ev, cfg)
+    assert len(seen) == 1
+
+
+def test_rotation_candidates_are_distinct_and_free_of_no_ops(monkeypatch):
+    cfg, ev = rotation_detour_swap()
+    seen = _counted_materialize(monkeypatch)
+    plan_rotation_morph(ev, cfg)
+    assert len(seen) == len(set(seen)) == 6
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        cfg, ev = random_swap_instance(rng, int(rng.integers(3, 13)), longest_removed=True)
+        seen.clear()
+        plan_rotation_morph(ev, cfg)
+        assert len(seen) == len(set(seen))
+        assert all(moving != target for steps in seen for _op, (_f, moving), target in steps)
 
 
 def test_rotation_bound_random_audit():

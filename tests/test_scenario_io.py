@@ -99,10 +99,35 @@ def test_format_version_rejected():
 
 def test_point_count_mismatch_rejected(tmp_path):
     sc = KineticScenario(points=(linear([0.0], [1.0], 1.0), linear([1.0], [0.0], 1.0)))
-    data = scenario_to_dict(sc)
+    data = json.loads(json.dumps(scenario_to_dict(sc)))
     data["n"] = 3
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="field 'n'"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "header, field",
+    [
+        ({"n": 5, "d": 3, "T": "abc"}, "n"),
+        ({"n": 7.0}, "n"),
+        ({"d": 3}, "d"),
+        ({"d": True}, "d"),
+        ({"T": 2.0}, "T"),
+        ({"T": "1.0"}, "T"),
+    ],
+)
+def test_generator_header_fields_checked(header, field):
+    # A generator-form file's top-level n, d and T used to be ignored.
+    data = {"format_version": 1, **header, "generator": {"name": "circle", "n": 7}}
+    with pytest.raises(ParameterError, match=f"field {field!r}"):
+        scenario_from_dict(data)
+
+
+def test_generator_header_fields_may_match_or_be_null():
+    gen = {"name": "chebyshev", "s": 3, "n": 11, "T": 2.0}
+    for header in ({"n": 11, "d": 1, "T": 2.0}, {"n": 11, "T": 2}, {"n": None, "T": None}):
+        sc = scenario_from_dict({"format_version": 1, **header, "generator": gen})
+        assert (sc.n, sc.dim, sc.horizon) == (11, 1, 2.0)
 
 
 def test_scenario_json_is_versioned_text(tmp_path):
