@@ -216,7 +216,6 @@ def rotation_detour_swap():
 
 def test_rotation_symmetric_three_step_detour():
     cfg, ev = rotation_detour_swap()
-    tree = ev.old_tree
     plan = plan_rotation_morph(ev, cfg)
     # detour through the far endpoint of the right part's midpoint edge
     assert [_line(s) for s in plan.steps] == [
@@ -224,7 +223,7 @@ def test_rotation_symmetric_three_step_detour():
         "rotate 9 5 -> 0",
         "rotate 0 9 -> 11",
     ]
-    base = tree_length(cfg, tree)
+    base = tree_length(cfg, ev.old_tree)
     assert plan.max_intermediate <= (4.0 / 3.0) * base + 1e-9
 
 
