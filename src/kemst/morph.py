@@ -66,12 +66,17 @@ def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
     """Slide edge e=(u,v): the endpoint at v moves along tree edge (v,w).
 
     Result is tree - (u,v) + (u,w); raises if (v,w) is not a tree edge,
-    (u,v) is not one, w == u, or the replacement breaks the tree.
+    (u,v) is not one, or w == u. Those checks are enough: (v,w) is then not
+    (u,v), so it keeps w on v's side of the cut tree - (u,v) leaves, and
+    (u,w) crosses that cut. So the result is a tree, built unchecked.
     """
     u, v = e
     if not tree.has_edge((v, w)):
         raise ParameterError("slide carrier (v,w) is not a tree edge")
-    return tree.replace((u, v), (u, w))
+    old, new = _norm_edge((u, v)), _norm_edge((u, w))
+    if old not in tree.edges:
+        raise ParameterError("edge to remove is not in the tree")
+    return _exchanged(tree, old, new)
 
 
 def apply_rotation(tree: SpanningTree, e, w: int) -> SpanningTree:
@@ -82,6 +87,12 @@ def apply_rotation(tree: SpanningTree, e, w: int) -> SpanningTree:
     """
     u, v = e
     return tree.replace((u, v), (u, w))
+
+
+def _exchanged(tree: SpanningTree, old, new) -> SpanningTree:
+    """Unchecked tree - old + new, of normalized edges: the caller knows
+    that `old` is a tree edge and `new` crosses the cut tree - old leaves."""
+    return SpanningTree._trusted(tree.n, (tree.edges - {old}) | {new})
 
 
 @dataclass(frozen=True)
@@ -138,14 +149,24 @@ class MorphPlan:
 
 def _materialize(ev: SwapEvent, cfg: PointConfig, steps) -> MorphPlan:
     """Map cycle-index steps (op, (fixed, moving), target) onto `ev.cycle` as
-    given and apply them, validating every intermediate tree. No slide step
-    is a no-op (moving == target), and the rotation planner drops its own."""
+    given and apply them; raise ParameterError unless the last tree is
+    old - e + e'. No slide step is a no-op (moving == target), and the
+    rotation planner drops its own.
+
+    No intermediate tree is checked as a whole. A slide step goes through
+    `apply_slide`, whose O(1) checks make its tree valid and reject a step
+    that is not a slide. A rotation step is built unchecked: the cut
+    argument in `plan_rotation_morph`'s docstring shows that each step of
+    its candidates removes a tree edge and inserts one across its cut."""
     c = ev.cycle
     steps = [MorphStep(op, (c[f], c[m]), c[t]) for op, (f, m), t in steps]
     trees = [ev.old_tree]
     for step in steps:
-        fn = apply_slide if step.op == "slide" else apply_rotation
-        trees.append(fn(trees[-1], step.edge, step.target))
+        if step.op == "slide":
+            trees.append(apply_slide(trees[-1], step.edge, step.target))
+        else:
+            new = _norm_edge((step.edge[0], step.target))
+            trees.append(_exchanged(trees[-1], _norm_edge(step.edge), new))
     want = (ev.old_tree.edges - {ev.removed}) | {ev.inserted}
     if trees[-1].edges != want:
         raise ParameterError("morph plan does not realize the swap")
@@ -276,6 +297,11 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     return plan
 
 
+class RotationPreconditionError(ParameterError):
+    """The swap fails a precondition of `plan_rotation_morph`: e is not the
+    longest edge on the cycle, or e' is longer than e."""
+
+
 def _midpoint_edge(dmat, idxs):
     """Edge of the path `idxs` containing the path's length midpoint."""
     total = sum(dmat[a, b] for a, b in zip(idxs, idxs[1:]))
@@ -295,13 +321,14 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     through the midpoint edges of the two cycle parts, in cycle indices with
     e at (i, i + 1) and e' at (0, L). Their no-op steps (moving == target)
     and repeated plans go first, `_materialize` builds each once, and the
-    first smallest maximum intermediate wins. None can fail: each step
-    removes e or the edge the step before inserted, so it is valid iff its
-    new edge crosses the cut 0..i | i+1..L of old - e; `via_u(w)` needs w in
-    i+1..L, `via_v(w)` needs w in 0..i, and all six choices of w meet that.
+    first smallest maximum intermediate wins. Every step gives a tree, so
+    `_materialize` builds them unchecked: each step removes e or the edge
+    the step before inserted, so it is valid iff its new edge crosses the
+    cut 0..i | i+1..L of old - e; `via_u(w)` needs w in i+1..L, `via_v(w)`
+    needs w in 0..i, and all six choices of w meet that.
 
     Guarantee: max intermediate <= (4/3) * old tree length; a violation
-    raises AuditFailure, a failed precondition ParameterError.
+    raises AuditFailure, a failed precondition RotationPreconditionError.
     """
     cycle = ev.cycle
     L = len(cycle) - 1
@@ -310,10 +337,10 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     rem_len = dmat[i, i + 1]
     for a in range(L):
         if dmat[a, a + 1] > rem_len + _EDGE_TOL:
-            raise ParameterError("removed edge must be the longest on the cycle")
+            raise RotationPreconditionError("removed edge must be the longest on the cycle")
     ins_len = dmat[0, L]
     if ins_len > rem_len + _EDGE_TOL:
-        raise ParameterError("inserted edge exceeds the removed edge")
+        raise RotationPreconditionError("inserted edge exceeds the removed edge")
 
     u, v, u_p, v_p = i, i + 1, 0, L  # cycle-index aliases
 
@@ -445,7 +472,9 @@ def _bisect_cell(a_t: float, t: float, a_pos, a_tree, cur_tree, rho, events: lis
     Yields (midpoint, open entries of the certificate of the tree the swap
     leaves, or None if over `_CERT_ENTRIES`) and is sent (whether they hold,
     the midpoint's row in its round); without a certificate the row's Kruskal
-    tree decides. A swap reaches the Kruskal tree of its last failing row.
+    tree decides. A swap reaches the Kruskal tree of its last failing row,
+    built unchecked: `_kruskal`'s n - 1 merges each join two components, so
+    its edges (u < v) form a spanning tree.
 
     `_cut_certificate` forms only the entries the cell enclosure
     (`_pair_length_bounds`) leaves open. Each is checked at every midpoint
@@ -476,7 +505,7 @@ def _bisect_cell(a_t: float, t: float, a_pos, a_tree, cur_tree, rho, events: lis
                 hi, hi_seen = m, m_seen
         if hi < t and cert is not None:  # the last failing midpoint's row
             hi_seen = _kruskal(PointConfig(hi_seen))
-        hi_tree = cur_tree if hi == t else SpanningTree(n, hi_seen)
+        hi_tree = cur_tree if hi == t else SpanningTree._trusted(n, hi_seen)
         events.append((0.5 * (lo + hi), a_tree, hi_tree))
         a_t, a_tree = hi, hi_tree
         if len(events) > 4 * n:
@@ -485,7 +514,9 @@ def _bisect_cell(a_t: float, t: float, a_pos, a_tree, cur_tree, rho, events: lis
 
 def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg: PointConfig):
     """Split a multi-edge EMST change into single (e, e') swap events,
-    processing inserted edges in lexicographic order."""
+    processing inserted edges in lexicographic order. Each intermediate tree
+    is built unchecked: its removed edge lies on the fundamental cycle of
+    its inserted edge, so the exchange is a tree."""
     inserted = sorted(new_tree.edges - old_tree.edges)
     removed_pool = set(old_tree.edges - new_tree.edges)
     current = old_tree
@@ -499,7 +530,7 @@ def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg
         options.sort(key=lambda e: (-cfg.distance(*e), e))
         e_old = options[0]
         events.append(_swap_event(current, e_old, e_new, t, cfg, cycle))
-        current = current.replace(e_old, e_new)
+        current = _exchanged(current, e_old, e_new)
         removed_pool.discard(e_old)
     if current.edges != new_tree.edges:
         raise ParameterError("swap decomposition did not reach the new tree")
@@ -531,8 +562,9 @@ def run_topo_regime(
 ) -> TopoRunResult:
     """Follow the EMST, expressing each swap as a slide or rotation morph;
     every intermediate tree is charged at the swap time. In rotation mode a
-    swap whose rotation preconditions fail (ParameterError) falls back to
-    slides; a violated 3/2 or 4/3 bound raises AuditFailure."""
+    swap whose rotation preconditions fail (RotationPreconditionError) falls
+    back to slides; any other error from the planner propagates, and a
+    violated 3/2 or 4/3 bound raises AuditFailure."""
     mode = mode or sc.morph_mode
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
@@ -550,7 +582,7 @@ def run_topo_regime(
             if mode == "rotation":
                 try:
                     plan = plan_rotation_morph(ev, cfg)
-                except ParameterError:
+                except RotationPreconditionError:
                     plan = plan_slide_morph(ev, cfg)
                     plan.fallback = True
             else:

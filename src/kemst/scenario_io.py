@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from numbers import Real
 from pathlib import Path
 
 from .errors import ParameterError
@@ -38,6 +39,13 @@ _SEGMENT_TAGS = {cls: tag for tag, cls in _SEGMENT_TYPES.items()}
 def _plain(value):
     """A field value in JSON form: tuples become lists."""
     return list(value) if isinstance(value, tuple) else value
+
+
+def _plain_floats(value):
+    """A numeric trajectory field in JSON form: a number as a Python float, a
+    sequence as a list of them. `float` keeps a numpy float's bits, so the
+    JSON text is the same, and `scenario_from_dict` reads it back in memory."""
+    return float(value) if isinstance(value, Real) else [float(x) for x in value]
 
 
 def _number(value, field: str) -> float:
@@ -91,15 +99,16 @@ def _traj_to_dict(traj: Trajectory) -> dict:
     if traj.clamp_unit:
         out["clamp_unit"] = True
     if traj.kind == "polynomial":
-        out["coeffs"] = [list(c) for c in traj.coeffs]
+        out["coeffs"] = [_plain_floats(c) for c in traj.coeffs]
     elif traj.kind == "rational":
         out["terms"] = [
-            [[list(num), list(den)] for num, den in coord] for coord in traj.terms
+            [[_plain_floats(num), _plain_floats(den)] for num, den in coord]
+            for coord in traj.terms
         ]
     else:
         out["segments"] = [
             {"type": _SEGMENT_TAGS[type(seg)]}
-            | {f.name: _plain(getattr(seg, f.name)) for f in dataclasses.fields(seg)}
+            | {f.name: _plain_floats(getattr(seg, f.name)) for f in dataclasses.fields(seg)}
             for seg in traj.segments
         ]
     return out

@@ -44,7 +44,15 @@ def _norm_edge(e):
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree on n vertices: exactly n-1 edges, connected."""
+    """A spanning tree on n vertices: exactly n-1 edges, connected.
+
+    Two constructors build one. `SpanningTree(n, edges)` normalises the
+    edges and raises ParameterError unless they form a spanning tree on
+    0..n-1; outside input takes it (a caller's edges, `replace`,
+    `tree_from_prufer`, `emst`). `SpanningTree._trusted(n, edges)` checks
+    nothing: it takes normalised edges that form a spanning tree by
+    construction, and each caller says why they do.
+    """
 
     n: int
     edges: frozenset
@@ -59,6 +67,18 @@ class SpanningTree:
             raise ParameterError("edge endpoint out of range")
         if len(_parents(self.adjacency())) != n:
             raise ParameterError("edge set does not connect all vertices")
+
+    @classmethod
+    def _trusted(cls, n: int, edges) -> "SpanningTree":
+        """Unchecked tree of edges (u, v), u < v, that form a spanning tree.
+
+        The set is filled one edge at a time, as `__init__` fills it, so it
+        iterates in the same order (`frozenset` of a set would copy that
+        set's table); `tree_length` sums in that order."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n", n)
+        object.__setattr__(tree, "edges", frozenset(iter(edges)))
+        return tree
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.n)]

@@ -12,6 +12,7 @@ from kemst.cli import main
 from kemst.errors import AuditFailure, ParameterError
 from kemst.flip_oracle import minimax_flip_oracle
 from kemst.morph import (
+    RotationPreconditionError,
     apply_rotation,
     apply_slide,
     classify_connector,
@@ -54,6 +55,14 @@ from kemst.trajectories import (
 from helpers import full_certificate, left_to_right, random_cubic_scenario
 
 SQRT2 = math.sqrt(2.0)
+
+
+def assert_valid_trees(trees):
+    """Each tree equals its rebuild by the validating constructor, which
+    normalises the edges and raises unless they form a spanning tree: the
+    check the planners and swap detection skip for trees they know valid."""
+    for tree in trees:
+        assert SpanningTree(tree.n, tree.edges) == tree
 
 
 # --- slides and rotations ---------------------------------------------------
@@ -189,8 +198,7 @@ def test_slide_bound_random_audit():
         plan = plan_slide_morph(ev, cfg)
         base = tree_length(cfg, ev.old_tree)
         assert plan.max_intermediate <= 1.5 * base + 1e-9
-        for t in plan.trees:
-            assert len(t.edges) == n - 1  # SpanningTree revalidated each step
+        assert_valid_trees(plan.trees)
 
 
 def test_rotation_small_side_two_steps():
@@ -288,6 +296,16 @@ def test_rotation_candidates_are_distinct_and_free_of_no_ops(monkeypatch):
         plan_rotation_morph(ev, cfg)
         assert len(seen) == len(set(seen))
         assert all(moving != target for steps in seen for _op, (_f, moving), target in steps)
+
+
+def test_random_plan_trees_are_valid():
+    rng = np.random.default_rng(27)
+    for _ in range(500):
+        n = int(rng.integers(3, 21))
+        cfg, ev = random_swap_instance(rng, n)
+        assert_valid_trees(plan_slide_morph(ev, cfg).trees)
+        cfg, ev = random_swap_instance(rng, n, longest_removed=True)
+        assert_valid_trees(plan_rotation_morph(ev, cfg).trees)
 
 
 def test_rotation_bound_random_audit():
@@ -411,7 +429,7 @@ def test_rotation_falls_back_to_slides(tmp_path, monkeypatch, capsys):
 
     def refuse(ev, cfg):
         seen.append((ev, cfg))
-        raise ParameterError("no rotation")
+        raise RotationPreconditionError("no rotation")
 
     monkeypatch.setattr(morph, "plan_rotation_morph", refuse)
     res = run_topo_regime(gen_diamond(4), mode="rotation")
@@ -424,6 +442,21 @@ def test_rotation_falls_back_to_slides(tmp_path, monkeypatch, capsys):
     assert main(["run-topo", "diamond", "--per-side", "4", "--mode", "rotation",
                  "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith(f" fallbacks={res.swap_count}\n")
+
+
+def test_rotation_build_failure_is_not_a_fallback(monkeypatch):
+    # Only a failed precondition falls back to slides; a rotation candidate
+    # that fails to build is a planner defect and surfaces.
+    real = morph._materialize
+
+    def refuse_rotations(ev, cfg, steps):
+        if steps[0][0] == "rotate":
+            raise ParameterError("rotation candidate refused")
+        return real(ev, cfg, steps)
+
+    monkeypatch.setattr(morph, "_materialize", refuse_rotations)
+    with pytest.raises(ParameterError, match="rotation candidate refused"):
+        run_topo_regime(gen_diamond(4), mode="rotation", samples=4)
 
 
 # --- swap detection and the topological regime -------------------------------
@@ -551,9 +584,20 @@ def test_detect_swaps_matches_reference_bisection(case):
     sc, grid = SWAP_CASES[case]
     got = detect_swaps(sc, grid)
     assert_same_swaps(got, reference_swaps(case)[0])
+    assert_valid_trees(tree for _t, a, b in got for tree in (a, b))
     if case == "fast_sweep":
         cells = [math.floor(t * (grid - 1) / sc.horizon) for t, _a, _b in got]
         assert max(cells.count(c) for c in cells) >= 3
+
+
+@pytest.mark.parametrize("mode", ["slide", "rotation"])
+@pytest.mark.parametrize("case", SWAP_CASES)
+def test_topo_plan_trees_are_valid(case, mode):
+    sc, grid = SWAP_CASES[case]
+    res = run_topo_regime(sc, mode=mode, samples=2, grid=grid)
+    assert res.plans
+    for plan in res.plans:
+        assert_valid_trees(plan.trees)
 
 
 @pytest.mark.parametrize("case", ["cubic20", "lattice", "rational_bumps", "fast_sweep"])

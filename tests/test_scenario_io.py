@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -88,6 +90,8 @@ def test_explicit_points_round_trip(tmp_path):
     assert back.k == 0.25 and back.label == "pair"
     for t in (0.0, 0.7, 2.0):
         np.testing.assert_allclose(back.positions(t), sc.positions(t), atol=1e-15)
+    # `linear` builds numpy floats; the dict holds Python floats of the same bits
+    assert scenario_from_dict(scenario_to_dict(sc)) == sc
 
 
 def test_format_version_rejected():
@@ -156,6 +160,27 @@ def test_generator_save_load_save_byte_identical(tmp_path, sc):
     assert second.read_bytes() == first.read_bytes()
     data = scenario_to_dict(sc)
     assert json.loads(json.dumps(data)) == data  # plain JSON types in memory too
+
+
+@pytest.mark.parametrize(
+    "sc, digest",
+    [
+        (gen_chebyshev(3, 5, k=0.1), "b7669147002d5fdc6f58822ba24b6f460548a648d84089e5033494922bf2d0b0"),
+        (gen_rational_bumps(4, 4), "b5432ef606e1f04c61fcc2ad14fa934ab6f942f931a5b8a95331efae9712bd0d"),
+        (gen_circle(6, e_len=0.07), "9f1d92a6a867f30b4610cb1268a677b903cc59fa9ccafc3cec45ad7a536dcde3"),
+        (gen_diamond(5), "3ab47a83fd8d35cf6a4734c35c146e901312d6c897b64af4b7badbf3cf15973c"),
+        (gen_split(6), "fdba339d266688369ff22bb4e1225518cac67bf46889f65ffb655ba92ecffae2"),
+    ],
+    ids=["chebyshev", "bumps", "circle", "diamond", "split"],
+)
+def test_points_form_bytes_pinned(tmp_path, sc, digest):
+    # Each generator's points written out explicitly (no generator in meta):
+    # the sha256 of the file, pinned when the coefficients were written as
+    # the numpy floats the generators build.
+    path = tmp_path / "points.json"
+    save_scenario(path, dataclasses.replace(sc, meta={}))
+    assert "points" in json.loads(path.read_text())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_explicit_points_save_load_save_byte_identical(tmp_path):
