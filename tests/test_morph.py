@@ -65,6 +65,20 @@ def assert_valid_trees(trees):
         assert SpanningTree(tree.n, tree.edges) == tree
 
 
+@pytest.fixture
+def validated_plans(monkeypatch):
+    """Run `assert_valid_trees` on every plan `_materialize` builds, each
+    rotation candidate included, not only the plans that win."""
+    real = morph._materialize
+
+    def checked(ev, cfg, steps):
+        plan = real(ev, cfg, steps)
+        assert_valid_trees(plan.trees)
+        return plan
+
+    monkeypatch.setattr(morph, "_materialize", checked)
+
+
 # --- slides and rotations ---------------------------------------------------
 
 
@@ -298,14 +312,14 @@ def test_rotation_candidates_are_distinct_and_free_of_no_ops(monkeypatch):
         assert all(moving != target for steps in seen for _op, (_f, moving), target in steps)
 
 
-def test_random_plan_trees_are_valid():
+def test_random_plan_trees_are_valid(validated_plans):
     rng = np.random.default_rng(27)
     for _ in range(500):
         n = int(rng.integers(3, 21))
         cfg, ev = random_swap_instance(rng, n)
-        assert_valid_trees(plan_slide_morph(ev, cfg).trees)
+        plan_slide_morph(ev, cfg)
         cfg, ev = random_swap_instance(rng, n, longest_removed=True)
-        assert_valid_trees(plan_rotation_morph(ev, cfg).trees)
+        plan_rotation_morph(ev, cfg)
 
 
 def test_rotation_bound_random_audit():
@@ -592,12 +606,9 @@ def test_detect_swaps_matches_reference_bisection(case):
 
 @pytest.mark.parametrize("mode", ["slide", "rotation"])
 @pytest.mark.parametrize("case", SWAP_CASES)
-def test_topo_plan_trees_are_valid(case, mode):
+def test_topo_plan_trees_are_valid(case, mode, validated_plans):
     sc, grid = SWAP_CASES[case]
-    res = run_topo_regime(sc, mode=mode, samples=2, grid=grid)
-    assert res.plans
-    for plan in res.plans:
-        assert_valid_trees(plan.trees)
+    assert run_topo_regime(sc, mode=mode, samples=2, grid=grid).plans
 
 
 @pytest.mark.parametrize("case", ["cubic20", "lattice", "rational_bumps", "fast_sweep"])
