@@ -29,6 +29,7 @@ from .spanning import (
     SpanningTree,
     _cut_certificate,
     _cuts_hold,
+    _is_vertex,
     _kruskal,
     _length_grid,
     _lr_sum,
@@ -65,12 +66,15 @@ _CELL_FLOOR = 2.0**-500
 def apply_slide(tree: SpanningTree, e, w: int) -> SpanningTree:
     """Slide edge e=(u,v): the endpoint at v moves along tree edge (v,w).
 
-    Result is tree - (u,v) + (u,w); raises if (v,w) is not a tree edge,
-    (u,v) is not one, or w == u. Those checks are enough: (v,w) is then not
-    (u,v), so it keeps w on v's side of the cut tree - (u,v) leaves, and
-    (u,w) crosses that cut. So the result is a tree, built unchecked.
+    Result is tree - (u,v) + (u,w); raises if u, v or w is not an int or a
+    numpy integer, (v,w) is not a tree edge, (u,v) is not one, or w == u.
+    Those checks are enough: (v,w) is then not (u,v), so it keeps w on v's
+    side of the cut tree - (u,v) leaves, and (u,w) crosses that cut. So the
+    result is a tree, built unchecked.
     """
     u, v = e
+    if not all(map(_is_vertex, (u, v, w))):
+        raise ParameterError("slide vertices must be integers")
     if not tree.has_edge((v, w)):
         raise ParameterError("slide carrier (v,w) is not a tree edge")
     old, new = _norm_edge((u, v)), _norm_edge((u, w))
@@ -97,38 +101,45 @@ def _exchanged(tree: SpanningTree, old, new) -> SpanningTree:
 
 @dataclass(frozen=True)
 class SwapEvent:
-    """An EMST update: remove `removed`, insert `inserted`, at `time`."""
+    """An EMST update: remove `removed`, insert `inserted`, at `time`.
+    `cycle` is `fundamental_cycle(old_tree, inserted)`, and `removed` its
+    edge (cycle[removed_at], cycle[removed_at + 1]), normalized."""
 
     time: float
     old_tree: SpanningTree
     removed: tuple[int, int]
     inserted: tuple[int, int]
     cycle: tuple[int, ...]
+    removed_at: int
 
 
 def make_swap_event(
     old_tree: SpanningTree, removed, inserted, time: float, cfg: PointConfig
 ) -> SwapEvent:
+    """The checked SwapEvent of a caller's swap: raises ParameterError unless
+    its edges join `_is_vertex` endpoints in 0..n-1, `inserted` is not a
+    tree edge (`fundamental_cycle` checks it), `removed` lies on its
+    fundamental cycle, so is one, and `inserted` is no longer at `cfg`."""
+    if not all(_is_vertex(x) and 0 <= x < old_tree.n for x in (*removed, *inserted)):
+        raise ParameterError(f"swap vertices must be integers in 0..{old_tree.n - 1}")
     removed = _norm_edge(removed)
     inserted = _norm_edge(inserted)
-    if not old_tree.has_edge(removed):
-        raise ParameterError("removed edge not in the old tree")
-    if old_tree.has_edge(inserted):
-        raise ParameterError("inserted edge already in the old tree")
     cycle = fundamental_cycle(old_tree, inserted)
-    return _swap_event(old_tree, removed, inserted, time, cfg, cycle)
-
-
-def _swap_event(old_tree, removed, inserted, time, cfg, cycle) -> SwapEvent:
-    """SwapEvent of normalized edges, given `fundamental_cycle(old_tree,
-    inserted)`; `removed` must lie on it and be no shorter than `inserted`."""
-    cycle = tuple(cycle)
-    cyc_edges = {_norm_edge(p) for p in zip(cycle, cycle[1:])}
+    cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
     if removed not in cyc_edges:
         raise ParameterError("removed edge does not lie on the fundamental cycle")
+    return _swap_event(old_tree, cyc_edges.index(removed), inserted, time, cfg, cycle)
+
+
+def _swap_event(old_tree, i, inserted, time, cfg, cycle) -> SwapEvent:
+    """SwapEvent removing edge (cycle[i], cycle[i + 1]) of `cycle =
+    fundamental_cycle(old_tree, inserted)`, `inserted` normalized; raises
+    ParameterError if `inserted` is longer than that edge at `cfg`."""
+    cycle = tuple(cycle)
+    removed = _norm_edge((cycle[i], cycle[i + 1]))
     if cfg.distance(*inserted) > cfg.distance(*removed) + _EDGE_TOL:
         raise ParameterError("swap is not weight-improving at the event time")
-    return SwapEvent(time, old_tree, removed, inserted, cycle)
+    return SwapEvent(time, old_tree, removed, inserted, cycle, i)
 
 
 @dataclass(frozen=True)
@@ -147,11 +158,12 @@ class MorphPlan:
     fallback: bool = False
 
 
-def _materialize(ev: SwapEvent, cfg: PointConfig, steps) -> MorphPlan:
+def _materialize(ev: SwapEvent, cfg: PointConfig, steps, base: float) -> MorphPlan:
     """Map cycle-index steps (op, (fixed, moving), target) onto `ev.cycle` as
     given and apply them; raise ParameterError unless the last tree is
     old - e + e'. No slide step is a no-op (moving == target), and the
-    rotation planner drops its own.
+    rotation planner drops its own. `base`, the planner's `tree_length(cfg,
+    ev.old_tree)`, is the plan's first length.
 
     No intermediate tree is checked as a whole. A slide step goes through
     `apply_slide`, whose O(1) checks make its tree valid and reject a step
@@ -170,20 +182,13 @@ def _materialize(ev: SwapEvent, cfg: PointConfig, steps) -> MorphPlan:
     want = (ev.old_tree.edges - {ev.removed}) | {ev.inserted}
     if trees[-1].edges != want:
         raise ParameterError("morph plan does not realize the swap")
-    lengths = [tree_length(cfg, t) for t in trees]
+    lengths = [base] + [tree_length(cfg, t) for t in trees[1:]]
     return MorphPlan(
         steps=steps,
         trees=trees,
         lengths=lengths,
         max_intermediate=max(lengths),
     )
-
-
-def _locate_removed(cycle, removed):
-    for i in range(len(cycle) - 1):
-        if _norm_edge((cycle[i], cycle[i + 1])) == removed:
-            return i
-    raise ParameterError("removed edge not on cycle")
 
 
 def _slide_grid_plan(dmat, i, L):
@@ -273,9 +278,8 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     Guarantee: max intermediate <= 1.5 * old tree length when
     |e'| <= |e|; a violation raises AuditFailure.
     """
-    cycle = ev.cycle
+    cycle, i = ev.cycle, ev.removed_at
     L = len(cycle) - 1
-    i = _locate_removed(cycle, ev.removed)
     dmat = _length_grid(cfg, cycle, cycle)
     base = tree_length(cfg, ev.old_tree)
     removed_len = dmat[i, i + 1]
@@ -286,7 +290,7 @@ def plan_slide_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
         worst = _eval_index_steps(base, dmat, idx_steps)
         if worst < best_worst - 1e-12:
             best_worst, best_steps = worst, idx_steps
-    plan = _materialize(ev, cfg, best_steps)
+    plan = _materialize(ev, cfg, best_steps, base)
     limit = 1.5 * base
     if cfg.distance(*ev.inserted) <= cfg.distance(*ev.removed) + _EDGE_TOL:
         if plan.max_intermediate > limit + 1e-9:
@@ -330,9 +334,8 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
     Guarantee: max intermediate <= (4/3) * old tree length; a violation
     raises AuditFailure, a failed precondition RotationPreconditionError.
     """
-    cycle = ev.cycle
+    cycle, i = ev.cycle, ev.removed_at
     L = len(cycle) - 1
-    i = _locate_removed(cycle, ev.removed)
     dmat = _length_grid(cfg, cycle, cycle)
     rem_len = dmat[i, i + 1]
     for a in range(L):
@@ -360,9 +363,10 @@ def plan_rotation_morph(ev: SwapEvent, cfg: PointConfig) -> MorphPlan:
         u_r, v_r = min(rg, rh), max(rg, rh)  # u_R nearest e
         candidates += [via_u(v_r), via_v(v_l), via_u(u_r), via_v(u_l)]
     distinct = dict.fromkeys(tuple((op, e, w) for op, e, w in c if e[1] != w) for c in candidates)
-    plans = [_materialize(ev, cfg, steps) for steps in distinct]
+    base = tree_length(cfg, ev.old_tree)
+    plans = [_materialize(ev, cfg, steps, base) for steps in distinct]
     best_plan = min(plans, key=lambda plan: plan.max_intermediate)
-    limit = (4.0 / 3.0) * tree_length(cfg, ev.old_tree)
+    limit = (4.0 / 3.0) * base
     if best_plan.max_intermediate > limit + 1e-9:
         raise AuditFailure(
             f"rotation morph exceeded 4/3 bound: {best_plan.max_intermediate} > {limit}",
@@ -524,12 +528,12 @@ def decompose_swap(old_tree: SpanningTree, new_tree: SpanningTree, t: float, cfg
     for e_new in inserted:
         cycle = fundamental_cycle(current, e_new)
         cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
-        options = [e for e in cyc_edges if e in removed_pool]
+        options = [i for i, e in enumerate(cyc_edges) if e in removed_pool]
         if not options:
             raise ParameterError("cannot pair inserted edge with a removed edge")
-        options.sort(key=lambda e: (-cfg.distance(*e), e))
-        e_old = options[0]
-        events.append(_swap_event(current, e_old, e_new, t, cfg, cycle))
+        i = min(options, key=lambda i: (-cfg.distance(*cyc_edges[i]), cyc_edges[i]))
+        e_old = cyc_edges[i]
+        events.append(_swap_event(current, i, e_new, t, cfg, cycle))
         current = _exchanged(current, e_old, e_new)
         removed_pool.discard(e_old)
     if current.edges != new_tree.edges:
@@ -731,15 +735,15 @@ def random_swap_instance(
         ]
         e_new = candidates[int(rng.integers(0, len(candidates)))]
         cycle = fundamental_cycle(tree, e_new)
-        cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
+        lengths = [cfg.distance(*p) for p in zip(cycle, cycle[1:])]
         new_len = cfg.distance(*e_new)
         if longest_removed:
-            e_old = max(cyc_edges, key=lambda e: cfg.distance(*e))
-            if cfg.distance(*e_old) < new_len:
+            i = max(range(len(lengths)), key=lengths.__getitem__)
+            if lengths[i] < new_len:
                 continue
         else:
-            heavier = [e for e in cyc_edges if cfg.distance(*e) >= new_len]
+            heavier = [i for i, length in enumerate(lengths) if length >= new_len]
             if not heavier:
                 continue
-            e_old = heavier[int(rng.integers(0, len(heavier)))]
-        return cfg, _swap_event(tree, e_old, e_new, 0.0, cfg, cycle)
+            i = heavier[int(rng.integers(0, len(heavier)))]
+        return cfg, _swap_event(tree, i, e_new, 0.0, cfg, cycle)

@@ -120,25 +120,13 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
     if type(clamp) is not bool:
         raise ParameterError(f"field 'clamp_unit' must be true or false, got {clamp!r}")
     if kind == "polynomial":
-        return Trajectory(
-            kind="polynomial",
-            dim=dim,
-            horizon=horizon,
-            coeffs=tuple(_floats(c, "coeffs") for c in d["coeffs"]),
-            clamp_unit=clamp,
-        )
-    if kind == "rational":
-        return Trajectory(
-            kind="rational",
-            dim=dim,
-            horizon=horizon,
-            terms=tuple(
-                tuple((_floats(num, "terms"), _floats(den, "terms")) for num, den in coord)
-                for coord in d["terms"]
-            ),
-            clamp_unit=clamp,
-        )
-    if kind == "scripted":
+        field = {"coeffs": tuple(_floats(c, "coeffs") for c in d["coeffs"])}
+    elif kind == "rational":
+        field = {"terms": tuple(
+            tuple((_floats(num, "terms"), _floats(den, "terms")) for num, den in coord)
+            for coord in d["terms"]
+        )}
+    elif kind == "scripted":
         segs = []
         for seg in d["segments"]:
             cls = _SEGMENT_TYPES.get(seg["type"])
@@ -146,11 +134,10 @@ def _traj_from_dict(d: dict, dim: int, horizon: float) -> Trajectory:
                 raise ParameterError(f"unknown segment type {seg['type']!r}")
             fields = dataclasses.fields(cls)
             segs.append(cls(**{f.name: _floats(seg[f.name], f.name) for f in fields}))
-        return Trajectory(
-            kind="scripted", dim=dim, horizon=horizon, segments=tuple(segs),
-            clamp_unit=clamp,
-        )
-    raise ParameterError(f"unknown trajectory kind {kind!r}")
+        field = {"segments": tuple(segs)}
+    else:
+        raise ParameterError(f"unknown trajectory kind {kind!r}")
+    return Trajectory(kind=kind, dim=dim, horizon=horizon, clamp_unit=clamp, **field)
 
 
 def scenario_to_dict(sc: KineticScenario) -> dict:

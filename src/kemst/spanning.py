@@ -42,29 +42,37 @@ def _norm_edge(e):
     return (u, v) if u < v else (v, u)
 
 
+def _is_vertex(x) -> bool:
+    """Whether x is an int or a numpy integer (a bool is neither)."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 @dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree on n vertices: exactly n-1 edges, connected.
 
     Two constructors build one. `SpanningTree(n, edges)` normalises the
     edges and raises ParameterError unless they form a spanning tree on
-    0..n-1; outside input takes it (a caller's edges, `replace`,
-    `tree_from_prufer`, `emst`). `SpanningTree._trusted(n, edges)` checks
-    nothing: it takes normalised edges that form a spanning tree by
-    construction, and each caller says why they do.
+    0..n-1 (`_is_vertex` endpoints); outside input takes it (a caller's
+    edges, `replace`, `tree_from_prufer`, `emst`). `_trusted(n, edges)`
+    checks nothing: it takes normalised edges that form a spanning tree
+    by construction, and each caller says why they do.
     """
 
     n: int
     edges: frozenset
 
     def __init__(self, n: int, edges):
-        norm = frozenset(_norm_edge(e) for e in edges)
+        try:
+            norm = frozenset(_norm_edge(e) for e in edges)
+        except TypeError:  # endpoints that do not compare, e.g. None or a str
+            raise ParameterError("edges must be pairs of integer vertices") from None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", norm)
         if len(norm) != n - 1:
             raise ParameterError(f"spanning tree on {n} vertices needs {n - 1} edges")
-        if any(u < 0 or v >= n for u, v in norm):
-            raise ParameterError("edge endpoint out of range")
+        if any(not (_is_vertex(u) and _is_vertex(v)) or u < 0 or v >= n for u, v in norm):
+            raise ParameterError(f"edge endpoint not an integer or out of range 0..{n - 1}")
         if len(_parents(self.adjacency())) != n:
             raise ParameterError("edge set does not connect all vertices")
 

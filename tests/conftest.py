@@ -19,8 +19,8 @@ def inflated_plans(monkeypatch):
 
     real = morph._materialize
 
-    def inflated(ev, cfg, steps):
-        plan = real(ev, cfg, steps)
+    def inflated(ev, cfg, steps, base):
+        plan = real(ev, cfg, steps, base)
         plan.max_intermediate *= 2.0
         return plan
 

@@ -38,6 +38,7 @@ from kemst.spanning import (
     PointConfig,
     SpanningTree,
     _cut_certificate,
+    _norm_edge,
     _pair_lengths,
     _pairs,
     emst,
@@ -65,14 +66,22 @@ def assert_valid_trees(trees):
         assert SpanningTree(tree.n, tree.edges) == tree
 
 
+def assert_removed_at(ev):
+    """The swap's removed edge is the cycle edge at `removed_at`."""
+    i = ev.removed_at
+    assert _norm_edge((ev.cycle[i], ev.cycle[i + 1])) == ev.removed
+
+
 @pytest.fixture
 def validated_plans(monkeypatch):
     """Run `assert_valid_trees` on every plan `_materialize` builds, each
-    rotation candidate included, not only the plans that win."""
+    rotation candidate included, not only the plans that win, and
+    `assert_removed_at` on its swap."""
     real = morph._materialize
 
-    def checked(ev, cfg, steps):
-        plan = real(ev, cfg, steps)
+    def checked(ev, cfg, steps, base):
+        assert_removed_at(ev)
+        plan = real(ev, cfg, steps, base)
         assert_valid_trees(plan.trees)
         return plan
 
@@ -98,6 +107,30 @@ def test_slide_requires_carrier():
     tree = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ParameterError):
         apply_slide(tree, (0, 1), 3)  # 3 is not a tree-neighbor of 1
+
+
+def test_vertices_must_be_integers():
+    # A float vertex compares and hashes as its int does, so only a type
+    # check keeps it out of a tree's edges and adjacency lists.
+    with pytest.raises(ParameterError, match="not an integer"):
+        SpanningTree(3, [(0, 1.0), (1, 2)])
+    with pytest.raises(ParameterError, match="not an integer"):
+        SpanningTree(2, [(False, 1)])
+    with pytest.raises(ParameterError, match="integer vertices"):
+        SpanningTree(3, [("0", 1), (1, 2)])
+    tree = SpanningTree(3, [(0, 1), (1, 2)])
+    for e, w in [((0, 1), 2.0), ((0.0, 1), 2), ((0, True), 2)]:
+        with pytest.raises(ParameterError, match="must be integers"):
+            apply_slide(tree, e, w)
+    path = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
+    cfg = PointConfig([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for removed, inserted in [((0, 1), (0, 3.0)), ((0.0, 1), (0, 3)), ((0, 1), (0, 7))]:
+        with pytest.raises(ParameterError, match="must be integers"):
+            make_swap_event(path, removed, inserted, 0.0, cfg)
+    assert SpanningTree(3, [(np.int64(0), 1), (1, np.uint8(2))]).edges == tree.edges
+    ev = make_swap_event(path, (np.int64(0), 1), (0, np.int32(3)), 0.0, cfg)
+    assert (ev.removed, ev.inserted) == ((0, 1), (0, 3))
+    assert apply_slide(tree, (0, np.intp(1)), np.int32(2)).edges == {(0, 2), (1, 2)}
 
 
 def test_rotation_to_far_vertex():
@@ -249,6 +282,41 @@ def test_rotation_symmetric_three_step_detour():
     assert plan.max_intermediate <= (4.0 / 3.0) * base + 1e-9
 
 
+def test_swap_events_record_their_removed_edge():
+    _cfg, ev = unit_square_swap()
+    assert (ev.cycle, ev.removed_at) == ((0, 1, 2, 3), 0)
+    _cfg, ev = rotation_detour_swap()
+    assert (ev.cycle[5:7], ev.removed_at) == ((5, 6), 5)
+    tree = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
+    for removed in [(0, 1), (1, 0), (1, 2), (3, 2)]:
+        ev = make_swap_event(tree, removed, (3, 0), 0.0, PointConfig(np.eye(4)))
+        assert_removed_at(ev)
+    rng = np.random.default_rng(28)
+    for k in range(500):
+        _cfg, ev = random_swap_instance(rng, int(rng.integers(3, 13)), longest_removed=k % 2 == 1)
+        assert_removed_at(ev)
+
+
+@pytest.mark.parametrize("swap, planner", [
+    (rotation_detour_swap, plan_rotation_morph),
+    (unit_square_swap, plan_slide_morph),
+])
+def test_planners_measure_the_old_tree_once(swap, planner, monkeypatch):
+    # Every candidate plan's first length, and the bound, are that one sum.
+    cfg, ev = swap()
+    old_tree_calls = []
+    real = morph.tree_length
+
+    def counting(cfg, tree):
+        old_tree_calls.append(tree is ev.old_tree)
+        return real(cfg, tree)
+
+    monkeypatch.setattr(morph, "tree_length", counting)
+    plan = planner(ev, cfg)
+    assert sum(old_tree_calls) == 1
+    assert plan.lengths[0] == real(cfg, ev.old_tree)
+
+
 def test_rotation_requires_longest_edge():
     # (2,3) is slightly longer than the removed edge (0,1); the rotation
     # planner's precondition fails even though the swap itself is valid
@@ -265,11 +333,11 @@ def _counted_materialize(monkeypatch, fail_first=False):
     seen = []
     real = morph._materialize
 
-    def counted(ev, cfg, steps):
+    def counted(ev, cfg, steps, base):
         seen.append(steps)
         if fail_first and len(seen) == 1:
             raise ParameterError("first candidate refused")
-        return real(ev, cfg, steps)
+        return real(ev, cfg, steps, base)
 
     monkeypatch.setattr(morph, "_materialize", counted)
     return seen
@@ -463,10 +531,10 @@ def test_rotation_build_failure_is_not_a_fallback(monkeypatch):
     # that fails to build is a planner defect and surfaces.
     real = morph._materialize
 
-    def refuse_rotations(ev, cfg, steps):
+    def refuse_rotations(ev, cfg, steps, base):
         if steps[0][0] == "rotate":
             raise ParameterError("rotation candidate refused")
-        return real(ev, cfg, steps)
+        return real(ev, cfg, steps, base)
 
     monkeypatch.setattr(morph, "_materialize", refuse_rotations)
     with pytest.raises(ParameterError, match="rotation candidate refused"):
