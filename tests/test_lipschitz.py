@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -145,6 +146,46 @@ def test_run_greedy_schedule_pinned():
     assert got == SPLIT40_K5_SCHEDULES
     assert res.final_length == 20.005936572555434
     assert res.opt_length == 2.9003124511871254
+
+
+def _hex(x) -> str:
+    return "None" if x is None else float.hex(float(x))
+
+
+def _lipschitz_run_digest(res) -> str:
+    """sha256 over every schedule's fields and every record's fields, then
+    the final tree's sorted edges and the final and OPT lengths; floats
+    written with float.hex."""
+    h = hashlib.sha256()
+    for s in res.schedules:
+        floats = (s.x_span, s.drift, s.K, s.t0, s.t_end)
+        h.update(f"{s.fixed} {s.moving} {s.target} {' '.join(map(_hex, floats))}\n".encode())
+    for r in res.records:
+        floats = (r.time, r.tree_length, r.opt_length, r.ratio)
+        counts = f"{r.active_slides} {r.completed_slides}"
+        h.update(f"{counts} {' '.join(map(_hex, floats))}\n".encode())
+    lengths = f"{_hex(res.final_length)} {_hex(res.opt_length)}"
+    h.update(f"{sorted(res.final_tree.edges)} {lengths}".encode())
+    return h.hexdigest()
+
+
+# Every record and schedule bit of two greedy runs: split n = 40 at K = 5
+# (20 completions, 65 samples) and split n = 8 at K = 80 (4 completions).
+LIPSCHITZ_RUN_DIGESTS = {
+    (40, 5.0): "1f1e4f1a0b416eef220269049fa96ce584fb9cfe2add30dc3581877c2a62444c",
+    (8, 80.0): "3ad6646ef917bf553604a08a03f55aa3a03bfa19ef285bf110c278e5c16095ca",
+}
+
+
+@pytest.mark.parametrize("n, K", sorted(LIPSCHITZ_RUN_DIGESTS))
+def test_run_records_pinned(n, K):
+    res = run_lipschitz_regime(gen_split(n, K=K), trace_samples=65)
+    assert len(res.records) == 65
+    assert _lipschitz_run_digest(res) == LIPSCHITZ_RUN_DIGESTS[n, K]
+    bare = run_lipschitz_regime(gen_split(n, K=K), trace_samples=0)
+    assert bare.records == []
+    assert bare.schedules == res.schedules
+    assert (bare.final_length, bare.opt_length) == (res.final_length, res.opt_length)
 
 
 def test_run_initial_snapshot_ratio_one():
