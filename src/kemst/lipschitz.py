@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -167,6 +168,62 @@ class LipschitzRunResult:
     schedules: list[SlideSchedule] = field(default_factory=list)
 
 
+def _greedy_starts(
+    tree: SpanningTree, active: list[SlideSchedule], cfg_end: PointConfig
+) -> list[tuple[int, int, int]]:
+    """The (fixed, moving, target) slides the greedy starts, in start order.
+
+    A candidate slides tree edge (fixed, moving) along tree edge (moving,
+    target) to (fixed, target); neither edge may be an `active` slide's.
+    Its gain is the drop in tree length at `cfg_end` once it completes.
+    Gains > 1e-12 rank by (-gain, fixed, moving, target), so equal gains go
+    to the smallest triple, and each is taken unless an earlier one took
+    one of its edges. Each tree is summed (`_lr_sum`) in its own edge-set
+    iteration order, which depends on how the set was built, so the gains
+    of two equal trees can differ in the last bits and rank by those bits.
+    """
+    reserved = {_norm_edge(e) for s in active for e in ((s.fixed, s.moving), (s.moving, s.target))}
+    adj = tree.adjacency()
+    base = _lr_sum(_edge_lengths(cfg_end, tree.edges))
+    candidates = []
+    for u, v in tree.edges:
+        if (u, v) in reserved:
+            continue
+        rest = tree.edges - {(u, v)}
+        for fixed, moving in ((u, v), (v, u)):
+            for w in adj[moving]:
+                if w == fixed or _norm_edge((moving, w)) in reserved:
+                    continue
+                new = rest | {_norm_edge((fixed, w))}
+                gain = base - _lr_sum(_edge_lengths(cfg_end, new))
+                if gain > 1e-12:
+                    candidates.append((gain, fixed, moving, w))
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    starts = []
+    for _gain, fixed, moving, w in candidates:
+        slider, carrier = _norm_edge((fixed, moving)), _norm_edge((moving, w))
+        if slider not in reserved and carrier not in reserved:
+            starts.append((fixed, moving, w))
+            reserved.update((slider, carrier))
+    return starts
+
+
+def _geometric_length(
+    tree: SpanningTree, active: list[SlideSchedule], t: float, cfg: PointConfig
+) -> float:
+    """Length of `tree` at time t, `cfg` its configuration: an active
+    slider's moving end is `progress(t)` of the way along its carrier, off
+    the configuration, so its edge takes the same axis norm to that point.
+    Summed (`_lr_sum`) in `tree.edges` order."""
+    pos = cfg.positions
+    lengths = dict(zip(tree.edges, _edge_lengths(cfg, tree.edges).tolist()))
+    for s in active:
+        end = pos[s.moving] + s.progress(t) * (pos[s.target] - pos[s.moving])
+        slider = _norm_edge((s.fixed, s.moving))
+        lengths[slider] = float(np.linalg.norm(pos[s.fixed] - end, axis=-1))
+    return _lr_sum(list(lengths.values()))
+
+
 def run_lipschitz_regime(
     sc: KineticScenario,
     K: float | None = None,
@@ -199,98 +256,37 @@ def run_lipschitz_regime(
     active: list[SlideSchedule] = []
     done: list[SlideSchedule] = []
     cfg_end = sc.config(sc.horizon)
-
-    def final_len_of(edges) -> float:
-        # Summed as `tree_length` sums, so tied gains stay tied.
-        return _lr_sum(_edge_lengths(cfg_end, edges))
-
-    def start_greedy_slides():
-        reserved = set()
-        for s in active:
-            reserved.add(_norm_edge((s.fixed, s.moving)))
-            reserved.add(_norm_edge((s.moving, s.target)))
-        adj = tree.adjacency()
-        candidates = []
-        base_final = final_len_of(tree.edges)
-        for u, v in tree.edges:
-            for fixed, moving in ((u, v), (v, u)):
-                if _norm_edge((fixed, moving)) in reserved:
-                    continue
-                for w in adj[moving]:
-                    if w == fixed:
-                        continue
-                    if _norm_edge((moving, w)) in reserved:
-                        continue
-                    new_edges = (tree.edges - {_norm_edge((u, v))}) | {
-                        _norm_edge((fixed, w))
-                    }
-                    gain = base_final - final_len_of(new_edges)
-                    if gain > 1e-12:
-                        candidates.append((gain, fixed, moving, w))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-        for gain, fixed, moving, w in candidates:
-            slider = _norm_edge((fixed, moving))
-            carrier = _norm_edge((moving, w))
-            if slider in reserved or carrier in reserved:
-                continue
-            sched = SlideSchedule(
-                fixed=fixed,
-                moving=moving,
-                target=w,
-                x_span=abs(heights[moving] - heights[w]),
-                drift=0.0 if colors[moving] == colors[w] else 1.0,
-                K=K,
-                t0=t_now,
-            )
-            sched.t_end = schedule_completion(sched, sc.horizon)
-            active.append(sched)
-            reserved.add(slider)
-            reserved.add(carrier)
-
-    def geometric_length(t: float, cfg: PointConfig) -> float:
-        # A slider's moving end is off the configuration: same axis norm.
-        pos = cfg.positions
-        edges = list(tree.edges)
-        lengths = _edge_lengths(cfg, edges).tolist()
-        where = {e: i for i, e in enumerate(edges)}
-        for s in active:
-            end = pos[s.moving] + s.progress(t) * (pos[s.target] - pos[s.moving])
-            slider = where[_norm_edge((s.fixed, s.moving))]
-            lengths[slider] = float(np.linalg.norm(pos[s.fixed] - end, axis=-1))
-        return _lr_sum(lengths)
-
-    start_greedy_slides()
     sample_ts = np.linspace(0.0, sc.horizon, trace_samples)
     sample_pos = sc.positions(sample_ts)
     records: list[LipschitzRecord] = []
-    sample_idx = 0
-
-    def emit_samples(up_to: float):
-        nonlocal sample_idx
-        while sample_idx < len(sample_ts) and sample_ts[sample_idx] <= up_to + 1e-12:
-            t = float(sample_ts[sample_idx])
-            cfg = PointConfig(sample_pos[sample_idx])
-            g_len = geometric_length(t, cfg)
+    i = 0
+    while True:
+        for fixed, moving, w in _greedy_starts(tree, active, cfg_end):
+            x_span = abs(heights[moving] - heights[w])
+            drift = 0.0 if colors[moving] == colors[w] else 1.0
+            sched = SlideSchedule(fixed, moving, w, x_span, drift, K, t_now)
+            sched.t_end = schedule_completion(sched, sc.horizon)
+            active.append(sched)
+        timed = [s for s in active if s.t_end is not None]
+        nxt = min(timed, key=attrgetter("t_end"), default=None)
+        # Samples up to the next completion see the tree before it.
+        up_to = sc.horizon if nxt is None else nxt.t_end
+        while i < trace_samples and sample_ts[i] <= up_to + 1e-12:
+            t, cfg = float(sample_ts[i]), PointConfig(sample_pos[i])
+            g_len = _geometric_length(tree, active, t, cfg)
             opt = tree_length(cfg, emst(cfg))
             records.append(
                 LipschitzRecord(t, len(active), len(done), g_len, opt, _ratio(g_len, opt))
             )
-            sample_idx += 1
-
-    while True:
-        upcoming = [s for s in active if s.t_end is not None]
-        if not upcoming:
+            i += 1
+        if nxt is None:
             break
-        nxt = min(upcoming, key=lambda s: s.t_end)
-        emit_samples(nxt.t_end)
         t_now = nxt.t_end
         tree = tree.replace((nxt.fixed, nxt.moving), (nxt.fixed, nxt.target))
         active.remove(nxt)
         done.append(nxt)
-        start_greedy_slides()
-    emit_samples(sc.horizon)
 
-    final_length = geometric_length(sc.horizon, cfg_end)
+    final_length = _geometric_length(tree, active, sc.horizon, cfg_end)
     opt_end = tree_length(cfg_end, emst(cfg_end))
     return LipschitzRunResult(
         final_tree=tree,

@@ -117,14 +117,14 @@ def make_swap_event(
     old_tree: SpanningTree, removed, inserted, time: float, cfg: PointConfig
 ) -> SwapEvent:
     """The checked SwapEvent of a caller's swap: raises ParameterError unless
-    its edges join `_is_vertex` endpoints in 0..n-1, `inserted` is not a
-    tree edge (`fundamental_cycle` checks it), `removed` lies on its
-    fundamental cycle, so is one, and `inserted` is no longer at `cfg`."""
-    if not all(_is_vertex(x) and 0 <= x < old_tree.n for x in (*removed, *inserted)):
+    both edges join `_is_vertex` endpoints in 0..n-1 (`fundamental_cycle`
+    checks `inserted`'s), `inserted` is not a tree edge, `removed` lies on
+    its fundamental cycle, so is one, and `inserted` is no longer at `cfg`."""
+    if not all(_is_vertex(x) and 0 <= x < old_tree.n for x in removed):
         raise ParameterError(f"swap vertices must be integers in 0..{old_tree.n - 1}")
+    cycle = fundamental_cycle(old_tree, inserted)
     removed = _norm_edge(removed)
     inserted = _norm_edge(inserted)
-    cycle = fundamental_cycle(old_tree, inserted)
     cyc_edges = [_norm_edge(p) for p in zip(cycle, cycle[1:])]
     if removed not in cyc_edges:
         raise ParameterError("removed edge does not lie on the fundamental cycle")

@@ -578,11 +578,10 @@ def gen_split(
     stack (the 2-coloring of the initial path EMST)."""
     if n < 4:
         raise ParameterError("need at least 4 points")
-    if colors is None:
-        colors = [i % 2 for i in range(n)]
-    colors = [int(c) for c in colors]
+    colors = [i % 2 for i in range(n)] if colors is None else list(colors)
     if len(colors) != n or any(c not in (0, 1) for c in colors):
         raise ParameterError("colors must assign 0 (red) or 1 (blue) per point")
+    colors = [int(c) for c in colors]
     trajs = []
     for i, c in enumerate(colors):
         vx = -0.5 if c == 0 else 0.5

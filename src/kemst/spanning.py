@@ -364,8 +364,12 @@ def fundamental_cycle(tree: SpanningTree, new_edge) -> list[int]:
     """Vertices of the unique cycle of tree + new_edge.
 
     Returned as the tree path from one endpoint of new_edge to the other,
-    so the list starts and ends at the inserted edge's endpoints.
+    so the list starts and ends at the inserted edge's endpoints. Raises
+    ParameterError unless new_edge joins `_is_vertex` endpoints in 0..n-1
+    and is not a tree edge.
     """
+    if not all(_is_vertex(x) and 0 <= x < tree.n for x in new_edge):
+        raise ParameterError(f"cycle vertices must be integers in 0..{tree.n - 1}")
     a, b = _norm_edge(new_edge)
     if tree.has_edge((a, b)):
         raise ParameterError("edge already in tree")

@@ -602,3 +602,12 @@ def test_split_recolor_hook():
     assert np.all(pos[:3, 0] == -0.5) and np.all(pos[3:, 0] == 0.5)
     with pytest.raises(ParameterError):
         gen_chebyshev(2, 4).with_colors([0, 1, 0, 1])
+
+
+def test_split_colors_are_checked_before_conversion():
+    # int() would truncate 0.5 to a red point; the check sees the given value.
+    for colors in ([0, 0.5, 0, 1], [0, 1, 0, "1"], [0, 1, 0, None], [0, 1, 0]):
+        with pytest.raises(ParameterError, match="colors must"):
+            gen_split(4, colors=colors)
+    for colors in ([0.0, 1.0, 0, 1], np.array([0, 1, 0, 1]), (c for c in [0, 1, 0, 1])):
+        assert gen_split(4, colors=colors).meta["colors"] == (0, 1, 0, 1)

@@ -531,6 +531,16 @@ def test_fundamental_cycle_rejects_tree_edge():
         fundamental_cycle(tree, (0, 1))
 
 
+def test_fundamental_cycle_checks_its_edge():
+    # (0, 7) raised KeyError, (-1, 2) returned [-1, 2] through the wrap of
+    # adjacency index -1, and (0.0, 3) raised TypeError.
+    path = SpanningTree(4, [(0, 1), (1, 2), (2, 3)])
+    for e in [(0, 7), (-1, 2), (0.0, 3), (True, 3)]:
+        with pytest.raises(ParameterError, match="must be integers in 0..3"):
+            fundamental_cycle(path, e)
+    assert fundamental_cycle(path, (np.int64(3), 0)) == [0, 1, 2, 3]
+
+
 def _dfs_path(tree, a, b):
     adj = tree.adjacency()
     stack = [(a, [a])]
