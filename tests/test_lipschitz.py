@@ -7,6 +7,8 @@ import pytest
 from kemst.errors import ParameterError, UnsupportedKindError
 from kemst.lipschitz import (
     SlideSchedule,
+    _geometric_length,
+    _greedy_starts,
     adaptive_simpson,
     any_tree_bound_audit,
     completion_time,
@@ -16,7 +18,9 @@ from kemst.lipschitz import (
     schedule_completion,
 )
 from kemst.scenarios import gen_chebyshev, gen_split
-from kemst.spanning import PointConfig, SpanningTree, emst
+from kemst.spanning import PointConfig, SpanningTree, _norm_edge, emst, tree_from_prufer
+
+from helpers import reference_geometric_length, reference_greedy_starts
 
 
 def carrier_length(s: SlideSchedule, t: float) -> float:
@@ -169,11 +173,17 @@ def _lipschitz_run_digest(res) -> str:
     return h.hexdigest()
 
 
-# Every record and schedule bit of two greedy runs: split n = 40 at K = 5
-# (20 completions, 65 samples) and split n = 8 at K = 80 (4 completions).
+# Every record and schedule bit of four greedy runs at 65 samples: split
+# n = 40 at K = 5 (20 completions) and split n = 8 at K = 80 (4 completions),
+# then the two below.
 LIPSCHITZ_RUN_DIGESTS = {
     (40, 5.0): "1f1e4f1a0b416eef220269049fa96ce584fb9cfe2add30dc3581877c2a62444c",
     (8, 80.0): "3ad6646ef917bf553604a08a03f55aa3a03bfa19ef285bf110c278e5c16095ca",
+    # The benchmark's two runs: split n = 96 at K = 80 (53 completions) and
+    # split n = 384 at K = 0.1 / ln 384 (none complete, and 173 slides are
+    # active at every sample).
+    (96, 80.0): "aa9bd5958ae7168a8aeceac9769882ebd445c66b7ff8dd243547d1958dacb2b5",
+    (384, 0.1 / math.log(384)): "c7cb55fcfdfb7e79477daa9e66bed801fa50ce4f8127a93d23af53cd26f95bdb",
 }
 
 
@@ -186,6 +196,63 @@ def test_run_records_pinned(n, K):
     assert bare.records == []
     assert bare.schedules == res.schedules
     assert (bare.final_length, bare.opt_length) == (res.final_length, res.opt_length)
+
+
+def _random_slides(rng, tree, most: int) -> list[SlideSchedule]:
+    """Up to `most` slides on disjoint pairs of tree edges (fixed, moving),
+    (moving, target), with random budgets and start times in [0, 0.6]."""
+    adj = tree.adjacency()
+    used, slides = set(), []
+    for moving in rng.permutation(tree.n).tolist():
+        if len(slides) == most:
+            break
+        if len(adj[moving]) < 2:
+            continue
+        fixed, target = rng.choice(sorted(adj[moving]), 2, replace=False).tolist()
+        edges = {_norm_edge((fixed, moving)), _norm_edge((moving, target))}
+        if edges & used:
+            continue
+        used |= edges
+        s = SlideSchedule(
+            fixed, moving, target, x_span=float(rng.uniform(0.05, 1.0)),
+            drift=float(rng.integers(0, 2)), K=float(rng.uniform(0.5, 20.0)),
+            t0=float(rng.uniform(0.0, 0.6)),
+        )
+        s.t_end = schedule_completion(s, 1.0)
+        slides.append(s)
+    return slides
+
+
+def _random_points(rng, n: int, lattice: bool) -> np.ndarray:
+    """n random 2-D points, on a 4 x 4 lattice (exact ties, coincident
+    points) or uniform on the unit square."""
+    if lattice:
+        return rng.integers(0, 4, (n, 2)) / 4.0
+    return rng.uniform(0.0, 1.0, (n, 2))
+
+
+def test_greedy_helpers_match_their_references():
+    # Random Prüfer trees over random and lattice configurations, with random
+    # disjoint active slides: the same starts, and the same bits for every
+    # length at the slides' start and end times and at random times.
+    rng = np.random.default_rng(30)
+    for trial in range(120):
+        n = int(rng.integers(4, 41))
+        lattice = trial % 2 == 1
+        tree = tree_from_prufer(rng.integers(0, n, n - 2).tolist(), n)
+        active = _random_slides(rng, tree, int(rng.integers(0, n // 3 + 1)))
+        cfg_end = PointConfig(_random_points(rng, n, lattice))
+        assert _greedy_starts(tree, active, cfg_end) == reference_greedy_starts(
+            tree, active, cfg_end
+        )
+        cfg = PointConfig(_random_points(rng, n, lattice))
+        times = [0.0, 1.0, *rng.uniform(0.0, 1.0, 3).tolist()]
+        times += [t for s in active for t in (s.t0, s.t_end) if t is not None]
+        for t in times:
+            got = _geometric_length(tree, active, t, cfg)
+            assert float.hex(got) == float.hex(
+                reference_geometric_length(tree, active, t, cfg)
+            )
 
 
 def test_run_initial_snapshot_ratio_one():
