@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from .spanning import (
     PointConfig,
     SpanningTree,
     _edge_lengths,
+    _lengths,
     _lr_sum,
     _norm_edge,
+    _pair_index,
     _ratio,
     emst,
     tree_length,
@@ -178,13 +181,22 @@ def _greedy_starts(
     Its gain is the drop in tree length at `cfg_end` once it completes.
     Gains > 1e-12 rank by (-gain, fixed, moving, target), so equal gains go
     to the smallest triple, and each is taken unless an earlier one took
-    one of its edges. Each tree is summed (`_lr_sum`) in its own edge-set
+    one of its edges.
+
+    A candidate tree is the set `rest | {new}`, `rest` being `tree.edges`
+    less the slider, made once per tree edge. Its gain sums it in its
     iteration order, which depends on how the set was built, so the gains
-    of two equal trees can differ in the last bits and rank by those bits.
+    of two equal trees can differ in the last bits and rank by those bits;
+    a set built another way would move them. The sum is a left fold from
+    +0.0 over one table of edge lengths (`cfg_end.pair_lengths` entries as
+    Python floats): `_lr_sum`'s order and bits, without an array per
+    candidate. `sum` would not do, as it compensates from Python 3.12.
     """
     reserved = {_norm_edge(e) for s in active for e in ((s.fixed, s.moving), (s.moving, s.target))}
     adj = tree.adjacency()
-    base = _lr_sum(_edge_lengths(cfg_end, tree.edges))
+    tree_lengths = _edge_lengths(cfg_end, tree.edges)
+    base = _lr_sum(tree_lengths)
+    length = dict(zip(tree.edges, tree_lengths.tolist()))
     candidates = []
     for u, v in tree.edges:
         if (u, v) in reserved:
@@ -194,8 +206,10 @@ def _greedy_starts(
             for w in adj[moving]:
                 if w == fixed or _norm_edge((moving, w)) in reserved:
                     continue
-                new = rest | {_norm_edge((fixed, w))}
-                gain = base - _lr_sum(_edge_lengths(cfg_end, new))
+                new = _norm_edge((fixed, w))
+                if new not in length:
+                    length[new] = float(cfg_end.pair_lengths[_pair_index(cfg_end.n, *new)])
+                gain = base - reduce(add, map(length.__getitem__, rest | {new}), 0.0)
                 if gain > 1e-12:
                     candidates.append((gain, fixed, moving, w))
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
@@ -214,14 +228,20 @@ def _geometric_length(
     """Length of `tree` at time t, `cfg` its configuration: an active
     slider's moving end is `progress(t)` of the way along its carrier, off
     the configuration, so its edge takes the same axis norm to that point.
-    Summed (`_lr_sum`) in `tree.edges` order."""
-    pos = cfg.positions
-    lengths = dict(zip(tree.edges, _edge_lengths(cfg, tree.edges).tolist()))
-    for s in active:
-        end = pos[s.moving] + s.progress(t) * (pos[s.target] - pos[s.moving])
-        slider = _norm_edge((s.fixed, s.moving))
-        lengths[slider] = float(np.linalg.norm(pos[s.fixed] - end, axis=-1))
-    return _lr_sum(list(lengths.values()))
+    Every slider is a tree edge. One array pass over the active slides
+    finds their lengths (`_lengths`, which are `np.linalg.norm`'s bits for
+    d <= 7) and writes them over their `pair_lengths` entries, and the
+    lengths are summed (`_lr_sum`) in `tree.edges` order."""
+    lengths = _edge_lengths(cfg, tree.edges)
+    if active:
+        pos = cfg.positions
+        at = {e: i for i, e in enumerate(tree.edges)}
+        f, m, w = np.array([(s.fixed, s.moving, s.target) for s in active]).T
+        p = np.array([s.progress(t) for s in active])
+        end = pos[m] + p[:, None] * (pos[w] - pos[m])
+        sliders = [at[_norm_edge((s.fixed, s.moving))] for s in active]
+        lengths[sliders] = _lengths(pos[f] - end)
+    return _lr_sum(lengths)
 
 
 def run_lipschitz_regime(

@@ -341,7 +341,9 @@ def _cuts_hold(pos: np.ndarray, certs) -> np.ndarray:
 def _lr_sum(lengths) -> float:
     """Lengths (>= 0) added left to right from the first, the order of
     Python's `sum` up to 3.11; from 3.12 `sum` compensates Python floats,
-    which would move a length's last bits between supported versions."""
+    which would move a length's last bits between supported versions. A
+    left fold from +0.0, `reduce(add, lengths, 0.0)`, is the same order and
+    gives the same bits, as +0.0 + x is x for every x >= 0."""
     return float(np.cumsum(lengths)[-1]) if len(lengths) else 0.0
 
 
