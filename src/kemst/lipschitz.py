@@ -62,10 +62,15 @@ def adaptive_simpson(f, a: float, b: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, 48)
 
 
+def _check_span_and_budget(x: float, K: float) -> None:
+    """Raise ParameterError unless x > 0 and K > 0; NaN fails both."""
+    if not (x > 0 and K > 0):
+        raise ParameterError("x and K must be positive")
+
+
 def stretch_budget(x: float, K: float, t0: float, t1: float) -> float:
     """K * integral_{t0}^{t1} dt / sqrt(x^2 + t^2), in closed form."""
-    if x <= 0 or K <= 0:
-        raise ParameterError("x and K must be positive")
+    _check_span_and_budget(x, K)
     return K * (math.asinh(t1 / x) - math.asinh(t0 / x))
 
 
@@ -76,8 +81,7 @@ def completion_time(
 
     None when the slide cannot complete by the horizon.
     """
-    if x <= 0 or K <= 0:
-        raise ParameterError("x and K must be positive")
+    _check_span_and_budget(x, K)
     t_star = x * math.sinh(math.asinh(t0 / x) + 1.0 / K)
     if horizon is not None and t_star > horizon + 1e-12:
         return None
@@ -87,9 +91,13 @@ def completion_time(
 def completion_time_quadrature(
     x: float, K: float, t0: float = 0.0, horizon: float = 1.0
 ) -> float | None:
-    """Independent completion solver: adaptive quadrature + bisection."""
-    if x <= 0 or K <= 0:
-        raise ParameterError("x and K must be positive")
+    """Independent completion solver: adaptive quadrature + bisection.
+
+    t0 and horizon must be finite: adaptive Simpson never settles on an
+    infinite interval."""
+    _check_span_and_budget(x, K)
+    if not (math.isfinite(t0) and math.isfinite(horizon)):
+        raise ParameterError("t0 and horizon must be finite")
     f = lambda t: 1.0 / math.sqrt(x * x + t * t)
     if K * adaptive_simpson(f, t0, horizon) < 1.0:
         return None
@@ -144,7 +152,10 @@ def no_completion_certificate(n: int, K: float) -> tuple[bool, float]:
 
     Every carrier has x >= 1/n, and the budget through t=1 is largest for
     the smallest x, so it suffices to check x = 1/n. Returns (certified,
-    worst budget)."""
+    worst budget). n must be an integer >= 1 and K positive."""
+    check_count(n, "n", 1)
+    if not K > 0:
+        raise ParameterError("K must be positive")
     x = 1.0 / n
     worst = K * math.log(1.0 / x + math.sqrt(1.0 + 1.0 / (x * x)))
     return worst < 1.0, worst

@@ -16,6 +16,7 @@ from kemst.lipschitz import (
     no_completion_certificate,
     run_lipschitz_regime,
     schedule_completion,
+    stretch_budget,
 )
 from kemst.scenarios import gen_chebyshev, gen_split
 from kemst.spanning import PointConfig, SpanningTree, _norm_edge, emst, tree_from_prufer
@@ -58,6 +59,45 @@ def test_completion_parameter_errors():
         completion_time(0.0, 1.0)
     with pytest.raises(ParameterError):
         completion_time(1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (completion_time, (math.nan, 1.0)),
+        (completion_time, (1.0, math.nan)),
+        (completion_time_quadrature, (math.nan, 1.0)),
+        (completion_time_quadrature, (1.0, math.nan)),
+        (completion_time_quadrature, (1.0, 1.0, 0.0, math.nan)),
+        (completion_time_quadrature, (1.0, 1.0, 0.0, math.inf)),
+        (completion_time_quadrature, (1.0, 1.0, -math.inf, 1.0)),
+        (stretch_budget, (math.nan, 1.0, 0.0, 1.0)),
+        (stretch_budget, (1.0, math.nan, 0.0, 1.0)),
+        (no_completion_certificate, (0, 1.0)),
+        (no_completion_certificate, (5, -1.0)),
+        (no_completion_certificate, (5, 0.0)),
+        (no_completion_certificate, (5, math.nan)),
+        (no_completion_certificate, (5.0, 1.0)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)),
+)
+def test_closed_forms_reject_what_they_cannot_answer(fn, args):
+    # NaN spans and budgets, infinite quadrature intervals (adaptive Simpson
+    # would recurse to its depth limit on every branch), and certificates for
+    # no points or a budget that is not positive.
+    with pytest.raises(ParameterError):
+        fn(*args)
+
+
+def test_closed_forms_keep_their_infinite_answers():
+    # An infinite span never completes and an infinite budget at once.
+    assert completion_time(math.inf, 1.0) == math.inf
+    assert completion_time(math.inf, 1.0, horizon=1.0) is None
+    assert completion_time(1.0, math.inf) == 0.0
+    assert completion_time_quadrature(math.inf, 1.0) is None
+    assert completion_time_quadrature(1.0, math.inf) == pytest.approx(0.0, abs=1e-12)
+    assert stretch_budget(1.0, math.inf, 0.0, 1.0) == math.inf
+    assert no_completion_certificate(1, 0.5) == (True, 0.5 * math.log(1.0 + math.sqrt(2.0)))
 
 
 def test_completion_monotone_in_budget_and_span():
