@@ -205,14 +205,45 @@ def test_input_distance_scales_with_coordinates():
     assert d2 == pytest.approx(2.0 * input_distance(sc, 0.0, 1.0), rel=1e-12)
 
 
+def _polyval_displacement_sq(traj, t_ref, k_sq, t):
+    """The unclamped polynomial displacement as first written: per coordinate
+    `polyval` at t and at t_ref, in the coefficients' own (possibly numpy
+    scalar) type, squared and summed in coordinate order."""
+    acc = 0.0
+    for coeffs in traj.coeffs:
+        d = polyval(coeffs, t) - polyval(coeffs, t_ref)
+        acc = acc + d * d
+    return acc - k_sq
+
+
 def test_displacement_array_matches_float():
     # The grid scan of `_first_crossing` passes an array, its bisection and
-    # refinement pass floats: both must evaluate the same function.
-    ts = np.linspace(0.2, 1.0, 200)
-    for traj in mixed_kind_scenario().points:
-        fn = _displacement_sq_fn(traj, 0.2, 0.01)
-        single = np.array([fn(float(t)) for t in ts])
-        assert np.array_equal(fn(ts).view(np.int64), single.view(np.int64))
+    # refinement pass floats (np.float64 from the grid): all must evaluate
+    # the same function, and on unclamped polynomials the formula above.
+    uneven = tuple(
+        tuple(np.float64(c) for c in cs)
+        for cs in ((0.3, -0.7, 1.9, -1.1), (0.25, 0.5), (0.6, -0.2, 0.05))
+    )
+    trajs = mixed_kind_scenario().points + (
+        random_cubic_scenario(3, 2).points[0],  # numpy-scalar coefficients
+        Trajectory("polynomial", 3, 1.0, coeffs=uneven),
+    )
+    assert isinstance(trajs[-2].coeffs[0][0], np.float64)
+    ts = np.linspace(0.0, 1.0, 200)
+    for traj in trajs:
+        plain = traj.kind == "polynomial" and not traj.clamp_unit
+        for t_ref in (-1e-12, 0.2, 1.0):
+            fn = _displacement_sq_fn(traj, t_ref, 0.01)
+            for single in (
+                np.array([fn(float(t)) for t in ts]),
+                np.array([fn(t) for t in ts]),  # np.float64 instants
+            ):
+                assert np.array_equal(fn(ts).view(np.int64), single.view(np.int64))
+            if plain:
+                for t in ts:
+                    want = _polyval_displacement_sq(traj, t_ref, 0.01, t)
+                    assert float.hex(float(fn(t))) == float.hex(float(want))
+                    assert float.hex(float(fn(float(t)))) == float.hex(float(want))
 
 
 # --- displacement events --------------------------------------------------
