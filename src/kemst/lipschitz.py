@@ -69,8 +69,11 @@ def _check_span_and_budget(x: float, K: float) -> None:
 
 
 def stretch_budget(x: float, K: float, t0: float, t1: float) -> float:
-    """K * integral_{t0}^{t1} dt / sqrt(x^2 + t^2), in closed form."""
+    """K * integral_{t0}^{t1} dt / sqrt(x^2 + t^2), in closed form; t0 and
+    t1 must be finite."""
     _check_span_and_budget(x, K)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ParameterError("t0 and t1 must be finite")
     return K * (math.asinh(t1 / x) - math.asinh(t0 / x))
 
 
@@ -79,9 +82,13 @@ def completion_time(
 ) -> float | None:
     """Smallest t* with K * integral_{t0}^{t*} dt / sqrt(x^2 + t^2) = 1.
 
-    None when the slide cannot complete by the horizon.
+    None when the slide cannot complete by the horizon. t0, and the horizon
+    when given, must be finite: past a NaN horizon every completion would
+    pass as in time.
     """
     _check_span_and_budget(x, K)
+    if not (math.isfinite(t0) and (horizon is None or math.isfinite(horizon))):
+        raise ParameterError("t0 and horizon must be finite")
     t_star = x * math.sinh(math.asinh(t0 / x) + 1.0 / K)
     if horizon is not None and t_star > horizon + 1e-12:
         return None

@@ -89,6 +89,23 @@ def test_closed_forms_reject_what_they_cannot_answer(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "t0, horizon",
+    [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)],
+)
+def test_closed_form_and_quadrature_reject_the_same_instants(t0, horizon):
+    # A NaN horizon would let the closed form report any completion as in
+    # time, where the quadrature raises.
+    for fn in (completion_time, completion_time_quadrature):
+        with pytest.raises(ParameterError):
+            fn(1.0, 1.0, t0, horizon)
+    with pytest.raises(ParameterError):
+        stretch_budget(1.0, 1.0, t0, horizon)
+    if not math.isfinite(t0):
+        with pytest.raises(ParameterError):
+            completion_time(1.0, 1.0, t0)
+
+
 def test_closed_forms_keep_their_infinite_answers():
     # An infinite span never completes and an infinite budget at once.
     assert completion_time(math.inf, 1.0) == math.inf
