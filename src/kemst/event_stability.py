@@ -77,20 +77,22 @@ def run_event_regime(sc: KineticScenario, samples: int = 64) -> EventRunResult:
     if not sc.is_unit_normalized():
         raise ParameterError("event regime requires coordinates inside the unit box")
     k = sc.k
-    # The records below reuse each event's tree and its length: `positions`
-    # gives the same bits on an array as on a float and `emst` is
-    # deterministic, so recomputing either would give the same floats. Only
-    # the length is kept, not the configuration, whose pair lengths would
-    # hold n(n - 1)/2 floats per event until the records are built. The
-    # trigger's displacement still comes from `input_distance`, the input
-    # metric the budget k is stated in, so each event is measured by the
-    # same function that `estimate_stability_ratio` and callers use.
+    # Each event's positions are row 0 of an array call, which `positions`
+    # gives bit for bit as the float call would, from the compiled tensor
+    # in one pass instead of one `Trajectory.at` per point. The records
+    # below reuse each event's tree and its length: `emst` is deterministic,
+    # so recomputing either would give the same floats. Only the length is
+    # kept, not the configuration, whose pair lengths would hold n(n - 1)/2
+    # floats per event until the records are built. The trigger's
+    # displacement still comes from `input_distance`, the input metric the
+    # budget k is stated in, so each event is measured by the same function
+    # that `estimate_stability_ratio` and callers use.
     ref_pos = {0.0: sc.positions(0.0)}
     schedule = [(0.0, emst(PointConfig(ref_pos[0.0])))]
     events = []
     while (t_ev := next_displacement_event(sc, schedule[-1][0], k)) is not None:
         trigger_disp = input_distance(sc, schedule[-1][0], t_ev)
-        ref_pos[t_ev] = sc.positions(t_ev)
+        ref_pos[t_ev] = sc.positions([t_ev])[0]
         cfg = PointConfig(ref_pos[t_ev])
         tree = emst(cfg)
         schedule.append((t_ev, tree))

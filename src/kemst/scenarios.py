@@ -90,9 +90,10 @@ class KineticScenario:
         `Trajectory.at` call on the whole array for each other point. A float
         takes one `Trajectory.at` call per point. That branch stays per point
         because `perfbench/tracer.py` requires per-point `at` and `polyval`
-        calls on the cubic workloads, and they come from here; once the
-        benchmark requires them elsewhere, it can take the compiled body
-        too."""
+        calls on the cubic workloads, and they come from here (on
+        event-cubic only from the t = 0 tree of `run_event_regime`, whose
+        events take an array row); once the benchmark requires them
+        elsewhere, it can take the compiled body too."""
         if isinstance(t, float) or np.ndim(t) == 0:
             return np.array([p.at(t) for p in self.points])
         ts = _clamp_times(np.asarray(t, dtype=float), self.horizon)
@@ -136,22 +137,42 @@ def _displacement_sq_fn(traj: Trajectory, t_ref: float, k_sq: float):
     value at that instant bit for bit.
 
     Unclamped polynomial coordinates are evaluated in factored form (Horner
-    per coordinate through `polyval`, then square and sum in coordinate
-    order), the same steps on a float and on an array: expanding the
-    squared-displacement polynomial would inflate coefficient magnitudes and
-    cost ~6 digits of absolute accuracy near the horizon. Every other point
-    takes its positions from `Trajectory.at` on the same float or array and
-    sums the squared coordinate differences along the last axis.
+    per coordinate, then square and sum in coordinate order), the same steps
+    on a float and on an array: expanding the squared-displacement
+    polynomial would inflate coefficient magnitudes and cost ~6 digits of
+    absolute accuracy near the horizon. An array goes through `polyval`. A
+    float (the bisection and refinement points, often np.float64) runs the
+    same Horner loop inline on Python floats: the coefficients, reversed,
+    and the reference values are converted once, because coefficients built
+    by numpy (`normalize_unit_range`) would make every step a numpy scalar
+    operation. The bits are numpy's, since both round each binary64 multiply
+    and add to nearest. Every other point takes its positions from
+    `Trajectory.at` on the same float or array and sums the squared
+    coordinate differences along the last axis.
     """
     if traj.kind == "polynomial" and not traj.clamp_unit:
-        refs = [polyval(c, t_ref) for c in traj.coeffs]
+        refs = [float(polyval(c, t_ref)) for c in traj.coeffs]
+        steps = [(tuple(map(float, reversed(c))), r) for c, r in zip(traj.coeffs, refs)]
+        k_sq = float(k_sq)
 
         def fn(ts):
             acc = 0.0
+            if isinstance(ts, float):
+                t = float(ts)
+                for rev, r in steps:
+                    v = 0.0
+                    for c in rev:
+                        v = v * t + c
+                    d = v - r
+                    acc = acc + d * d
+                return acc - k_sq
             for coeffs, r in zip(traj.coeffs, refs):
-                d = polyval(coeffs, ts) - r
-                acc = acc + d * d
-            return acc - k_sq
+                d = polyval(coeffs, ts)
+                d -= r
+                d *= d
+                acc += d
+            acc -= k_sq
+            return acc
 
         return fn
 

@@ -143,6 +143,32 @@ def test_event_records_match_recomputation():
         assert later > 0 if sc is fast else later == 0
 
 
+def test_event_positions_come_from_array_rows(monkeypatch):
+    # Only the t = 0 tree takes a float-instant `positions` call; each event
+    # takes row 0 of an array call, and its tree and length must equal those
+    # built from the float call at the event time.
+    sc = random_cubic_scenario(7, 24, 0.05)
+    real = KineticScenario.positions
+    float_calls = []
+
+    def counting(self, t):
+        if isinstance(t, float) or np.ndim(t) == 0:
+            float_calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(KineticScenario, "positions", counting)
+    result = run_event_regime(sc, samples=16)
+    monkeypatch.undo()
+    assert float_calls == [0.0] and result.event_count > 0
+    recompute = {r.time: r for r in result.trace.records if r.event_type == "recompute"}
+    for t_ev, tree in result.schedule[1:]:
+        cfg = PointConfig(sc.positions(t_ev))
+        want = emst(cfg)
+        assert tree.edges == want.edges
+        got = recompute[t_ev].opt_length
+        assert float.hex(got) == float.hex(tree_length(cfg, want))
+
+
 def test_audit_chebyshev_pinned(pinned):
     sc = gen_chebyshev(3, 11, k=0.1)
     result = run_event_regime(sc, samples=64)
