@@ -1,18 +1,9 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# CI runs the property tests with HYPOTHESIS_PROFILE=ci: the same examples on
-# every run, so a failure there reproduces locally and the pass count does not
-# depend on a random draw. Each test's own `max_examples` still applies.
-settings.register_profile("ci", derandomize=True, print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
