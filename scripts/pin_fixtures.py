@@ -95,7 +95,7 @@ def main() -> None:
     print("cheb s3 audit:", pinned["chebyshev_s3_n11_k0.1"])
 
     n = 64
-    tiny = run_lipschitz_regime(gen_split(n), K=0.1 / math.log(n))
+    tiny = run_lipschitz_regime(gen_split(n, K=0.1 / math.log(n)))
     pinned["split_n64_tinyK"] = {
         "K": 0.1 / math.log(n),
         "completed": tiny.completed,
@@ -104,7 +104,7 @@ def main() -> None:
     }
     print("split tiny:", pinned["split_n64_tinyK"])
 
-    roomy = run_lipschitz_regime(gen_split(8), K=80.0)
+    roomy = run_lipschitz_regime(gen_split(8, K=80.0))
     pinned["split_n8_K80"] = {
         "completed": roomy.completed,
         "final_length": roomy.final_length,

@@ -102,13 +102,13 @@ def main() -> None:
     n = 64
     K = 0.1 / math.log(n)
     certified, budget = no_completion_certificate(n, K)
-    res = run_lipschitz_regime(gen_split(n), K=K)
+    res = run_lipschitz_regime(gen_split(n, K=K))
     print(
         f"  n=64 K=0.1/ln(64): certificate budget {budget:.4f} < 1 ({certified}), "
         f"completed={res.completed}, ratio={res.ratio:.2f} (>= {n // 8})"
     )
     write_csv(out / "split_n64_lipschitz.csv", LipschitzRecord, res.records)
-    res8 = run_lipschitz_regime(gen_split(8), K=80.0)
+    res8 = run_lipschitz_regime(gen_split(8, K=80.0))
     print(f"  n=8 K=80: completed={res8.completed}, ratio={res8.ratio:.4f}")
     print(f"traces in {out}/")
 

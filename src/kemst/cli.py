@@ -56,15 +56,13 @@ def _generate(name: str, args) -> KineticScenario:
 
 
 def _override(sc: KineticScenario, args) -> KineticScenario:
-    """Apply whichever of --k, --K, --label and --morph-mode were given, and
-    check that the label is a plain file name: it names the output files."""
+    """Apply whichever of --k, --K and --label were given, and check that the
+    label is a plain file name: it names the output files."""
     updates = {
-        key: getattr(args, key)
-        for key in ("k", "K", "label", "morph_mode")
-        if getattr(args, key, None) not in (None, "")
+        key: getattr(args, key) for key in ("k", "K", "label") if getattr(args, key) is not None
     }
     sc = dataclasses.replace(sc, **updates)
-    if os.path.basename(sc.label) != sc.label or "\0" in sc.label:
+    if os.path.basename(sc.label) != sc.label or sc.label in ("", ".", "..") or "\0" in sc.label:
         raise ParameterError(f"label must be a plain file name, got {sc.label!r}")
     return sc
 
@@ -103,7 +101,7 @@ def _run_job(sc: KineticScenario, ns: argparse.Namespace) -> tuple[str, int]:
         if res.fallback_count:
             note = f" fallbacks={res.fallback_count}"
     else:
-        res = run_lipschitz_regime(sc, K=ns.K, trace_samples=ns.samples)
+        res = run_lipschitz_regime(sc, trace_samples=ns.samples)
         records, events, ratio = res.records, res.completed, res.ratio
     record_type, suffix, series = _RUNS[ns.cmd]
     out = _out_dir(ns.out_dir)
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="write a scenario file from a generator")
     g.add_argument("generator", choices=sorted(GENERATORS))
     _add_scenario_flags(g)
-    g.add_argument("--morph-mode", dest="morph_mode", default=None)
     g.add_argument("--out", default=None, help="default <label>.json")
 
     e = sub.add_parser("run-event", help="displacement-budget maintenance run")

@@ -19,6 +19,7 @@ from operator import add, attrgetter
 import numpy as np
 
 from .errors import AuditFailure, ParameterError, UnsupportedKindError, check_count
+from .morph import apply_slide
 from .scenarios import KineticScenario
 from .spanning import (
     PointConfig,
@@ -136,8 +137,12 @@ class SlideSchedule:
     t_end: float | None = None  # completion, None if never within horizon
 
     def progress(self, t: float) -> float:
+        """Share of the slide done at t, in [0, 1]; ParameterError for a NaN
+        or +inf t, which `min` with t_end would otherwise hide."""
         if t <= self.t0:
             return 0.0
+        if not math.isfinite(t):
+            raise ParameterError("t must be finite")
         if self.t_end is not None:
             t = min(t, self.t_end)
         if self.drift == 0.0:
@@ -262,21 +267,19 @@ def _geometric_length(
     return _lr_sum(lengths)
 
 
-def run_lipschitz_regime(
-    sc: KineticScenario,
-    K: float | None = None,
-    trace_samples: int = 65,
-) -> LipschitzRunResult:
+def run_lipschitz_regime(sc: KineticScenario, trace_samples: int = 65) -> LipschitzRunResult:
     """Greedy budgeted-slide run on the split construction over [0, 1].
 
     The greedy adversary repeatedly starts, on edges not already involved
     in an active slide, the slide that would most reduce the tree length
     at the final configuration; slides on disjoint edge pairs run
-    concurrently, each with its own budget K.
+    concurrently, each with its own budget `sc.K`, the scenario's only
+    budget. A slide completes through `apply_slide`: its slider and
+    carrier are reserved while it is active, so both are still tree edges.
     """
     if sc.meta.get("generator") != "split":
         raise UnsupportedKindError("the budgeted regime is tied to the split construction")
-    K = K if K is not None else sc.K
+    K = sc.K
     if K is None or not math.isfinite(K) or K <= 0:
         raise ParameterError("needs a positive, finite speed budget K")
     check_count(trace_samples, "trace_samples", 0)
@@ -320,7 +323,7 @@ def run_lipschitz_regime(
         if nxt is None:
             break
         t_now = nxt.t_end
-        tree = tree.replace((nxt.fixed, nxt.moving), (nxt.fixed, nxt.target))
+        tree = apply_slide(tree, (nxt.fixed, nxt.moving), nxt.target)
         active.remove(nxt)
         done.append(nxt)
 

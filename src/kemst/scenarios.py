@@ -62,21 +62,22 @@ class KineticScenario:
 
     @functools.cached_property
     def _tensor(self):
-        """Polynomial points compiled once: (rows, coef, clamp, others). coef
-        is (D+1, len(rows), d), ascending, zero-padded to the top degree D; a
-        padded Horner step keeps the accumulator at its start value +0.0, so
-        `polyval` over coef is each point's own Horner bit for bit. clamp
-        masks the `clamp_unit` rows (None if none), `others` the rest."""
-        rows = [i for i, p in enumerate(self.points) if p.kind == "polynomial"]
+        """Unclamped polynomial points compiled once: (rows, coef, others).
+        coef is (D+1, len(rows), d), ascending, zero-padded to the top degree
+        D; a padded Horner step keeps the accumulator at its start value
+        +0.0, so `polyval` over coef is each point's own Horner bit for bit.
+        `others` lists every other point, clamped polynomials included, whose
+        `Trajectory.at` clamps them."""
+        plain = [p.kind == "polynomial" and not p.clamp_unit for p in self.points]
+        rows = [i for i, ok in enumerate(plain) if ok]
         size = max([len(c) for i in rows for c in self.points[i].coeffs] + [1])
         coef = np.zeros((size, len(rows), self.dim))
         for r, i in enumerate(rows):
             for c, cs in enumerate(self.points[i].coeffs):
                 coef[: len(cs), r, c] = cs
         coef.setflags(write=False)
-        clamp = np.array([self.points[i].clamp_unit for i in rows], dtype=bool)
-        others = [i for i, p in enumerate(self.points) if p.kind != "polynomial"]
-        return np.array(rows, dtype=int), coef, clamp if clamp.any() else None, others
+        others = [i for i, ok in enumerate(plain) if not ok]
+        return np.array(rows, dtype=int), coef, others
 
     def positions(self, t) -> np.ndarray:
         """Positions at a float (or 0-d) t, shape (n, d), or at a 1-D array or
@@ -86,7 +87,7 @@ class KineticScenario:
         more than one dimension.
 
         An array is evaluated from the compiled tensor: one `polyval` over
-        `_tensor` for the polynomial points, then the clamp rows, and one
+        `_tensor` for the unclamped polynomial points, and one
         `Trajectory.at` call on the whole array for each other point. A float
         takes one `Trajectory.at` call per point. That branch stays per point
         because `perfbench/tracer.py` requires per-point `at` and `polyval`
@@ -97,10 +98,8 @@ class KineticScenario:
         if isinstance(t, float) or np.ndim(t) == 0:
             return np.array([p.at(t) for p in self.points])
         ts = _clamp_times(np.asarray(t, dtype=float), self.horizon)
-        rows, coef, clamp, others = self._tensor
+        rows, coef, others = self._tensor
         vals = polyval(coef, ts[:, None, None])
-        if clamp is not None:
-            vals[:, clamp] = np.clip(vals[:, clamp], 0.0, 1.0)
         if not others:
             return vals
         out = np.empty((len(ts), self.n, self.dim))
@@ -136,23 +135,24 @@ def _displacement_sq_fn(traj: Trajectory, t_ref: float, k_sq: float):
     of instants (one value per instant); an array entry equals the float
     value at that instant bit for bit.
 
-    Unclamped polynomial coordinates are evaluated in factored form (Horner
-    per coordinate, then square and sum in coordinate order), the same steps
-    on a float and on an array: expanding the squared-displacement
-    polynomial would inflate coefficient magnitudes and cost ~6 digits of
-    absolute accuracy near the horizon. An array goes through `polyval`. A
-    float (the bisection and refinement points, often np.float64) runs the
-    same Horner loop as `polyval`'s scalar path inline on Python floats: the
-    coefficients, reversed, and the reference values are converted once,
-    because coefficients built by numpy (`normalize_unit_range`) would make
-    every step a numpy scalar operation. The bits are numpy's, since both
+    Unclamped polynomial points, the rows of `KineticScenario._tensor`, are
+    evaluated in factored form (Horner per coordinate, then square and sum
+    in coordinate order), the same steps on a float and on an array:
+    expanding the squared-displacement polynomial would inflate coefficient
+    magnitudes and cost ~6 digits of absolute accuracy near the horizon.
+    An array goes through `polyval`. A float (the bisection and refinement
+    points, often np.float64) runs the same Horner loop as `polyval`'s
+    scalar path inline on Python floats: the coefficients, reversed, and
+    the reference values are converted once, because coefficients built by
+    numpy (`normalize_unit_range`) would make every step a numpy scalar
+    operation. The bits are numpy's, since both
     round each binary64 multiply and add to nearest. The loop is inline
     because a `polyval` call per coordinate, on the same Python floats,
     costs about 0.4 us more per call (2-core Xeon, Python 3.11.7) and made
     event-cubic's `wall_s` about 3% slower in 10 of 10 paired runs. Every
-    other point takes its positions from `Trajectory.at` on the same float
-    or array and sums the squared coordinate differences along the last
-    axis.
+    other point, a clamped polynomial included, takes its positions from
+    `Trajectory.at` (which clamps) on the same float or array and sums the
+    squared coordinate differences along the last axis.
     """
     if traj.kind == "polynomial" and not traj.clamp_unit:
         refs = [float(polyval(c, t_ref)) for c in traj.coeffs]
@@ -265,7 +265,8 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
     width w = upper - t_ref it moves at most sum_{j>=1} |b_j| w^j, and the
     bound is sum_c (sum_{j>=1} |b_j| w^j + margin_c)^2.
 
-    The coefficients are the unclamped rows of `sc._tensor`, built once.
+    The coefficients are `sc._tensor`'s, built once: its rows are exactly
+    the unclamped polynomial points.
 
     margin_c covers rounding. Let u = 2^-53, gamma_m = m u / (1 - m u),
     D the tensor's padded degree, d the dimension, H the horizon and
@@ -285,9 +286,7 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
     shortfall of the computed P_c (2D + 2 roundings).
     """
     n, horizon = sc.n, sc.horizon
-    idx, coef, clamp, _others = sc._tensor
-    if clamp is not None:
-        idx, coef = idx[~clamp], coef[:, ~clamp]
+    idx, coef, _others = sc._tensor
     if not len(idx):
         return lambda upper: np.full(n, np.inf)
     deg, dim = len(coef) - 1, sc.dim
@@ -460,7 +459,7 @@ def gen_rational_bumps(s: int, n: int, k: float | None = None) -> KineticScenari
         points=(*movers, *stationary),
         k=k,
         label=f"rational_bumps_s{s}_n{n}",
-        meta={"generator": "rational-bumps", "s": s, "sweeps": sweeps},
+        meta={"generator": "rational-bumps", "s": s},
     )
 
 
@@ -495,7 +494,6 @@ def gen_circle(n: int, e_len: float = 0.05) -> KineticScenario:
         meta={
             "generator": "circle",
             "t_mid": 0.5,
-            "radius": 1.0,
             "e_len": e_len,
             "e": (0, n_ccw),
         },
@@ -623,7 +621,7 @@ def gen_split(
         k=k,
         K=K,
         label=f"split_n{n}",
-        meta={"generator": "split", "colors": tuple(colors), "gap": 1.0 / n},
+        meta={"generator": "split", "colors": tuple(colors)},
     )
 
 

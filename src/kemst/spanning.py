@@ -134,9 +134,10 @@ class PointConfig:
         return lengths
 
     def distance(self, u: int, v: int) -> float:
-        """Length of pair (u, v): its `pair_lengths` entry, 0.0 if u == v."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ParameterError("vertex out of range")
+        """Length of pair (u, v): its `pair_lengths` entry, 0.0 if u == v.
+        ParameterError unless u and v are `_is_vertex` endpoints in 0..n-1."""
+        if not (_is_vertex(u) and _is_vertex(v) and 0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError(f"vertices must be integers in 0..{self.n - 1}")
         if u == v:
             return 0.0
         return float(self.pair_lengths[_pair_index(self.n, min(u, v), max(u, v))])

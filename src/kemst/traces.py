@@ -8,13 +8,9 @@ from pathlib import Path
 
 
 def format_cell(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
+    """A float in 12 significant digits (`inf`, `-inf` and `nan` included),
+    anything else by `str`."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def write_csv(path, record_type, records) -> None:

@@ -29,6 +29,23 @@ def random_cubic_scenario(seed, n: int, k: float | None = None) -> KineticScenar
     )
 
 
+def clamped_cubic_scenario(seed, n: int, clamped: int) -> KineticScenario:
+    """n random unclamped cubics (`random_cubic_scenario`) and `clamped`
+    clamped cubics, one first and the rest between the two halves of the
+    n. A clamped cubic's x is a cubic with range [-0.25, 1.25], which
+    `clamp_unit` holds at 0 or 1 where it overshoots; its y has range
+    [0, 1]."""
+    rng = np.random.default_rng(seed)
+    cubics = random_cubic_scenario(rng, n).points
+    over = []
+    for _ in range(clamped):
+        x, y = (normalize_unit_range(tuple(rng.normal(0, 1, 4)), 1.0) for _ in range(2))
+        x = (1.5 * x[0] - 0.25, *(1.5 * c for c in x[1:]))
+        over.append(Trajectory("polynomial", 2, 1.0, coeffs=(x, y), clamp_unit=True))
+    half = n // 2
+    return KineticScenario(points=(over[0], *cubics[:half], *over[1:], *cubics[half:]))
+
+
 def left_to_right(values) -> float:
     """values added one at a time from 0.0: the reference order of every
     float sum in the library, spelled out, as Python's `sum` compensates

@@ -211,7 +211,7 @@ def test_criterion_09_lipschitz_no_completion(pinned):
     n = 64
     K = 0.1 / math.log(n)
     certified, worst_budget = no_completion_certificate(n, K)
-    res = run_lipschitz_regime(gen_split(n), K=K)
+    res = run_lipschitz_regime(gen_split(n, K=K))
     # closed form vs quadrature on the worst carrier
     agree = True
     for x in (1.0 / n, 2.0 / n, 0.5):

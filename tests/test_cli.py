@@ -123,9 +123,11 @@ def test_certify_diamond_pinned(capsys, pinned):
 
 
 def test_bad_flags_exit_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["run-event"])  # missing scenario
-    assert exc.value.code == 2
+    for argv in (["run-event"],  # missing scenario
+                 ["gen", "chebyshev", "--s", "2", "--n", "5", "--morph-mode", "rotation"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
     assert run_cli(["run-event", "no-such-generator", "--out-dir", str(tmp_path)]) == 2
 
 
@@ -150,20 +152,25 @@ def test_svg_title_is_escaped(tmp_path):
 
 def test_label_not_a_plain_file_name_writes_nothing(tmp_path, monkeypatch, capsys):
     # The label names the output files: one with a separator would write
-    # outside --out-dir (or the working directory for `gen`), and no file
-    # name holds a NUL byte.
+    # outside --out-dir (or the working directory for `gen`), no file name
+    # holds a NUL byte, and "", "." and ".." are not names of their own: a
+    # run would write "_event.csv", "._event.csv" or ".._event.csv".
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     still = gen_stationary([[0.2, 0.2], [0.8, 0.6]], k=0.1)
-    for name, label in (("ok", "ok"), ("escape", "../escaped"), ("nul", "a\0b")):
+    labels = {"ok": "ok", "escape": "../escaped", "nul": "a\0b", "empty": "", "dot": ".",
+              "dotdot": ".."}
+    for name, label in labels.items():
         save_scenario(tmp_path / f"{name}.json", dataclasses.replace(still, label=label))
     before = sorted(tmp_path.rglob("*"))
     for argv in (
         ["run-event", "chebyshev", "--s", "2", "--n", "5", "--k", "0.2",
          "--label", "../escaped", "--out-dir", "out", "--svg"],
-        ["run-event", str(tmp_path / "escape.json"), "--out-dir", "out"],
-        ["run-event", str(tmp_path / "nul.json"), "--out-dir", "out"],
+        *(["run-event", str(tmp_path / f"{name}.json"), "--out-dir", "out"]
+          for name in labels if name != "ok"),
+        ["gen", "chebyshev", "--s", "2", "--n", "5", "--label", ""],
+        ["gen", "chebyshev", "--s", "2", "--n", "5", "--label", ".."],
         # a good scenario first must not be run before the bad one is seen
         ["run-event", str(tmp_path / "ok.json"), str(tmp_path / "escape.json"),
          "--out-dir", "out"],

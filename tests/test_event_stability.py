@@ -62,7 +62,7 @@ def test_non_finite_budgets_rejected(k):
     with pytest.raises(ParameterError):
         run_event_regime(gen_chebyshev(3, 5, k=k), samples=4)
     with pytest.raises(ParameterError):
-        run_lipschitz_regime(gen_split(8), K=k)
+        run_lipschitz_regime(gen_split(8, K=k))
 
 
 @pytest.mark.parametrize("k", [1e200, 1.4e154, 4.9e-158, 1e-200])
@@ -324,7 +324,7 @@ COUNT_ENTRY_POINTS = {  # entry point: (count argument, call with it)
     "run_topo_regime": ("samples", lambda v: run_topo_regime(gen_split(6), samples=v)),
     "detect_swaps": ("grid", lambda v: detect_swaps(gen_split(6), grid=v)),
     "run_lipschitz_regime": (
-        "trace_samples", lambda v: run_lipschitz_regime(gen_split(6), K=80.0, trace_samples=v)
+        "trace_samples", lambda v: run_lipschitz_regime(gen_split(6, K=80.0), trace_samples=v)
     ),
     "recompute_always_schedule": ("samples", lambda v: recompute_always_schedule(gen_split(6), v)),
     "estimate_stability_ratio": ("pair_samples", lambda v: estimate_stability_ratio(

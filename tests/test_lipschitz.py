@@ -133,7 +133,7 @@ def test_no_completion_certificate_small_c(n, c):
 
 def test_schedule_feasibility_budget_integral():
     # every completed slide spends exactly a unit budget
-    res = run_lipschitz_regime(gen_split(8), K=80.0)
+    res = run_lipschitz_regime(gen_split(8, K=80.0))
     assert res.completed >= 1
     for s in res.schedules:
         if s.t_end is not None:
@@ -154,10 +154,23 @@ def test_same_color_slide_has_a_fixed_carrier():
     assert schedule_completion(slow, 1.0) is None
 
 
+@pytest.mark.parametrize("drift", [0.0, 1.0])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_progress_rejects_a_non_finite_instant(drift, t):
+    # min(t, t_end) would turn +inf into t_end, and a drift-0 slide would
+    # return NaN for a NaN instant.
+    s = SlideSchedule(0, 1, 2, x_span=0.25, drift=drift, K=2.0, t0=0.1)
+    for t_end in (None, schedule_completion(s, 1.0)):
+        s.t_end = t_end
+        with pytest.raises(ParameterError):
+            s.progress(t)
+    assert s.progress(-math.inf) == 0.0
+
+
 def test_run_tiny_budget_no_completions(pinned):
     n = 64
     want = pinned["split_n64_tinyK"]
-    res = run_lipschitz_regime(gen_split(n), K=want["K"])
+    res = run_lipschitz_regime(gen_split(n, K=want["K"]))
     assert res.completed == 0
     assert res.ratio == pytest.approx(want["ratio"], rel=1e-9)
     assert res.ratio >= n / 8
@@ -165,7 +178,7 @@ def test_run_tiny_budget_no_completions(pinned):
 
 def test_run_generous_budget_completes(pinned):
     want = pinned["split_n8_K80"]
-    res = run_lipschitz_regime(gen_split(8), K=80.0)
+    res = run_lipschitz_regime(gen_split(8, K=80.0))
     assert res.completed == want["completed"]
     assert res.ratio == pytest.approx(want["ratio"], rel=1e-9)
     assert res.completed >= 1
@@ -313,7 +326,7 @@ def test_greedy_helpers_match_their_references():
 
 
 def test_run_initial_snapshot_ratio_one():
-    res = run_lipschitz_regime(gen_split(8), K=1.0, trace_samples=9)
+    res = run_lipschitz_regime(gen_split(8, K=1.0), trace_samples=9)
     first = res.records[0]
     assert first.time == 0.0
     assert first.ratio == pytest.approx(1.0, abs=1e-9)
@@ -321,11 +334,11 @@ def test_run_initial_snapshot_ratio_one():
 
 def test_run_rejects_non_split():
     with pytest.raises(UnsupportedKindError):
-        run_lipschitz_regime(gen_chebyshev(3, 6, k=0.1), K=1.0)
+        run_lipschitz_regime(gen_chebyshev(3, 6, k=0.1))
 
 
 def test_run_trace_monotone_times():
-    res = run_lipschitz_regime(gen_split(8), K=80.0, trace_samples=17)
+    res = run_lipschitz_regime(gen_split(8, K=80.0), trace_samples=17)
     times = [r.time for r in res.records]
     assert all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
 

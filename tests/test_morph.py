@@ -53,7 +53,12 @@ from kemst.trajectories import (
     linear,
 )
 
-from helpers import full_certificate, left_to_right, random_cubic_scenario
+from helpers import (
+    clamped_cubic_scenario,
+    full_certificate,
+    left_to_right,
+    random_cubic_scenario,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -639,6 +644,7 @@ SWAP_CASES = {
     "lattice": (lattice_scenario(), 257),
     "split6": (gen_split(6), 257),
     "mixed_scripted": (mixed_scripted_scenario(), 257),
+    "clamped_cubic": (clamped_cubic_scenario(24, 8, 4), 257),
     # 72 changed cells, more than one bisection round holds, and 163 swaps.
     "rational_bumps": (gen_rational_bumps(4, 12), 257),
     "fast_sweep": (fast_sweep_scenario(), 5),

@@ -34,7 +34,7 @@ from kemst.trajectories import (
     polyval,
 )
 
-from helpers import random_cubic_scenario
+from helpers import clamped_cubic_scenario, random_cubic_scenario
 
 
 def two_point_scenario():
@@ -177,7 +177,7 @@ def test_compiled_positions_match_positions(sc):
     assert np.array_equal(batched.view(np.int64), single.view(np.int64))
     assert np.array_equal(sc.positions(np.array(H)).view(np.int64), single[1].view(np.int64))
     assert sc.positions([]).shape == (0, sc.n, sc.dim)
-    rows = [i for i, p in enumerate(sc.points) if p.kind == "polynomial"]
+    rows = [i for i, p in enumerate(sc.points) if p.kind == "polynomial" and not p.clamp_unit]
     assert list(sc._tensor[0]) == rows
     half = len(ts) // 2
     for i, (t1, t2) in enumerate(zip(ts[:half].tolist(), ts[half:].tolist())):
@@ -379,12 +379,19 @@ def _mixed_scenario():
         (gen_chebyshev(7, 11), (0.1,), 200, None),
         (gen_rational_bumps(8, 8), (0.1,), 30, None),
         (_mixed_scenario(), (0.05,), 6, None),
+        (clamped_cubic_scenario(24, 8, 4), (0.05, 0.1), 20, None),
         # the fourth event of the linear mover lands exactly on the horizon
         (two_point_scenario(), (0.25,), 10, 1.0),
     ],
-    ids=["cubic_n8", "cubic_n32", "cubic_n128", "cheb_s3", "cheb_s7", "bumps", "mixed", "linear"],
+    ids=["cubic_n8", "cubic_n32", "cubic_n128", "cheb_s3", "cheb_s7", "bumps", "mixed",
+         "clamped_cubic", "linear"],
 )
 def test_next_displacement_event_matches_reference_scan(sc, ks, steps, last):
+    # Only unclamped polynomial points get a finite bound and can be skipped.
+    plain = [p.kind == "polynomial" and not p.clamp_unit for p in sc.points]
+    for t_ref, upper in ((0.0, sc.horizon), (0.3 * sc.horizon, 0.6 * sc.horizon)):
+        bound = _window_bound_fn(sc, t_ref)(upper)
+        assert np.isinf(bound).tolist() == [not x for x in plain]
     for k in ks:
         want = _event_chain(_reference_scan, sc, k, steps)
         assert want

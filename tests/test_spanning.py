@@ -500,10 +500,15 @@ def test_distance_to_itself_zero():
     assert [cfg.distance(u, u) for u in range(3)] == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (3, 3), (-1, 0), (0, -1), (-1, -1), (2, 7)])
+@pytest.mark.parametrize(
+    "u, v",
+    [(0, 3), (3, 0), (3, 3), (-1, 0), (0, -1), (-1, -1), (2, 7), (0.5, 1), (True, 2)],
+)
 def test_distance_vertex_out_of_range(u, v):
     # The pair-index formula maps (0, 3) at n = 3 onto pair (1, 2), and
-    # numpy indexing wraps -1 to the last point: both must raise.
+    # numpy indexing wraps -1 to the last point: both must raise. So must
+    # endpoints that are not `_is_vertex`: a float index fails in numpy, and
+    # True would count as vertex 1.
     cfg = PointConfig([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
     with pytest.raises(ParameterError):
         cfg.distance(u, v)
