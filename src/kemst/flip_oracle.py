@@ -17,8 +17,11 @@ indexed by the mask (2^21 int16 entries, 4 MB at n = 7, freed before the
 moves are sorted). The moves are held as CSR over targets:
 src[indptr[x]:indptr[x+1]] are the trees that flip into x, ascending, each
 once with no repeat filter (a target t - e + f fixes the removed edge e and
-the added edge f, and the build emits each (e, f) of a tree once). Tables
-are cached per (n, mode); n is capped because the tree count is n^(n-2).
+the added edge f, and the build emits each (e, f) of a tree once). `src` is
+`np.intp`, numpy's index type: a fancy index of any other integer type is
+first cast to a fresh `intp` copy, 4 MB per gather over the 504,210
+rotation moves at n = 7. Tables are cached per (n, mode); n is capped
+because the tree count is n^(n-2).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class FlipGraph:
     edge_pids: np.ndarray  # (N, n-1) int32 sorted `_pairs(n)` edge ids per tree, column-major
     masks: np.ndarray  # (N,) int64 edge bitmasks (bit = pair id), ascending, for `tree_id`
     mask_ids: np.ndarray  # tree id of each entry of `masks`, for `tree_id`
-    src: np.ndarray  # source tree of each move, moves ordered by (target, source)
+    src: np.ndarray  # intp source tree of each move (gathers need no cast), by (target, source)
     indptr: np.ndarray  # CSR over targets: src[indptr[x]:indptr[x+1]] flip into x
 
     def tree_lengths(self, positions: np.ndarray) -> np.ndarray:
@@ -70,10 +73,9 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
     """Cached flip graph over all labeled trees on n vertices."""
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
+    check_count(n, "n", 3)
     if n > N_LIMIT:
         raise SizeError(f"flip graph capped at n={N_LIMIT}, got n={n}")
-    if n < 3:
-        raise ParameterError("flip graph needs n >= 3")
     key = (n, mode)
     if key in _GRAPH_CACHE:
         return _GRAPH_CACHE[key]
@@ -116,7 +118,7 @@ def flip_graph(n: int, mode: str) -> FlipGraph:
     if np.any(dst < 0):
         raise ParameterError("a flip left the labeled trees")
     moves = np.sort(dst * num + np.concatenate(src_parts))  # int32 keys
-    src = moves % num
+    src = (moves % num).astype(np.intp)
     counts = np.bincount(moves // num, minlength=num)
     if np.any(counts == 0):
         raise ParameterError("flip graph has an isolated tree")
@@ -153,11 +155,28 @@ def bottleneck_closure(start_vals: np.ndarray, cost: np.ndarray, indptr, src):
     Gauss-Seidel), so each sweep yields the same array as a full sweep, and
     the loop stops at the same sweep, the first in which no state drops (or
     when none is left unsettled, where a full sweep would drop none). Only
-    in-moves are read, so the graph need not be symmetric. No unsettled state
-    has an empty segment: `flip_graph` rejects an isolated tree, an r x c grid
-    state of `morph._grid_minimax` has r + c - 2 in-moves; a 1 x 1 grid is all settled.
+    in-moves are read, so the graph need not be symmetric.
+
+    The first sweep is that full sweep. In the oracle nearly every state
+    starts unsettled, so it reads every state's in-moves at once, one
+    `minimum.reduceat` over dist[src] with no per-state move index, and
+    keeps the swept value only where dist > cost: every state the active
+    rule calls settled, a NaN included, keeps its start value. It returns at
+    once if nothing drops, and before any gather if no state is unsettled.
+    Later sweeps visit the active set. No state has an empty segment when
+    one is unsettled: `flip_graph` rejects an isolated tree and an r x c grid
+    state of `morph._grid_minimax` has r + c - 2 in-moves; the 1 x 1 grid
+    (empty `src`, on which `reduceat` raises) is all settled.
     """
     dist = start_vals.copy()
+    unsettled = dist > cost
+    if not unsettled.any():
+        return dist
+    swept = np.maximum(np.minimum.reduceat(dist[src], indptr[:-1]), cost)
+    new = np.where(unsettled, np.minimum(dist, swept), dist)
+    if not np.any(new < dist):
+        return dist
+    dist = new
     active = np.flatnonzero(dist > cost)
     while active.size:
         lo = indptr[active]

@@ -85,7 +85,7 @@ def _reference_flip_graph(n, mode):
                         seen_moves.add(nid)
                         src_list.append(tid)
                         dst_list.append(nid)
-    src = np.asarray(src_list, dtype=np.int32)
+    src = np.asarray(src_list, dtype=np.intp)
     dst = np.asarray(dst_list, dtype=np.int32)
     order = np.argsort(dst, kind="stable")
     src, dst = src[order], dst[order]
@@ -109,13 +109,14 @@ def test_flip_graph_matches_reference_builder(n, mode):
 
 
 def test_build_tables_hold_every_tree_id():
-    # The mask table stores tree ids in _ID_DTYPE with -1 for "no tree", and
-    # the moves are sorted by int32 keys target * N + source.
+    # The mask table stores tree ids in _ID_DTYPE with -1 for "no tree", the
+    # moves are sorted by int32 keys target * N + source, and the sources are
+    # held as intp, the index type numpy gathers with.
     size = N_LIMIT ** (N_LIMIT - 2)
     assert size - 1 <= np.iinfo(_ID_DTYPE).max
     assert size ** 2 < 2 ** 31
     fg = flip_graph(N_LIMIT, "rotation")
-    assert fg.edge_pids.shape[0] == size and fg.src.dtype == np.int32
+    assert fg.edge_pids.shape[0] == size and fg.src.dtype == np.intp
 
 
 def _tree_length_configs(n, rng):
@@ -170,6 +171,19 @@ def test_oracle_size_cap():
     sc = gen_stationary(np.random.default_rng(0).uniform(0, 1, (8, 2)))
     with pytest.raises(SizeError):
         minimax_flip_oracle(sc, "slide")
+
+
+@pytest.mark.parametrize("n", [5.0, 4.5, "5", True, np.float64(5.0), 2, -1])
+@pytest.mark.parametrize("mode", ["slide", "rotation"])
+def test_flip_graph_rejects_a_vertex_count_that_is_no_integer_of_at_least_3(n, mode):
+    with pytest.raises(ParameterError, match="^n must be"):
+        flip_graph(n, mode)
+
+
+def test_flip_graph_size_cap():
+    for n in (N_LIMIT + 1, np.int64(N_LIMIT + 1)):
+        with pytest.raises(SizeError):
+            flip_graph(n, "slide")
 
 
 def test_oracle_stationary_is_one():
@@ -277,6 +291,20 @@ def test_bottleneck_closure_matches_reference(n, mode):
     for start in (nearly_all, few):
         got = bottleneck_closure(start, cost, fg.indptr, fg.src)
         assert np.array_equal(got, _reference_closure(start, cost, fg))
+    # Every state settled: returned before any sweep.
+    settled = cost - rng.uniform(0.0, 0.5, size) * (rng.random(size) < 0.5)
+    # Every state unsettled at one level above every cost: the first sweep
+    # drops none.
+    flat = np.full(size, 1.75)
+    # Ties: many states start exactly at their cost, so the active rule
+    # calls them settled; the rest are above it by one ulp or more.
+    tied = np.where(rng.random(size) < 0.5, cost, np.nextafter(cost, np.inf))
+    tied[rng.integers(0, size, 3)] = 1.0
+    for start in (settled, flat, tied):
+        got = bottleneck_closure(start, cost, fg.indptr, fg.src)
+        assert np.array_equal(got, _reference_closure(start, cost, fg))
+    assert np.array_equal(bottleneck_closure(settled, cost, fg.indptr, fg.src), settled)
+    assert np.array_equal(bottleneck_closure(flat, cost, fg.indptr, fg.src), flat)
 
 
 @pytest.mark.parametrize("mode,digest", [
