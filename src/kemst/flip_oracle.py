@@ -70,7 +70,8 @@ class FlipGraph:
 
 
 def flip_graph(n: int, mode: str) -> FlipGraph:
-    """Cached flip graph over all labeled trees on n vertices."""
+    """Cached flip graph over all labeled trees on n vertices: n is an integer
+    of at least 3 (else ParameterError) and at most N_LIMIT (else SizeError)."""
     if mode not in ("slide", "rotation"):
         raise ParameterError("mode must be 'slide' or 'rotation'")
     check_count(n, "n", 3)
