@@ -296,8 +296,8 @@ def test_bottleneck_closure_matches_reference(n, mode):
     # Every state unsettled at one level above every cost: the first sweep
     # drops none.
     flat = np.full(size, 1.75)
-    # Ties: many states start exactly at their cost, so the active rule
-    # calls them settled; the rest are above it by one ulp or more.
+    # Ties: about half the states start exactly at their cost, so the active
+    # rule calls them settled; the rest start one ulp above it.
     tied = np.where(rng.random(size) < 0.5, cost, np.nextafter(cost, np.inf))
     tied[rng.integers(0, size, 3)] = 1.0
     for start in (settled, flat, tied):
