@@ -17,6 +17,7 @@ from .trajectories import (
     ArcSegment,
     LinearSegment,
     Trajectory,
+    _CONTINUITY_TOL,
     _clamp_times,
     constant,
     polyval,
@@ -62,22 +63,53 @@ class KineticScenario:
 
     @functools.cached_property
     def _tensor(self):
-        """Unclamped polynomial points compiled once: (rows, coef, others).
-        coef is (D+1, len(rows), d), ascending, zero-padded to the top degree
-        D; a padded Horner step keeps the accumulator at its start value
-        +0.0, so `polyval` over coef is each point's own Horner bit for bit.
-        `others` lists every other point, clamped polynomials included, whose
-        `Trajectory.at` clamps them."""
-        plain = [p.kind == "polynomial" and not p.clamp_unit for p in self.points]
-        rows = [i for i, ok in enumerate(plain) if ok]
+        """The points compiled once: (rows, coef, lines, table, others).
+
+        rows are the unclamped polynomial points. coef is (D+1, len(rows), d),
+        ascending, zero-padded to the top degree D; a padded Horner step
+        keeps the accumulator at its start value +0.0, so `polyval` over coef
+        is each point's own Horner bit for bit.
+
+        lines are the unclamped scripted points whose segments are all
+        `LinearSegment`s, and table holds their segments, one row per point,
+        padded to the most segments S: (reach, last, t0, span, start, step).
+        reach is (len(lines), S), each segment's t1 + _CONTINUITY_TOL and
+        +inf past a point's last segment, whose index is in last; t0, span
+        = t1 - t0, start and step = end - start are the segments' own
+        floats. `_segment_rows` evaluates them: at t, a point is in the
+        segment counted by its reaches below t, clipped to last.
+
+        `others` lists every other point, which `Trajectory.at` evaluates:
+        clamped points (it clamps them), rational ones and scripted ones
+        with an arc, whose cos/sin stay per instant (see `positions`)."""
+        polys = [p.kind == "polynomial" and not p.clamp_unit for p in self.points]
+        rows = [i for i, ok in enumerate(polys) if ok]
         size = max([len(c) for i in rows for c in self.points[i].coeffs] + [1])
         coef = np.zeros((size, len(rows), self.dim))
         for r, i in enumerate(rows):
             for c, cs in enumerate(self.points[i].coeffs):
                 coef[: len(cs), r, c] = cs
-        coef.setflags(write=False)
-        others = [i for i, ok in enumerate(plain) if not ok]
-        return np.array(rows, dtype=int), coef, others
+        lines = [
+            i for i, p in enumerate(self.points)
+            if p.kind == "scripted" and not p.clamp_unit
+            and all(isinstance(seg, LinearSegment) for seg in p.segments)
+        ]
+        width = max([len(self.points[i].segments) for i in lines] + [1])
+        reach = np.full((len(lines), width), np.inf)
+        t0, span = np.zeros(reach.shape), np.zeros(reach.shape)
+        start, step = np.zeros(reach.shape + (self.dim,)), np.zeros(reach.shape + (self.dim,))
+        for r, i in enumerate(lines):
+            for s, seg in enumerate(self.points[i].segments):
+                reach[r, s] = seg.t1 + _CONTINUITY_TOL
+                t0[r, s], span[r, s] = seg.t0, seg.t1 - seg.t0
+                start[r, s] = np.asarray(seg.start, dtype=float)
+                step[r, s] = np.asarray(seg.end, dtype=float) - start[r, s]
+        last = np.array([len(self.points[i].segments) - 1 for i in lines], dtype=int)
+        table = (reach, last, t0, span, start, step)
+        for arr in (coef, *table):
+            arr.setflags(write=False)
+        others = [i for i, ok in enumerate(polys) if not ok and i not in lines]
+        return np.array(rows, dtype=int), coef, np.array(lines, dtype=int), table, others
 
     def positions(self, t) -> np.ndarray:
         """Positions at a float (or 0-d) t, shape (n, d), or at a 1-D array or
@@ -86,9 +118,14 @@ class KineticScenario:
         outside the horizon, NaN included; ParameterError for an array of
         more than one dimension.
 
-        An array is evaluated from the compiled tensor: one `polyval` over
-        `_tensor` for the unclamped polynomial points, and one
-        `Trajectory.at` call on the whole array for each other point. A float
+        An array is evaluated from the compiled `_tensor`: one `polyval` over
+        its tensor for the unclamped polynomial points, one `_segment_rows`
+        pass over its segment table for the unclamped all-linear scripted
+        points (each instant in the first segment whose t1 + _CONTINUITY_TOL
+        reaches it, as `Trajectory._segment_for` picks), and one
+        `Trajectory.at` call on the whole array for each other point. Arcs
+        stay there, per instant, because numpy's vectorised cos/sin need not
+        give `math`'s bits, nor the same bits on every CPU. A float
         takes one `Trajectory.at` call per point. That branch stays per point
         because `perfbench/tracer.py` requires per-point `at` and `polyval`
         calls on the cubic workloads, and they come from here (on
@@ -98,12 +135,13 @@ class KineticScenario:
         if isinstance(t, float) or np.ndim(t) == 0:
             return np.array([p.at(t) for p in self.points])
         ts = _clamp_times(np.asarray(t, dtype=float), self.horizon)
-        rows, coef, others = self._tensor
+        rows, coef, lines, table, others = self._tensor
         vals = polyval(coef, ts[:, None, None])
-        if not others:
+        if len(rows) == self.n:
             return vals
         out = np.empty((len(ts), self.n, self.dim))
         out[:, rows] = vals
+        out[:, lines] = _segment_rows(table, ts)
         for i in others:
             out[:, i] = self.points[i].at(ts)
         return out
@@ -121,6 +159,24 @@ class KineticScenario:
         """Every coordinate within [0, 1], to 1e-9, at 257 instants."""
         pos = self.positions(np.linspace(0.0, self.horizon, 257))
         return pos.size == 0 or not (pos.min() < -1e-9 or pos.max() > 1.0 + 1e-9)
+
+
+def _segment_rows(table, ts) -> np.ndarray:
+    """Positions of a `_tensor` segment table's points at clamped instants
+    ts, shape (len(ts), points, d), each row `Trajectory.at`'s bit for bit.
+
+    A point's segment at t is the count of its reaches t1 + _CONTINUITY_TOL
+    below t, clipped to its last segment. End times never decrease
+    (`Trajectory._check_segments`), so neither do the reaches, and the
+    count is the first segment whose reach is at least t: `_segment_for`'s
+    choice. u = (t - t0) / span, or 0.0 where span is 0, and the row
+    start + u * step are `LinearSegment.at`'s binary64 operations."""
+    reach, last, t0, span, start, step = table
+    seg = np.minimum(np.count_nonzero(reach < ts[:, None, None], axis=2), last)
+    pick = (np.arange(len(last)), seg)
+    width = span[pick]
+    u = np.divide(ts[:, None] - t0[pick], width, out=np.zeros(width.shape), where=width != 0)
+    return start[pick] + u[..., None] * step[pick]
 
 
 def input_distance(sc: KineticScenario, t: float, t_other: float) -> float:
@@ -286,7 +342,7 @@ def _window_bound_fn(sc: KineticScenario, t_ref: float):
     shortfall of the computed P_c (2D + 2 roundings).
     """
     n, horizon = sc.n, sc.horizon
-    idx, coef, _others = sc._tensor
+    idx, coef = sc._tensor[:2]
     if not len(idx):
         return lambda upper: np.full(n, np.inf)
     deg, dim = len(coef) - 1, sc.dim

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -137,8 +138,36 @@ class Trajectory:
                     raise ParameterError("rational denominator vanishes on the horizon")
 
     def _check_segments(self):
+        """Each segment a LinearSegment, or an ArcSegment in 2-D, with points
+        of `dim` coordinates and finite fields; each runs forward
+        (t0 <= t1), end times never decrease, and the segments tile
+        [0, horizon] continuously. The first segment whose end reaches an
+        instant, within _CONTINUITY_TOL, is then the count of ends below it,
+        the rule of `_segment_for` and of a scenario's segment table."""
         if not self.segments:
             raise ParameterError("scripted trajectory needs at least one segment")
+        for seg in self.segments:
+            if isinstance(seg, LinearSegment):
+                points, scalars = (seg.start, seg.end), (seg.t0, seg.t1)
+            elif isinstance(seg, ArcSegment):
+                if self.dim != 2:
+                    raise ParameterError(f"arc segments need dim 2, not {self.dim}")
+                points = (seg.center,)
+                scalars = (seg.t0, seg.t1, seg.radius, seg.angle0, seg.angle1)
+            else:
+                raise ParameterError(f"unknown segment type {type(seg).__name__}")
+            if not all(isinstance(x, Real) for x in scalars):
+                raise ParameterError("segment times, radius and angles must be numbers")
+            try:
+                coords = np.array(points, dtype=float)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                coords = np.empty(0)
+            if coords.shape[1:] != (self.dim,):
+                raise ParameterError(f"segment points must be {self.dim} numbers each")
+            if not all(math.isfinite(x) for x in scalars) or not np.isfinite(coords).all():
+                raise ParameterError("segment fields must be finite")
+            if not seg.t0 <= seg.t1:
+                raise ParameterError("segments must not run backwards in time")
         if abs(self.segments[0].t0) > _CONTINUITY_TOL:
             raise ParameterError("segments must start at t=0")
         if abs(self.segments[-1].t1 - self.horizon) > _CONTINUITY_TOL:
@@ -146,6 +175,8 @@ class Trajectory:
         for a, b in zip(self.segments, self.segments[1:]):
             if abs(a.t1 - b.t0) > _CONTINUITY_TOL:
                 raise ParameterError("segments must tile the horizon without gaps")
+            if not a.t1 <= b.t1:
+                raise ParameterError("segment end times must not decrease")
             if np.linalg.norm(a.at(a.t1) - b.at(b.t0)) > 1e-7:
                 raise ParameterError("scripted segments must be continuous")
 
@@ -159,7 +190,12 @@ class Trajectory:
         input, an array in one pass; rational terms are added left to right
         from 0.0, not by `sum`, which compensates float sums from Python
         3.12. Scripted kinds clamp an array once and then evaluate it instant
-        by instant: numpy's vectorised cos/sin need not match `math`'s.
+        by instant, in the segment `_segment_for` picks. A scenario's array
+        `positions` evaluates its unclamped all-linear scripted points from
+        one segment table instead (`KineticScenario._tensor`), with the same
+        segment rule and `LinearSegment.at`'s operations. Arcs stay per
+        instant here: numpy's vectorised cos/sin need not match `math`'s
+        bits, and their bits may differ between CPUs.
         """
         many = not isinstance(t, float) and np.ndim(t) > 0
         t = _clamp_times(np.asarray(t, dtype=float) if many else float(t), self.horizon)

@@ -417,3 +417,43 @@ def test_malformed_scenario_file_exits_two(tmp_path, capsys, text, field):
         assert field is None or f"field {field!r}" in captured.err
         assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def _scripted_file(d, *segments):
+    """A two-point scripted scenario file: a fixed point and one moving along
+    `segments` (each a dict of segment fields)."""
+    still = {"type": "linear", "t0": 0.0, "t1": 1.0, "start": [0.5] * d, "end": [0.5] * d}
+    return json.dumps({
+        "format_version": 1, "label": "scripted", "n": 2, "d": d, "T": 1.0, "k": None,
+        "K": None, "morph_mode": "rotation",
+        "points": [{"kind": "scripted", "segments": [still]},
+                   {"kind": "scripted", "segments": list(segments)}],
+    })
+
+
+def _line(t0, t1, start, end):
+    return {"type": "linear", "t0": t0, "t1": t1, "start": start, "end": end}
+
+
+@pytest.mark.parametrize("text", [
+    _scripted_file(2, _line(0.0, 1.0, [0.1, 0.2, 0.3], [0.7, 0.4, 0.5])),
+    _scripted_file(2, _line(0.0, 1.0, [0.5], [0.7, 0.4])),
+    _scripted_file(1, {"type": "arc", "t0": 0.0, "t1": 1.0, "center": [0.5, 0.5],
+                       "radius": 0.25, "angle0": 0.0, "angle1": 2.0}),
+    _scripted_file(2, _line(0.0, math.nan, [0.1, 0.2], [0.7, 0.4]),
+                   _line(math.nan, 1.0, [0.7, 0.4], [0.7, 0.4])),
+    _scripted_file(2, _line(0.0, 1.0, [math.inf, 0.2], [0.7, 0.4])),
+    _scripted_file(2, _line(0.0, 0.6, [0.1, 0.2], [0.7, 0.4]),
+                   _line(0.6, 0.4, [0.7, 0.4], [0.5, 0.5]),
+                   _line(0.4, 1.0, [0.7, 0.4], [0.5, 0.5])),
+], ids=["3d-in-2d", "short-point", "arc-in-1d", "nan-time", "inf-coordinate", "backwards"])
+def test_bad_scripted_segments_exit_two(tmp_path, capsys, text):
+    # Each used to load: run-topo crashed with a traceback at its first
+    # array evaluation, or ran on a meaningless motion and exited 0.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["run-topo", str(path), "--out-dir", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -20,11 +20,13 @@ from kemst.scenarios import (
     input_distance,
     _displacement_sq_fn,
     _first_crossing,
+    _segment_rows,
     _window_bound_fn,
     next_displacement_event,
 )
 from kemst.spanning import emst, tree_length
 from kemst.trajectories import (
+    _CONTINUITY_TOL,
     ArcSegment,
     LinearSegment,
     Trajectory,
@@ -130,6 +132,62 @@ def mixed_kind_scenario():
     )
 
 
+def segment_edge_scenario():
+    """Scripted points at the segment table's edges, in 2-D over [0, 2]: a
+    zero-width first segment (its end is never read), a start 5e-10 after
+    the previous end (the earlier segment extrapolates up to its reach),
+    a clamped polyline and a point mixing a line and an arc. The first two
+    compile into the table; the last two stay per point."""
+    zero = (
+        LinearSegment(0.0, 0.0, (0.2, 0.3), (0.9, 0.9)),
+        LinearSegment(0.0, 0.75, (0.2, 0.3), (0.6, 0.1)),
+        LinearSegment(0.75, 2.0, (0.6, 0.1), (0.3, 0.8)),
+    )
+    late = (
+        LinearSegment(0.0, 0.375, (0.1, 0.1), (0.5, 0.7)),
+        LinearSegment(0.375 + 5e-10, 1.25, (0.5, 0.7), (0.8, 0.4)),
+        LinearSegment(1.25, 1.25, (0.8, 0.4), (0.0, 0.0)),
+        LinearSegment(1.25, 2.0, (0.8, 0.4), (0.9, 0.9)),
+    )
+    clamped = (
+        LinearSegment(0.0, 1.0, (-0.5, 0.5), (0.5, 1.5)),
+        LinearSegment(1.0, 2.0, (0.5, 1.5), (0.4, 0.2)),
+    )
+    arc = (
+        LinearSegment(0.0, 1.0, (0.75, 0.5), (0.75, 0.5)),
+        ArcSegment(1.0, 2.0, (0.5, 0.5), 0.25, 0.0, 2.0),
+    )
+    return KineticScenario(
+        points=(
+            Trajectory("scripted", 2, 2.0, segments=zero),
+            Trajectory("polynomial", 2, 2.0, coeffs=((0.1, 0.3), (0.9, -0.2))),
+            Trajectory("scripted", 2, 2.0, segments=late),
+            Trajectory("scripted", 2, 2.0, segments=clamped, clamp_unit=True),
+            Trajectory("scripted", 2, 2.0, segments=arc),
+        ),
+        label="segment_edges",
+    )
+
+
+def test_segment_table_holds_unclamped_linear_points():
+    # The table compiles every unclamped all-linear scripted point and no
+    # other; clamped and arc-bearing points are evaluated point by point.
+    rows, _coef, lines, table, others = segment_edge_scenario()._tensor
+    assert list(rows) == [1] and list(lines) == [0, 2] and others == [3, 4]
+    reach, last = table[:2]
+    assert list(last) == [2, 3] and reach[0, 3] == math.inf
+    # Past every reach the count is clipped to the last segment, which
+    # `_segment_for` also falls back to (clamped instants never get there).
+    points = segment_edge_scenario().points
+    for t in (2.0 + 2e-9, 2.5):
+        want = [points[i]._segment_for(t).at(t) for i in lines]
+        got = _segment_rows(table, np.array([t]))[0]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    for sc, n_lines in ((gen_diamond(6), 26), (gen_circle(7), 0), (gen_split(8), 0)):
+        assert list(sc._tensor[2]) == list(range(n_lines))
+        assert len(sc._tensor[4]) == sc.n - n_lines - len(sc._tensor[0])
+
+
 @pytest.mark.parametrize(
     "sc",
     [
@@ -160,17 +218,26 @@ def mixed_kind_scenario():
             label="negative_zero",
         ),
         mixed_kind_scenario(),
+        gen_diamond(6),
+        gen_diamond(24),
+        segment_edge_scenario(),
     ],
     ids=lambda sc: sc.label,
 )
 def test_compiled_positions_match_positions(sc):
-    # `positions` of an array runs on the compiled tensor, of a float point
-    # by point; each row equals the float answer bit for bit, and so does
-    # `input_distance`, which reads one array of two instants.
+    # `positions` of an array runs on the compiled tensor and segment table,
+    # of a float point by point; each row equals the float answer bit for
+    # bit, and so does `input_distance`, which reads one array of two
+    # instants. Scripted points are also read at each segment's t1, at its
+    # reach t1 + _CONTINUITY_TOL (still that segment) and one float later.
     rng = np.random.default_rng(4)
     H = sc.horizon
     ends = [0.0, H, -1e-12, 1e-12, H - 1e-12, H + 1e-12]
-    ts = np.concatenate([ends, rng.uniform(0.0, H, 200)])
+    reaches = [seg.t1 + _CONTINUITY_TOL for p in sc.points for seg in p.segments]
+    edges = [seg.t1 for p in sc.points for seg in p.segments] + reaches
+    edges += np.nextafter(reaches, math.inf).tolist()
+    edges = [t for t in edges if -1e-12 <= t <= H + 1e-12]
+    ts = np.concatenate([ends, edges, rng.uniform(0.0, H, 200)])
     single = np.array([sc.positions(float(t)) for t in ts])
     batched = sc.positions(ts)
     assert batched.shape == (len(ts), sc.n, sc.dim)
@@ -179,6 +246,13 @@ def test_compiled_positions_match_positions(sc):
     assert sc.positions([]).shape == (0, sc.n, sc.dim)
     rows = [i for i, p in enumerate(sc.points) if p.kind == "polynomial" and not p.clamp_unit]
     assert list(sc._tensor[0]) == rows
+    lines = [
+        i for i, p in enumerate(sc.points)
+        if p.kind == "scripted" and not p.clamp_unit
+        and all(isinstance(seg, LinearSegment) for seg in p.segments)
+    ]
+    assert list(sc._tensor[2]) == lines
+    assert sorted(rows + lines + sc._tensor[4]) == list(range(sc.n))
     half = len(ts) // 2
     for i, (t1, t2) in enumerate(zip(ts[:half].tolist(), ts[half:].tolist())):
         want = float(np.max(np.linalg.norm(single[i] - single[half + i], axis=1)))

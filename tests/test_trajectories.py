@@ -139,6 +139,56 @@ def test_scripted_segments_must_tile():
         Trajectory("scripted", 1, 1.0, segments=zero_jump)
 
 
+_LINE = LinearSegment(0.0, 1.0, (0.1, 0.2), (0.7, 0.4))
+
+
+@pytest.mark.parametrize("dim,segments,message", [
+    (2, (LinearSegment(0.0, 1.0, (0.1, 0.2, 0.3), (0.7, 0.4, 0.5)),), "2 numbers each"),
+    (2, (LinearSegment(0.0, 1.0, (0.5,), (0.7, 0.4)),), "2 numbers each"),
+    (2, (LinearSegment(0.0, 1.0, (0.1, 0.2), ((0.7, 0.4),)),), "2 numbers each"),
+    (1, (ArcSegment(0.0, 1.0, (0.5, 0.5), 0.25, 0.0, 2.0),), "arc segments need dim 2"),
+    (3, (ArcSegment(0.0, 1.0, (0.5, 0.5), 0.25, 0.0, 2.0),), "arc segments need dim 2"),
+    (2, (ArcSegment(0.0, 1.0, (0.5,), 0.25, 0.0, 2.0),), "2 numbers each"),
+    (2, (LinearSegment(0.0, "1", (0.1, 0.2), (0.7, 0.4)),), "times, radius and angles"),
+    (2, (LinearSegment(0.0, (1.0,), (0.1, 0.2), (0.7, 0.4)),), "times, radius and angles"),
+    (2, ((0.0, 1.0, (0.1, 0.2), (0.7, 0.4)),), "unknown segment type tuple"),
+    (2, (LinearSegment(0.0, math.nan, (0.1, 0.2), (0.7, 0.4)),
+         LinearSegment(math.nan, 1.0, (0.7, 0.4), (0.7, 0.4))), "finite"),
+    (2, (LinearSegment(0.0, 1.0, (math.inf, 0.2), (0.7, 0.4)),), "finite"),
+    (2, (LinearSegment(0.0, 1.0, (0.1, 0.2), (0.7, math.nan)),), "finite"),
+    (2, (ArcSegment(0.0, 1.0, (0.5, 0.5), math.nan, 0.0, 2.0),), "finite"),
+    (2, (ArcSegment(0.0, 1.0, (0.5, 0.5), 0.25, 0.0, math.inf),), "finite"),
+    (2, (ArcSegment(0.0, 1.0, (math.inf, 0.5), 0.25, 0.0, 2.0),), "finite"),
+    (2, (LinearSegment(0.0, 0.6, (0.1, 0.2), (0.7, 0.4)),
+         LinearSegment(0.6, 0.4, (0.7, 0.4), (0.5, 0.5)),
+         LinearSegment(0.4, 1.0, (0.7, 0.4), (0.5, 0.5))), "backwards"),
+    # each segment runs forward and tiles within the tolerance, but the
+    # zero-width middle one ends 5e-10 before the first
+    (2, (LinearSegment(0.0, 0.5, (0.1, 0.2), (0.7, 0.4)),
+         LinearSegment(0.5 - 5e-10, 0.5 - 5e-10, (0.7, 0.4), (0.5, 0.5)),
+         LinearSegment(0.5 - 5e-10, 1.0, (0.7, 0.4), (0.5, 0.5))), "must not decrease"),
+], ids=["3d-in-2d", "short-start", "nested-end", "arc-in-1d", "arc-in-3d", "short-center",
+        "string-time", "tuple-time", "not-a-segment", "nan-times", "inf-start",
+        "nan-end", "nan-radius", "inf-angle", "inf-center", "backwards", "end-decreases"])
+def test_scripted_segments_are_validated(dim, segments, message):
+    with pytest.raises(ParameterError, match=message):
+        Trajectory("scripted", dim, 1.0, segments=segments)
+
+
+def test_scripted_segments_validation_keeps_good_inputs():
+    # Integer fields, a zero-width segment and ends within the continuity
+    # tolerance of the next start all still load.
+    Trajectory("scripted", 2, 1.0, segments=(_LINE,))
+    Trajectory("scripted", 1, 1.0, segments=(LinearSegment(0, 1, (0,), (1,)),))
+    segs = (
+        LinearSegment(0.0, 0.0, (0.1, 0.2), (0.9, 0.9)),
+        LinearSegment(0.0, 0.5, (0.1, 0.2), (0.7, 0.4)),
+        LinearSegment(0.5 + 5e-10, 1.0, (0.7, 0.4), (0.5, 0.5)),
+    )
+    traj = Trajectory("scripted", 2, 1.0, segments=segs)
+    assert traj.at(0.5 + 2e-10).shape == (2,)
+
+
 def test_at_array_rows_are_float_answers():
     arc = (
         ArcSegment(0.0, 0.5, (0.5, 0.5), 0.25, 0.0, 2.0),
